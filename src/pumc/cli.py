@@ -389,20 +389,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_config(parser: argparse.ArgumentParser, args):
+    """Override the command's flags from the --config JSON object.
+
+    Values are held to the flag's type and choices; integers are accepted
+    for float flags, booleans only for switches.
+    """
+    overrides = _load_json(args.config)
+    if not isinstance(overrides, dict):
+        raise ValueError("config must be a JSON object")
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in subs.choices[args.command]._actions if a.option_strings}
+    for key, value in overrides.items():
+        action = flags.get(key)
+        if action is None or key == "help":
+            raise ValueError(f"unknown config key {key!r}")
+        kind = bool if action.nargs == 0 else action.type or str
+        if kind is float and type(value) is int:
+            value = float(value)
+        if type(value) is not kind:
+            raise ValueError(f"config key {key!r} needs {kind.__name__}, got {json.dumps(value)}")
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"config key {key!r} must be one of {', '.join(action.choices)}")
+        setattr(args, key, value)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        overrides = _load_json(args.config)
-        if not isinstance(overrides, dict):
-            print("error: config must be a JSON object", file=sys.stderr)
-            return 2
-        for key, value in overrides.items():
-            if not hasattr(args, key):
-                print(f"error: unknown config key {key!r}", file=sys.stderr)
-                return 2
-            setattr(args, key, value)
     try:
+        if getattr(args, "config", None):
+            _apply_config(parser, args)
         return args.func(args)
     except (TheoremViolationError, PowerIterationError) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)

@@ -230,9 +230,6 @@ class StochasticMatrix:
     def size(self) -> int:
         return self.P.shape[0]
 
-    def row(self, a: int) -> Pmf:
-        return Pmf(self.P[a])
-
 
 @dataclass(frozen=True)
 class PermutationFamily:

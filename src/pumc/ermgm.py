@@ -22,9 +22,10 @@ from .core import (
     StateSpace,
     build_multigraph_space,
     dyad_count_table,
+    edge_total_table,
     num_dyads,
 )
-from .expfam import ExpFamilySpec, ParameterMap, affinely_independent_entries, default_probes
+from .expfam import ExpFamilySpec, ParameterMap, _logsumexp_rows, affinely_independent_entries, default_probes
 from .netstat import DyadicFactorization
 from .puniform import Trajectory
 from .rng import stream
@@ -86,13 +87,11 @@ def dyad_pmf(model: ErmgmModel, theta, f: int) -> Pmf:
     """Law of the multiplicity of dyad f."""
     if not 0 <= f < model.num_dyads:
         raise ValueError("dyad index out of range")
-    logw = _dyad_log_weights(model, theta)[f]
-    m = logw.max()
-    w = np.exp(logw - m)
-    return Pmf(w / w.sum())
+    return Pmf(_dyad_pmf_table(model, theta)[f])
 
 
 def _dyad_pmf_table(model: ErmgmModel, theta) -> np.ndarray:
+    """(num_dyads, t+1) table of per-dyad multiplicity laws."""
     logw = _dyad_log_weights(model, theta)
     m = logw.max(axis=1, keepdims=True)
     w = np.exp(logw - m)
@@ -104,17 +103,16 @@ class InstrumentedLogPartition(NamedTuple):
     terms: int
 
 
-def fast_log_partition_instrumented(model: ErmgmModel, theta) -> InstrumentedLogPartition:
-    """Product-form log partition; counts the summands it touches."""
-    logw = _dyad_log_weights(model, theta)
-    m = logw.max(axis=1)
-    value = float((m + np.log(np.exp(logw - m[:, None]).sum(axis=1))).sum())
-    return InstrumentedLogPartition(value=value, terms=logw.size)
-
-
 def fast_log_partition(model: ErmgmModel, theta) -> float:
     """log of the partition function, summing t+1 terms per dyad."""
-    return fast_log_partition_instrumented(model, theta).value
+    return float(_logsumexp_rows(_dyad_log_weights(model, theta)).sum())
+
+
+def fast_log_partition_instrumented(model: ErmgmModel, theta) -> InstrumentedLogPartition:
+    """Product-form log partition with the number of summands it touches."""
+    return InstrumentedLogPartition(
+        value=fast_log_partition(model, theta), terms=model.num_dyads * (model.t + 1)
+    )
 
 
 def to_expfam(model: ErmgmModel) -> ExpFamilySpec:
@@ -248,7 +246,7 @@ def mle_density_stability(x: Trajectory, kind: str) -> MleEstimate:
         raise ValueError("the closed-form MLE needs a simple-graph chain with n >= 2")
     if x.transitions < 1:
         raise ValueError("need at least one transition")
-    edges = dyad_count_table(space).sum(axis=1)
+    edges = edge_total_table(space)
     src, dst = x.states[:-1], x.states[1:]
     if kind == "density":
         per_step = edges[dst]

@@ -10,7 +10,7 @@ and the visited carrier values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -217,32 +217,42 @@ class MefSpec(CefSpec):
     verified_mef: bool = False
 
 
-def row_log_partitions(cef: CefSpec, theta, chunk: int = 512) -> np.ndarray:
-    """psi(a, theta) for every row a, computed in row chunks."""
+def _row_chunks(cef: CefSpec, theta, chunk: int):
+    """Yield (start, stop, logits, psi) over blocks of at most `chunk` rows."""
     eta = cef.eta.evaluate(theta)
     size = cef.space.size
-    out = np.empty(size)
     for start in range(0, size, chunk):
         stop = min(start + chunk, size)
         logits = _log_weights(cef.kappa[start:stop], cef.tau[start:stop], eta)
-        out[start:stop] = _logsumexp_rows(logits)
+        yield start, stop, logits, _logsumexp_rows(logits)
+
+
+def row_log_partitions(cef: CefSpec, theta, chunk: int = 512) -> np.ndarray:
+    """psi(a, theta) for every row a, computed in row chunks."""
+    out = np.empty(cef.space.size)
+    for start, stop, _, psi in _row_chunks(cef, theta, chunk):
+        out[start:stop] = psi
     return out
 
 
 def cef_transition_matrix(cef: CefSpec, theta, chunk: int = 512) -> StochasticMatrix:
     """Realize the transition matrix P_theta(a, b) by row-wise normalization."""
-    eta = cef.eta.evaluate(theta)
     size = cef.space.size
     P = np.empty((size, size))
-    for start in range(0, size, chunk):
-        stop = min(start + chunk, size)
-        logits = _log_weights(cef.kappa[start:stop], cef.tau[start:stop], eta)
-        psi = _logsumexp_rows(logits)
+    for start, stop, logits, psi in _row_chunks(cef, theta, chunk):
         if not np.all(np.isfinite(psi)):
             bad = start + int(np.argmin(np.isfinite(psi)))
             raise ValueError(f"row {bad} has no mass (kappa identically zero)")
         P[start:stop] = np.exp(logits - psi[:, None])
     return StochasticMatrix(P=P)
+
+
+def _psi_survey(cef: CefSpec, probes) -> np.ndarray:
+    """Row log-partitions at every probe, as a (probes, rows) array."""
+    psi = np.empty((len(probes), cef.space.size))
+    for i, theta in enumerate(probes):
+        psi[i] = row_log_partitions(cef, theta)
+    return psi
 
 
 @dataclass(frozen=True)
@@ -265,27 +275,17 @@ def validate_cef(cef: CefSpec, probes=None, rel_tol: float = MEF_REL_TOL) -> Cef
     """
     if probes is None:
         probes = default_probes(cef.eta)
-    zero_rows = np.where(cef.kappa.max(axis=1) == 0)[0]
-    raw = np.empty((len(probes), cef.space.size))
-    shared = np.empty(len(probes), dtype=bool)
-    mismatched: set[int] = set()
-    worst = 0.0
-    for i, theta in enumerate(probes):
-        psi = row_log_partitions(cef, theta)
-        raw[i] = np.exp(psi)
-        ref = raw[i, 0]
-        rel = np.abs(raw[i] - ref) / max(1.0, abs(ref))
-        worst = max(worst, float(rel.max()))
-        bad = np.where(rel > rel_tol)[0]
-        shared[i] = bad.size == 0
-        mismatched.update(int(b) for b in bad)
+    raw = np.exp(_psi_survey(cef, probes))
+    ref = raw[:, :1]
+    rel = np.abs(raw - ref) / np.maximum(1.0, np.abs(ref))
+    bad = rel > rel_tol
     return CefValidation(
         probes=tuple(probes),
         raw_sums=raw,
-        zero_rows=zero_rows,
-        shared_normalizer=shared,
-        worst_rel_spread=worst,
-        mismatched_rows=tuple(sorted(mismatched)),
+        zero_rows=np.where(cef.kappa.max(axis=1) == 0)[0],
+        shared_normalizer=~bad.any(axis=1),
+        worst_rel_spread=float(rel.max(initial=0.0)),
+        mismatched_rows=tuple(int(b) for b in np.flatnonzero(bad.any(axis=0))),
     )
 
 
@@ -301,8 +301,7 @@ def mef_check(cef: CefSpec, probes=None, rel_tol: float = MEF_REL_TOL) -> MefChe
     if probes is None:
         probes = default_probes(cef.eta)
     worst, worst_probe, worst_row = 0.0, None, 0
-    for theta in probes:
-        psi = row_log_partitions(cef, theta)
+    for theta, psi in zip(probes, _psi_survey(cef, probes)):
         rel = np.abs(psi - psi[0]) / max(1.0, abs(psi[0]))
         r = int(np.argmax(rel))
         if rel[r] > worst:

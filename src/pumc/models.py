@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Multigraph,
     PermutationFamily,
     Pmf,
     StateSpace,
@@ -28,6 +27,7 @@ from .core import (
     builtin_family,
     dyad_count_table,
     dyad_index,
+    edge_total_table,
     identity_family,
     num_dyads,
 )
@@ -42,6 +42,7 @@ from .expfam import (
     as_mef,
     expfam_to_mef,
 )
+from .puniform import puniform_matrix
 
 GANI_TAU = np.array([[1.0, 1.0, 3.0], [3.0, 3.0, 1.0], [1.0, 3.0, 3.0]])
 GANI_KAPPA = np.array([[2.0, 1.0, 1.0], [1.0 / 3.0, 2.0 / 3.0, 3.0], [2.75, 1.0, 0.25]])
@@ -87,7 +88,7 @@ def er_family(n: int) -> ExpFamilySpec:
     if n < 2:
         raise ValueError("need n >= 2")
     space = build_multigraph_space(n, 1)
-    edges = dyad_count_table(space).sum(axis=1)
+    edges = edge_total_table(space)
     return ExpFamilySpec(
         space=space,
         kappa=np.ones(space.size),
@@ -100,8 +101,7 @@ def er_pmf(n: int, p: float) -> Pmf:
     """Erdos-Renyi law on G(n, 1) computed directly from edge counts."""
     if not 0 < p < 1:
         raise ValueError("need 0 < p < 1")
-    space = build_multigraph_space(n, 1)
-    edges = dyad_count_table(space).sum(axis=1)
+    edges = edge_total_table(build_multigraph_space(n, 1))
     return Pmf(p ** edges * (1.0 - p) ** (num_dyads(n) - edges))
 
 
@@ -114,7 +114,7 @@ class ChainModel:
     mu: Pmf
 
     def matrix(self) -> StochasticMatrix:
-        return StochasticMatrix(P=self.mu.p[self.family.sigma])
+        return StochasticMatrix(P=puniform_matrix(self.family, self.mu))
 
 
 def density_chain(n: int, p: float) -> ChainModel:
@@ -200,23 +200,6 @@ def directed_space(n: int) -> StateSpace:
         raise ValueError("directed space too large to enumerate")
     labels = tuple(format(i, f"0{m}b") for i in range(2 ** m))
     return build_generic_space(labels)
-
-
-def directed_index(n: int, arcs) -> int:
-    """Encode a set of (i, j) arcs as a directed-space state index."""
-    lookup = directed_pair_index(n)
-    idx = 0
-    for arc in arcs:
-        idx |= 1 << lookup[tuple(arc)]
-    return idx
-
-
-def directed_adjacency(n: int, idx: int) -> np.ndarray:
-    """Decode a state index to its (n, n) 0/1 adjacency matrix."""
-    adj = np.zeros((n, n), dtype=np.int64)
-    for f, (i, j) in enumerate(directed_pairs(n)):
-        adj[i, j] = (idx >> f) & 1
-    return adj
 
 
 def reciprocity_cef(n: int) -> CefSpec:

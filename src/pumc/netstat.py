@@ -10,8 +10,7 @@ evenly across dyads so the components reassemble exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
-from math import comb
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +24,12 @@ from .core import (
     canonical_dyads,
     dyad_count_table,
     dyad_index,
+    edge_total_table,
     invert_family,
     num_dyads,
 )
 from .errors import TheoremViolationError
-from .puniform import check_puniform
+from .puniform import check_triple
 from .rng import stream
 
 RECONSTRUCTION_TOL = 1e-10
@@ -117,21 +117,17 @@ def density_stat_table(space: StateSpace) -> np.ndarray:
     """Transition table of the density statistic: rows constant in the source."""
     if space.kind != MULTIGRAPH or space.t != 1 or space.n < 2:
         raise ValueError("density table needs a simple-graph space with n >= 2")
-    edges = dyad_count_table(space).sum(axis=1) / (space.n - 1)
+    edges = edge_total_table(space) / (space.n - 1)
     return np.broadcast_to(edges, (space.size, space.size)).copy()
 
 
 def stability_stat_table(space: StateSpace) -> np.ndarray:
-    """Transition table of the stability statistic via index XOR popcounts."""
+    """Transition table of the stability statistic: dyads outside a xor b."""
     if space.kind != MULTIGRAPH or space.t != 1 or space.n < 2:
         raise ValueError("stability table needs a simple-graph space with n >= 2")
     idx = np.arange(space.size, dtype=np.int64)
-    diff = idx[:, None] ^ idx[None, :]
-    nd = num_dyads(space.n)
-    dis = np.zeros(diff.shape, dtype=np.int64)
-    for f in range(nd):
-        dis += (diff >> f) & 1
-    return (nd - dis) / (space.n - 1)
+    edges = edge_total_table(space)
+    return (num_dyads(space.n) - edges[idx[:, None] ^ idx[None, :]]) / (space.n - 1)
 
 
 @dataclass(frozen=True)
@@ -385,9 +381,7 @@ def exchangeability_transfer(
     hypotheses mu is exchangeable iff every row is iff any row is; a
     numerical violation of that equivalence raises.
     """
-    err = np.abs(P.P - mu.p[perm.sigma]).max()
-    if err > RECONSTRUCTION_TOL:
-        raise ValueError(f"(P, family, mu) is not a p-uniform triple, error {err:.3e}")
+    check_triple(P, perm, mu)
     ok, witness = is_relation_invariant(perm, classes)
     if not ok:
         raise ValueError(f"family does not preserve the relation: {witness}")

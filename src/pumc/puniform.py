@@ -9,7 +9,7 @@ and the chain X becomes an iid sequence under Z_{i+1} = sigma_{X_i}(X_{i+1}).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +47,20 @@ class Trajectory:
         return self.states.size - 1
 
 
+def puniform_matrix(fam: PermutationFamily, mu: Pmf) -> np.ndarray:
+    """Entries P(a, b) = mu(sigma_a(b)) of the matrix a (family, mu) pair defines."""
+    return mu.p[fam.sigma]
+
+
+def check_triple(P: StochasticMatrix, fam: PermutationFamily, mu: Pmf, tol: float = WITNESS_TOL):
+    """Raise ValueError unless P(a, b) = mu(sigma_a(b)) entrywise within tol."""
+    if fam.size != P.size or mu.size != P.size:
+        raise ValueError("(P, family, mu) must share one state space size")
+    err = np.abs(P.P - puniform_matrix(fam, mu)).max()
+    if err > tol:
+        raise ValueError(f"(P, family, mu) is not a p-uniform triple, error {err:.3e}")
+
+
 @dataclass(frozen=True)
 class PuniformWitness:
     """Certificate that matrix rows are per-row relabellings of one pmf.
@@ -60,11 +74,7 @@ class PuniformWitness:
     tol: float = WITNESS_TOL
 
     def __post_init__(self):
-        if self.family.size != self.matrix.size or self.mu.size != self.matrix.size:
-            raise ValueError("witness pieces must share one state space size")
-        err = np.abs(self.matrix.P - self.mu.p[self.family.sigma]).max()
-        if err > self.tol:
-            raise ValueError(f"witness does not reproduce the matrix, error {err:.3e}")
+        check_triple(self.matrix, self.family, self.mu, self.tol)
 
 
 def _as_table(P) -> np.ndarray:
@@ -97,6 +107,18 @@ def check_puniform(P, fam: PermutationFamily, tol: float = DETECT_TOL):
     return False, (0, int(a), int(c))
 
 
+def _stable_matching(table: np.ndarray):
+    """Match every row to row 0 by stable sort on (value, index).
+
+    Returns (order, sigma): order sorts each row, and sigma sends row a's
+    k-th smallest entry to the position of row 0's k-th smallest.
+    """
+    order = np.argsort(table, axis=1, kind="stable")
+    sigma = np.empty_like(order)
+    sigma[np.arange(table.shape[0])[:, None], order] = order[0]
+    return order, sigma
+
+
 def detect_puniform(P: StochasticMatrix, tol: float = DETECT_TOL):
     """Find a p-uniform witness for P, or None.
 
@@ -107,14 +129,10 @@ def detect_puniform(P: StochasticMatrix, tol: float = DETECT_TOL):
     near-ties cannot produce a false witness.
     """
     table = P.P
-    size = P.size
-    order = np.argsort(table, axis=1, kind="stable")
+    order, sigma = _stable_matching(table)
     sorted_rows = np.take_along_axis(table, order, axis=1)
     if np.abs(sorted_rows - sorted_rows[0]).max() > tol:
         return None
-    sigma = np.empty((size, size), dtype=np.int64)
-    rows = np.arange(size)[:, None]
-    sigma[rows, order] = order[0]
     fam = PermutationFamily(sigma=sigma, tag="detected")
     ok, _ = check_puniform(P, fam, tol)
     if not ok:
@@ -130,10 +148,7 @@ def detection_violation(P, tol: float = DETECT_TOL):
     fact p-uniform within tol this returns None.
     """
     table = _as_table(P)
-    order = np.argsort(table, axis=1, kind="stable")
-    sigma = np.empty_like(order)
-    rows = np.arange(table.shape[0])[:, None]
-    sigma[rows, order] = order[0]
+    _, sigma = _stable_matching(table)
     ok, triple = check_puniform(table, PermutationFamily(sigma=sigma, tag="attempted"), tol)
     return None if ok else triple
 
@@ -197,9 +212,7 @@ def symmetry_transfer_check(
     symmetric family. Either implication failing raises, since it cannot
     fail for a consistent p-uniform triple.
     """
-    err = np.abs(P.P - mu.p[fam.sigma]).max()
-    if err > tol:
-        raise ValueError(f"(P, family, mu) is not a p-uniform triple, error {err:.3e}")
+    check_triple(P, fam, mu, tol)
     fam_sym, pair = is_symmetric_family(fam)
     dev = float(np.abs(P.P - P.P.T).max())
     mat_sym = dev <= tol

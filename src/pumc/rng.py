@@ -37,7 +37,3 @@ def stream(seed: int, *lanes: int) -> np.random.Generator:
     key = np.array([int(seed) & _MASK64, _lane_key(lanes)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def uniforms(seed: int, count: int, *lanes: int) -> np.ndarray:
-    """Draw `count` uniforms from the (seed, lanes) stream, steps 0..count-1."""
-    return stream(seed, *lanes).random(count)

@@ -17,7 +17,6 @@ from .core import (
     MULTIGRAPH,
     Multigraph,
     PermutationFamily,
-    Pmf,
     StateSpace,
     StochasticMatrix,
     build_generic_space,
@@ -309,10 +308,21 @@ def write_states_jsonl(
 
 
 def read_states_jsonl(path: str):
-    """Returns (kind, space, states array)."""
+    """Returns (kind, space, states array).
+
+    State lines must carry i = 0, 1, 2, ... in file order; a reordered,
+    skipped or repeated line raises ValueError.
+    """
     with open(path) as fp:
         header = json.loads(fp.readline())
-        states = [json.loads(line)["state"] for line in fp if line.strip()]
+        states = []
+        for lineno, line in enumerate(fp, start=2):
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            if not isinstance(rec, dict) or rec.get("i") != len(states):
+                raise ValueError(f"{path}:{lineno}: expected a record with \"i\": {len(states)}")
+            states.append(rec["state"])
     space = space_from_dict(header["space"])
     arr = np.array(states, dtype=np.int64)
     if arr.size and (arr.min() < 0 or arr.max() >= space.size):

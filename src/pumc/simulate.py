@@ -12,16 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Pmf,
-    PermutationFamily,
-    StateSpace,
-    StochasticMatrix,
-    build_multigraph_space,
-    builtin_family,
-    dyad_count_table,
-    num_dyads,
-)
+from . import models
+from .core import Pmf, PermutationFamily, StateSpace, StochasticMatrix, num_dyads
 from .errors import PowerIterationError, TheoremViolationError
 from .puniform import Trajectory, check_puniform, iid_to_chain
 from .rng import stream
@@ -190,14 +182,7 @@ def stationary_distribution(
 
 def stability_transition_matrix(n: int, p: float) -> StochasticMatrix:
     """Transition matrix of the stability chain on G(n, 1) at retention p."""
-    if not 0 < p < 1:
-        raise ValueError("need 0 < p < 1")
-    space = build_multigraph_space(n, 1)
-    edges = dyad_count_table(space).sum(axis=1)
-    nd = num_dyads(n)
-    mu = p ** edges * (1.0 - p) ** (nd - edges)
-    fam = builtin_family(space, "stability")
-    return StochasticMatrix(P=mu[fam.sigma])
+    return models.stability_chain(n, p).matrix()
 
 
 @dataclass(frozen=True)

@@ -300,12 +300,61 @@ def test_config_overrides_flags(tmp_path, capsys):
                        "--out", out, "--config", nondict)
     assert code == 2 and "JSON object" in err
 
+    # values are held to the flag's type and choices, like the flags themselves
+    for i, (overrides, message) in enumerate((
+        ({"steps": "10"}, "'steps' needs int"),
+        ({"func": 1}, "unknown config key 'func'"),
+        ({"x0": "0", "expand": "yes"}, "'x0' needs int"),
+        ({"expand": "yes"}, "'expand' needs bool"),
+        ({"model": "bogus"}, "'model' must be one of"),
+    )):
+        path = str(tmp_path / f"typed{i}.json")
+        with open(path, "w") as fp:
+            json.dump(overrides, fp)
+        code, _, err = run(capsys, "simulate", "--model", "density", "--n", "3",
+                           "--p", "0.1", "--steps", "5", "--seed", "2",
+                           "--out", out, "--config", path)
+        assert code == 2 and message in err
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+    # an integer is a valid value for a float flag
+    matrix = str(tmp_path / "m.json")
+    loose = str(tmp_path / "loose.json")
+    with open(matrix, "w") as fp:
+        json.dump([[0.5, 0.5], [0.25, 0.75]], fp)
+    with open(loose, "w") as fp:
+        json.dump({"tol": 1}, fp)
+    code, out, _ = run(capsys, "detect", "--matrix", matrix, "--config", loose)
+    assert code == 0 and read_json(out)["puniform"] is True
+
 
 def test_missing_files_exit_2(capsys):
     code, _, err = run(capsys, "detect", "--matrix", "/nonexistent/m.json")
     assert code == 2
     code, _, err = run(capsys, "fit", "--traj", "/nonexistent/t.jsonl", "--stat", "density")
     assert code == 2
+    code, _, err = run(capsys, "fit", "--traj", "/nonexistent/t.jsonl", "--stat", "density",
+                       "--config", "/nonexistent/c.json")
+    assert code == 2
+
+
+def test_reordered_or_gapped_trajectory_exits_2(tmp_path, capsys):
+    traj_path = str(tmp_path / "x.jsonl")
+    run(capsys, "simulate", "--model", "stability", "--n", "3", "--p", "0.3",
+        "--steps", "10", "--seed", "9", "--out", traj_path)
+    header, *records = open(traj_path).read().splitlines()
+    swapped = str(tmp_path / "swapped.jsonl")
+    with open(swapped, "w") as fp:
+        fp.write("\n".join([header, records[0], records[2], records[1], *records[3:]]) + "\n")
+    code, _, err = run(capsys, "transform", "--traj", swapped, "--direction", "chain2iid",
+                       "--family", "stability", "--out", str(tmp_path / "z.jsonl"))
+    assert code == 2 and '"i": 1' in err
+
+    gapped = str(tmp_path / "gapped.jsonl")
+    with open(gapped, "w") as fp:
+        fp.write("\n".join([header, *records[:4], *records[5:]]) + "\n")
+    code, out, err = run(capsys, "fit", "--traj", gapped, "--stat", "stability")
+    assert code == 2 and out == "" and '"i": 4' in err
 
 
 def test_out_flag_writes_file_not_stdout(tmp_path, capsys):

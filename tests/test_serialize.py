@@ -197,6 +197,21 @@ def test_states_jsonl_rejects_out_of_range(tmp_path):
         serialize.read_states_jsonl(path)
 
 
+def test_states_jsonl_rejects_swapped_and_gapped_lines(tmp_path):
+    space = build_multigraph_space(3, 1)
+    path = str(tmp_path / "ok.jsonl")
+    serialize.write_states_jsonl(path, space, [0, 7, 3, 5])
+    header, *records = open(path).read().splitlines()
+    swapped = [records[0], records[2], records[1], records[3]]
+    gapped = [records[0], records[1], records[3]]
+    for name, body in (("swapped", swapped), ("gapped", gapped)):
+        bad = str(tmp_path / f"{name}.jsonl")
+        with open(bad, "w") as fp:
+            fp.write("\n".join([header, *body]) + "\n")
+        with pytest.raises(ValueError, match=r'"i": 1|"i": 2'):
+            serialize.read_states_jsonl(bad)
+
+
 def test_trajectory_kind_check(tmp_path):
     space = build_multigraph_space(3, 1)
     traj = Trajectory(space=space, states=np.array([0, 1, 5]))
