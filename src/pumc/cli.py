@@ -13,11 +13,12 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import ermgm, models, netstat, oracle, serialize, simulate
-from .core import Multigraph, Pmf, build_generic_space, builtin_family
+from .core import Pmf, build_generic_space, builtin_family
 from .errors import PowerIterationError, TheoremViolationError
 from .puniform import DETECT_TOL, Trajectory, chain_to_iid, detect_puniform, detection_violation, iid_to_chain
 
@@ -30,13 +31,20 @@ def _load_json(path: str):
         return json.load(fp)
 
 
+@contextmanager
+def _output(path: str | None):
+    """The --out file opened for writing, or stdout when there is none."""
+    if path:
+        with open(path, "w") as fp:
+            yield fp
+    else:
+        yield sys.stdout
+
+
 def _emit(args, payload, summary: str):
     text = serialize.dumps(payload, indent=2) + "\n"
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(getattr(args, "out", None)) as fp:
+        fp.write(text)
     print(summary, file=sys.stderr)
 
 
@@ -50,6 +58,11 @@ def _resolve_family(space, name_or_path: str):
 
 
 def _chain_model(args) -> models.ChainModel:
+    """The built-in chain named by --model, after checking its flags."""
+    if args.model in ("density", "stability") and not (args.n and args.p is not None):
+        raise ValueError(f"--model {args.model} needs --n and --p")
+    if args.model == "modular" and not args.n:
+        raise ValueError("--model modular needs --n")
     if args.model == "density":
         return models.density_chain(args.n, args.p)
     if args.model == "stability":
@@ -86,10 +99,6 @@ def _simulate_one(payload: dict) -> str:
 
 
 def cmd_simulate(args) -> int:
-    if args.model in ("density", "stability") and not (args.n and args.p is not None):
-        raise ValueError(f"--model {args.model} needs --n and --p")
-    if args.model == "modular" and not args.n:
-        raise ValueError("--model modular needs --n")
     if args.model == "custom" and not args.matrix:
         raise ValueError("--model custom needs --matrix")
     if args.replicates > 1 and not args.out:
@@ -194,18 +203,8 @@ def cmd_sample(args) -> int:
         _emit(args, serialize.multigraph_to_dict(g), f"sample: one draw, seed {args.seed}")
         return 0
     draws = ermgm.sample_multigraphs(model, args.theta, args.count, args.seed)
-    lines = [
-        serialize.dumps(serialize.multigraph_to_dict(
-            Multigraph(n=model.n, t=model.t, counts=row)
-        ))
-        for row in draws
-    ]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fp:
-            fp.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as fp:
+        serialize.write_multigraph_lines(fp, model.n, model.t, draws)
     print(f"sample: {args.count} draws, seed {args.seed}", file=sys.stderr)
     return 0
 
@@ -260,10 +259,7 @@ def cmd_diagnose(args) -> int:
         "transitions": report.transitions,
     }
     if args.csv:
-        with open(args.csv, "w") as fp:
-            fp.write("step,running_mean\n")
-            for i, row in enumerate(report.running_mean):
-                fp.write(f"{i + 1},{','.join(format(v, '.17g') for v in row)}\n")
+        serialize.write_running_means_csv(args.csv, report.running_mean)
     _emit(args, payload, f"diagnose: |mean - target| = {report.abs_error.max():.3e}")
     return 0
 

@@ -199,6 +199,8 @@ class Pmf:
         object.__setattr__(self, "p", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("pmf must be a nonempty vector")
+        if not np.isfinite(p).all():
+            raise ValueError("pmf entries must be finite")
         if p.min() < 0:
             raise ValueError("pmf entries must be nonnegative")
         if abs(p.sum() - 1.0) > PMF_TOL:
@@ -220,6 +222,8 @@ class StochasticMatrix:
         object.__setattr__(self, "P", P)
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] == 0:
             raise ValueError("need a nonempty square matrix")
+        if not np.isfinite(P).all():
+            raise ValueError("entries must be finite")
         if P.min() < 0:
             raise ValueError("entries must be nonnegative")
         err = np.abs(P.sum(axis=1) - 1.0).max()

@@ -7,6 +7,7 @@ bit-exactly and repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from typing import IO
 
 import numpy as np
@@ -23,6 +24,7 @@ from .core import (
     build_modular_space,
     build_multigraph_space,
     canonical_dyads,
+    dyad_count_table,
     num_dyads,
 )
 from .expfam import CefSpec, ExpFamilySpec, ParameterMap
@@ -64,7 +66,20 @@ def _emit(obj, out: list, indent, depth):
             obj.values(), "{}", out, indent, depth,
         )
     elif isinstance(obj, (list, tuple)):
-        _emit_items(("" for _ in obj), obj, "[]", out, indent, depth)
+        kinds = set(map(type, obj))
+        if obj and kinds <= {int, float}:
+            # Flat numeric list (an ndarray row): one join, same bytes as
+            # the per-item path below.
+            if kinds == {int}:
+                items = map(str, obj)
+            elif kinds == {float}:
+                items = map(_format_float, obj)
+            else:
+                items = (str(x) if type(x) is int else _format_float(x) for x in obj)
+            pad, closing = _padding(indent, depth)
+            out.append("[" + pad + ("," + pad).join(items) + closing + "]")
+        else:
+            _emit_items(("" for _ in obj), obj, "[]", out, indent, depth)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -75,12 +90,18 @@ def _emit_items(prefixes, values, braces, out, indent, depth):
         out.append(braces)
         return
     out.append(braces[0])
-    pad = "\n" + " " * (indent * (depth + 1)) if indent else ""
-    closing = "\n" + " " * (indent * depth) if indent else ""
+    pad, closing = _padding(indent, depth)
     for i, (prefix, value) in enumerate(zip(prefixes, values)):
         out.append(("," if i else "") + pad + prefix)
         _emit(value, out, indent, depth + 1)
     out.append(closing + braces[1])
+
+
+def _padding(indent, depth) -> tuple[str, str]:
+    """Text before each item and before the closing brace at this depth."""
+    if not indent:
+        return "", ""
+    return "\n" + " " * (indent * (depth + 1)), "\n" + " " * (indent * depth)
 
 
 def dump(obj, fp: IO, indent: int | None = 2):
@@ -287,6 +308,18 @@ def ermgm_from_dict(d: dict) -> ErmgmModel:
 
 # ------------------------------------------------------------- JSONL paths
 
+# Lines formatted, or parsed, per call; bounds the reader's working set.
+CHUNK = 8192
+
+_STATE_LINE = '{"i":%d,"state":%d}\n'
+_EXPANDED_LINE = '{"i":%d,"state":%d,"dyads":%s}\n'
+
+
+def _dyads_template(n: int) -> str:
+    """multigraph_to_dict's "dyads" list as a %-template over the counts."""
+    return "[" + ",".join(f"[{u + 1},{v + 1},%d]" for u, v in canonical_dyads(n)) + "]"
+
+
 def write_states_jsonl(
     path: str, space: StateSpace, states, kind: str = "trajectory", expand: bool = False
 ):
@@ -296,38 +329,139 @@ def write_states_jsonl(
     dyad multiplicities as [u, v, m] triples, 1-based vertices.
     """
     states = np.asarray(states, dtype=np.int64)
+    line, dyads = _STATE_LINE, None
+    if expand:
+        if space.kind != MULTIGRAPH:
+            raise ValueError("dyad expansion needs a multigraph space")
+        distinct = np.unique(states)
+        if distinct.size and (distinct[0] < 0 or distinct[-1] >= space.size):
+            raise ValueError("state index out of range")
+        template = _dyads_template(space.n)
+        counts = dyad_count_table(space)[distinct].tolist()
+        dyads = {s: template % tuple(row) for s, row in zip(distinct.tolist(), counts)}
+        line = _EXPANDED_LINE
     with open(path, "w") as fp:
         fp.write(dumps({"kind": kind, "space": space_to_dict(space)}) + "\n")
-        for i, s in enumerate(states):
-            rec: dict = {"i": i, "state": int(s)}
-            if expand:
-                if space.kind != MULTIGRAPH:
-                    raise ValueError("dyad expansion needs a multigraph space")
-                rec["dyads"] = multigraph_to_dict(space.decode(int(s)))["dyads"]
-            fp.write(dumps(rec) + "\n")
+        for start in range(0, states.size, CHUNK):
+            chunk = states[start:start + CHUNK].tolist()
+            index = range(start, start + len(chunk))
+            if dyads is None:
+                rows = zip(index, chunk)
+            else:
+                rows = zip(index, chunk, map(dyads.__getitem__, chunk))
+            fp.write("".join(map(line.__mod__, rows)))
 
 
 def read_states_jsonl(path: str):
     """Returns (kind, space, states array).
 
-    State lines must carry i = 0, 1, 2, ... in file order; a reordered,
-    skipped or repeated line raises ValueError.
+    Every state line is a JSON object with integer "i" and "state"; "i"
+    runs 0, 1, 2, ... in file order, so a reordered, skipped or repeated
+    line raises ValueError, as does a state outside the declared space.
+    Blank lines are skipped. Lines are parsed CHUNK at a time.
     """
     with open(path) as fp:
         header = json.loads(fp.readline())
-        states = []
-        for lineno, line in enumerate(fp, start=2):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if not isinstance(rec, dict) or rec.get("i") != len(states):
-                raise ValueError(f"{path}:{lineno}: expected a record with \"i\": {len(states)}")
-            states.append(rec["state"])
-    space = space_from_dict(header["space"])
-    arr = np.array(states, dtype=np.int64)
-    if arr.size and (arr.min() < 0 or arr.max() >= space.size):
-        raise ValueError("state index out of range for the declared space")
+        if not isinstance(header, dict) or "space" not in header:
+            raise ValueError(f"{path}:1: expected a header object with a \"space\"")
+        space = space_from_dict(header["space"])
+        parts = []
+        count, lineno = 0, 2
+        while chunk := list(islice(fp, CHUNK)):
+            states = _parse_chunk(chunk, count, space.size)
+            if states is None:
+                states = _check_lines(path, chunk, lineno, count, space.size)
+            parts.append(np.array(states, dtype=np.int64))
+            count += len(states)
+            lineno += len(chunk)
+    arr = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
     return header.get("kind", "trajectory"), space, arr
+
+
+def _parse_chunk(chunk: list, first: int, size: int):
+    """States of one chunk in one json.loads call, or None if any check fails.
+
+    Parsed as one JSON array, a record spanning two lines looks the same as
+    one record per line. So this path also requires exactly one "{" per
+    line, at the start of every line ("\n,{" marks each later line start;
+    only the file's last line can lack its newline, and it ends its chunk),
+    and every record to be an object: each record then opens, and ends,
+    on its own line.
+    """
+    lines = [line for line in chunk if not line.isspace()]
+    text = "[" + ",".join(lines) + "]"
+    if (
+        not lines
+        or text.count("{") != len(lines)
+        or text.count("\n,{") != len(lines) - 1
+        or not text.startswith("[{")
+    ):
+        return None
+    try:
+        records = json.loads(text)
+    except ValueError:
+        return None
+    if len(records) != len(lines) or set(map(type, records)) != {dict}:
+        return None
+    index = [r.get("i") for r in records]
+    states = [r.get("state") for r in records]
+    if index != list(range(first, first + len(records))) or set(map(type, index)) != {int}:
+        return None
+    if set(map(type, states)) != {int} or min(states) < 0 or max(states) >= size:
+        return None
+    return states
+
+
+def _check_lines(path: str, chunk: list, first_line: int, first: int, size: int) -> list:
+    """One line at a time, raising ValueError at the first bad line."""
+    states = []
+    for lineno, line in enumerate(chunk, start=first_line):
+        if line.isspace():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        expected = first + len(states)
+        if not isinstance(rec, dict) or type(rec.get("i")) is not int or rec["i"] != expected:
+            raise ValueError(f"{where}: expected a record with \"i\": {expected}")
+        state = rec.get("state")
+        if type(state) is not int:
+            raise ValueError(f"{where}: \"state\" must be an integer, got {json.dumps(state)}")
+        if not 0 <= state < size:
+            raise ValueError(f"{where}: state index {state} out of range for the declared space")
+        states.append(state)
+    return states
+
+
+def write_multigraph_lines(fp: IO, n: int, t: int, counts):
+    """One multigraph_to_dict record per row of a (draws, num_dyads) array.
+
+    Rows are joined by newlines and the text ends with one; with no rows
+    that leaves a single newline.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.ndim != 2 or counts.shape[1] != num_dyads(n):
+        raise ValueError("need one multiplicity per dyad in every row")
+    if counts.size and (counts.min() < 0 or counts.max() > t):
+        raise ValueError("multiplicities must lie in 0..t")
+    if not len(counts):
+        fp.write("\n")
+    line = f'{{"n":{n},"t":{t},"dyads":{_dyads_template(n)}}}\n'
+    for start in range(0, len(counts), CHUNK):
+        fp.write("".join(map(line.__mod__, map(tuple, counts[start:start + CHUNK].tolist()))))
+
+
+def write_running_means_csv(path: str, running_mean):
+    """`step,running_mean` header, then step k and the k-step means per line."""
+    running_mean = np.asarray(running_mean, dtype=np.float64)
+    line = "%d" + ",%.17g" * running_mean.shape[1] + "\n"
+    with open(path, "w") as fp:
+        fp.write("step,running_mean\n")
+        for start in range(0, len(running_mean), CHUNK):
+            chunk = running_mean[start:start + CHUNK].tolist()
+            fp.write("".join(line % (k, *row) for k, row in enumerate(chunk, start + 1)))
 
 
 def write_trajectory(path: str, traj: Trajectory, expand: bool = False):

@@ -6,7 +6,7 @@ import pytest
 from pumc import models, serialize
 from pumc.cli import main
 from pumc.core import build_multigraph_space, edge_total_table
-from pumc.ermgm import from_factorization, mle_density_stability
+from pumc.ermgm import from_factorization, mle_density_stability, sample_multigraphs
 from pumc.expfam import ParameterMap
 from pumc.netstat import factor_dyadditive
 from pumc.puniform import Trajectory
@@ -270,6 +270,86 @@ def test_exchangeability_density_and_custom(tmp_path, capsys):
     assert report["mu_exchangeable"] is False
     assert report["mu_witness"] is not None
     assert report["equivalence_holds"] is True
+
+
+def test_exchangeability_model_needs_n_and_p(capsys):
+    for model in ("density", "stability"):
+        code, out, err = run(capsys, "exchangeability", "--model", model, "--n", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: --model {model} needs --n and --p\n"
+    code, _, err = run(capsys, "exchangeability", "--model", "modular")
+    assert code == 2 and err == "error: --model modular needs --n\n"
+
+
+def test_detect_non_finite_matrix_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "nan.json")
+    with open(path, "w") as fp:
+        fp.write('{"matrix": [[NaN, 1.0], [0.5, 0.5]]}')
+    code, out, err = run(capsys, "detect", "--matrix", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "finite" in err and err.count("\n") == 1
+
+
+def test_non_integer_index_or_state_exits_2(tmp_path, capsys):
+    traj_path = str(tmp_path / "x.jsonl")
+    run(capsys, "simulate", "--model", "stability", "--n", "3", "--p", "0.3",
+        "--steps", "10", "--seed", "9", "--out", traj_path)
+    header, *records = open(traj_path).read().splitlines()
+    for bad_record in ('{"i":3,"state":2.7}', '{"i":true,"state":2}'):
+        bad = str(tmp_path / "bad.jsonl")
+        with open(bad, "w") as fp:
+            fp.write("\n".join([header, *records[:3], bad_record, *records[4:]]) + "\n")
+        code, out, err = run(capsys, "fit", "--traj", bad, "--stat", "stability")
+        assert code == 2 and out == "" and f"{bad}:5:" in err
+
+
+def _first_difference(text, expected):
+    """(line number, got, expected) of the first differing line, or None."""
+    got, want = text.split("\n"), expected.split("\n")
+    for k, (a, b) in enumerate(zip(got, want), 1):
+        if a != b:
+            return k, a, b
+    return None if len(got) == len(want) else (min(len(got), len(want)) + 1, len(got), len(want))
+
+
+def _plain_sample_lines(model, draws):
+    dyads = [(u + 1, v + 1) for u in range(1, model.n) for v in range(u)]
+    return "\n".join(
+        json.dumps({"n": model.n, "t": model.t,
+                    "dyads": [[u, v, int(m)] for (u, v), m in zip(dyads, row)]},
+                   separators=(",", ":"))
+        for row in draws
+    ) + "\n"
+
+
+def test_sample_past_one_chunk_matches_plain_json(tmp_path, capsys):
+    mpath, model = write_er_model(tmp_path, n=4)
+    for count in (serialize.CHUNK + 5, 0):
+        code, out, _ = run(capsys, "sample", "--model", mpath, "--theta", "0.3",
+                           "--seed", "6", "--count", str(count))
+        assert code == 0
+        draws = sample_multigraphs(model, 0.3, count, 6)
+        assert _first_difference(out, _plain_sample_lines(model, draws)) is None
+
+
+def test_diagnose_csv_past_one_chunk_matches_plain_format(tmp_path, capsys):
+    steps = serialize.CHUNK + 10
+    traj_path = str(tmp_path / "x.jsonl")
+    run(capsys, "simulate", "--model", "stability", "--n", "3", "--p", "0.3",
+        "--steps", str(steps), "--seed", "21", "--out", traj_path)
+    csv_path = str(tmp_path / "run.csv")
+    code, _, _ = run(capsys, "diagnose", "--traj", traj_path, "--stat", "stability",
+                     "--p", "0.3", "--csv", csv_path)
+    assert code == 0
+
+    # stability statistic on G(3, 1): dyads outside a xor b, over n - 1
+    x = [json.loads(line)["state"] for line in open(traj_path).read().splitlines()[1:]]
+    series = np.array([(3 - bin(a ^ b).count("1")) / 2 for a, b in zip(x, x[1:])])
+    running = np.cumsum(series) / np.arange(1, steps + 1)
+    expected = "step,running_mean\n" + "".join(
+        f"{k},{format(v, '.17g')}\n" for k, v in enumerate(running.tolist(), 1)
+    )
+    assert _first_difference(open(csv_path).read(), expected) is None
 
 
 def test_config_overrides_flags(tmp_path, capsys):

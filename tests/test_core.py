@@ -92,6 +92,9 @@ def test_pmf_validation():
         Pmf(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         Pmf(np.array([-0.1, 1.1]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            Pmf(np.array([bad, 1.0]))
 
 
 def test_stochastic_matrix_validation():
@@ -100,6 +103,9 @@ def test_stochastic_matrix_validation():
         StochasticMatrix(np.array([[0.3, 0.6], [1.0, 0.0]]))
     with pytest.raises(ValueError):
         StochasticMatrix(np.array([[1.0, 0.0]]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            StochasticMatrix(np.array([[bad, 1.0], [0.5, 0.5]]))
 
 
 def test_permutation_family_validation():

@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from pumc import models, serialize
 from pumc.core import (
@@ -38,6 +41,18 @@ def test_dumps_special_tokens_and_types():
     assert serialize.dumps(np.int64(7)) == "7"
     with pytest.raises(TypeError):
         serialize.dumps(object())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.integers(-(2**63), 2**63 - 1), st.floats()), max_size=6),
+    indent=st.sampled_from([None, 2]),
+)
+def test_dumps_flat_numeric_lists_match_per_item_path(values, indent):
+    # numpy scalars are not plain int/float, so this list takes the per-item path
+    slow = [np.int64(v) if type(v) is int else np.float64(v) for v in values]
+    for obj, ref in ((values, slow), ([values, {"k": values}], [slow, {"k": slow}])):
+        assert serialize.dumps(obj, indent=indent) == serialize.dumps(ref, indent=indent)
 
 
 def test_dumps_indent_layout():
@@ -224,3 +239,108 @@ def test_trajectory_kind_check(tmp_path):
     serialize.write_states_jsonl(other, space, [0, 1], kind="draws")
     with pytest.raises(ValueError):
         serialize.read_trajectory(other)
+
+
+def _reference_state_lines(space, states, expand):
+    """The state lines pumc writes, built with plain json."""
+    lines = []
+    for i, s in enumerate(states):
+        rec = {"i": i, "state": int(s)}
+        if expand:
+            rec["dyads"] = [
+                [u + 1, v + 1, int(m)]
+                for (u, v), m in zip([(u, v) for u in range(1, space.n) for v in range(u)],
+                                     space.decode(int(s)).counts)
+            ]
+        lines.append(json.dumps(rec, separators=(",", ":")) + "\n")
+    return lines
+
+
+# Each example writes up to 2 * CHUNK + 3 lines, so a failure is reported
+# unshrunk rather than rerun hundreds of times.
+@settings(max_examples=12, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(
+    length=st.sampled_from([1, serialize.CHUNK - 1, serialize.CHUNK, serialize.CHUNK + 1,
+                            2 * serialize.CHUNK + 3]),
+    expand=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    blanks=st.lists(st.integers(0, 3 * serialize.CHUNK), max_size=8),
+)
+def test_states_jsonl_round_trip_across_chunks(tmp_path_factory, length, expand, seed, blanks):
+    space = build_multigraph_space(4, 1)
+    states = np.random.default_rng(seed).integers(0, space.size, length)
+    path = str(tmp_path_factory.mktemp("chunks") / "t.jsonl")
+    serialize.write_states_jsonl(path, space, states, expand=expand)
+    header, *lines = open(path).read().splitlines(keepends=True)
+    reference = _reference_state_lines(space, states, expand)
+    assert len(lines) == len(reference)
+    assert next((k for k, (a, b) in enumerate(zip(lines, reference)) if a != b), None) is None
+
+    for at in sorted(blanks, reverse=True):
+        lines.insert(min(at, len(lines)), "\n" if at % 2 else "  \n")
+    with open(path, "w") as fp:
+        fp.write(header + "".join(lines))
+    kind, again, back = serialize.read_states_jsonl(path)
+    assert kind == "trajectory" and again == space
+    assert np.array_equal(back, states)
+
+
+def test_states_jsonl_bad_record_in_second_chunk_reports_its_line(tmp_path):
+    space = build_multigraph_space(3, 1)
+    path = str(tmp_path / "t.jsonl")
+    serialize.write_states_jsonl(path, space, np.zeros(serialize.CHUNK + 50, dtype=int))
+    header, *lines = open(path).read().splitlines(keepends=True)
+    lines[3:3] = ["\n", "\n"]  # blank lines in the first chunk still count
+    bad = serialize.CHUNK + 20  # index into lines: second chunk
+    lines[bad] = lines[bad].replace('"state":0', '"state":8')
+    with open(path, "w") as fp:
+        fp.write(header + "".join(lines))
+    with pytest.raises(ValueError, match=rf":{bad + 2}: state index 8 out of range"):
+        serialize.read_states_jsonl(path)
+
+    lines[bad] = "{not json\n"
+    with open(path, "w") as fp:
+        fp.write(header + "".join(lines))
+    with pytest.raises(ValueError, match=rf":{bad + 2}: "):
+        serialize.read_states_jsonl(path)
+
+
+def test_states_jsonl_rejects_non_integer_fields(tmp_path):
+    space = build_multigraph_space(3, 1)
+    header = json.dumps({"kind": "trajectory", "space": serialize.space_to_dict(space)})
+    for rest in ('{"i":1,"state":2.7}', '{"i":true,"state":2}', '{"i":1.0,"state":2}',
+                 '{"i":1,"state":"2"}', '{"i":1,"state":true}', '{"i":1}', '[1,2]'):
+        path = str(tmp_path / "bad.jsonl")
+        with open(path, "w") as fp:
+            fp.write("\n".join([header, '{"i":0,"state":1}', rest, '{"i":2,"state":3}']) + "\n")
+        with pytest.raises(ValueError, match=":3: "):
+            serialize.read_states_jsonl(path)
+
+
+def test_states_jsonl_rejects_records_that_straddle_lines(tmp_path):
+    # Joined into one array these lines parse as three sequential records,
+    # but the first record spans two lines and the last line holds two.
+    space = build_multigraph_space(3, 1)
+    header = json.dumps({"kind": "trajectory", "space": serialize.space_to_dict(space)})
+    body = ['{"i":0,"x":[{}', '{}],"state":1}', '{"i":1,"state":2},{"i":2,"state":3}']
+    path = str(tmp_path / "straddle.jsonl")
+    with open(path, "w") as fp:
+        fp.write("\n".join([header, *body]) + "\n")
+    with pytest.raises(ValueError, match=":2: "):
+        serialize.read_states_jsonl(path)
+
+
+def test_states_jsonl_reader_memory_stays_bounded(tmp_path):
+    space = build_multigraph_space(4, 1)
+    states = np.random.default_rng(3).integers(0, space.size, 200_000)
+    path = str(tmp_path / "big.jsonl")
+    serialize.write_states_jsonl(path, space, states)
+    tracemalloc.start()
+    try:
+        _, _, back = serialize.read_states_jsonl(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, states)
+    assert peak <= 8 * 2**20, f"reader peak {peak / 2**20:.1f} MiB"
