@@ -219,7 +219,7 @@ def _diagnose_table(args, space):
     if args.stat == "stability":
         return netstat.stability_stat_table(space), "stability"
     if args.stat == "degseq":
-        rows = np.array([netstat.sorted_degree_sequence(space.decode(i)) for i in range(space.size)])
+        rows = netstat.sorted_degree_table(space)
         return np.broadcast_to(rows[None, :, :], (space.size, space.size, space.n)), "identity"
     if args.stat == "transitivity":
         return models.transitivity_cef(space.n).tau[:, :, 0], None

@@ -111,10 +111,18 @@ def default_probes(pm: ParameterMap) -> list:
     return probes
 
 
-def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp; rows of all -inf give -inf without warnings."""
+def _logsumexp_rows(logits: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Row-wise log-sum-exp; rows of all -inf give -inf without warnings.
+
+    With `overwrite`, a float64 `logits` serves as the scratch space and is
+    left holding exp(logits - row max) when every row max is finite.
+    """
     m = logits.max(axis=-1)
     finite = np.isfinite(m)
+    if finite.all():
+        shifted = np.subtract(logits, m[..., None], out=logits if overwrite else None)
+        sums = np.exp(shifted, out=shifted).sum(axis=-1)
+        return m + np.log(sums, out=sums)
     out = np.full(m.shape, -np.inf)
     if np.any(finite):
         shifted = logits[finite] - m[finite][..., None]
@@ -122,9 +130,16 @@ def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_weights(kappa: np.ndarray, tau: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def _log_weights(kappa: np.ndarray, tau: np.ndarray, eta: np.ndarray, out=None) -> np.ndarray:
+    """log kappa + tau . eta, written into `out` when given.
+
+    For l = 1 the product is elementwise, which gives the bits of the
+    (..., 1) @ (1,) matmul at a fraction of its cost.
+    """
     with np.errstate(divide="ignore"):
-        return tau @ eta + np.log(kappa)
+        out = np.log(kappa, out=out)
+    out += tau[..., 0] * eta[0] if eta.size == 1 else tau @ eta
+    return out
 
 
 @dataclass(frozen=True)
@@ -217,21 +232,37 @@ class MefSpec(CefSpec):
     verified_mef: bool = False
 
 
-def _row_chunks(cef: CefSpec, theta, chunk: int):
-    """Yield (start, stop, logits, psi) over blocks of at most `chunk` rows."""
+BLOCK_ENTRIES = 2 ** 19  # entries per row block: 4 MiB of float64
+
+
+def _row_blocks(cef: CefSpec, theta, chunk: int, out: np.ndarray | None = None):
+    """Yield (start, stop, logits) over blocks of rows of the CEF's logits.
+
+    A block has at most `chunk` rows and, rows allowing, BLOCK_ENTRIES
+    entries. The block's logits are written into out[start:stop] when
+    `out` is given, otherwise into one buffer reused for every block, which
+    the caller may overwrite before asking for the next block.
+    """
     eta = cef.eta.evaluate(theta)
     size = cef.space.size
-    for start in range(0, size, chunk):
-        stop = min(start + chunk, size)
-        logits = _log_weights(cef.kappa[start:stop], cef.tau[start:stop], eta)
-        yield start, stop, logits, _logsumexp_rows(logits)
+    rows = max(1, min(chunk, BLOCK_ENTRIES // size, size))
+    buf = np.empty((rows, size)) if out is None else None
+    for start in range(0, size, rows):
+        stop = min(start + rows, size)
+        logits = buf[: stop - start] if out is None else out[start:stop]
+        yield start, stop, _log_weights(cef.kappa[start:stop], cef.tau[start:stop], eta, logits)
 
 
 def row_log_partitions(cef: CefSpec, theta, chunk: int = 512) -> np.ndarray:
-    """psi(a, theta) for every row a, computed in row chunks."""
+    """psi(a, theta) for every row a, computed one row block at a time.
+
+    Each block's logits are formed, max-shifted and exponentiated in place
+    in one reused block buffer, so the survey adds one block of memory
+    however many rows the CEF has.
+    """
     out = np.empty(cef.space.size)
-    for start, stop, _, psi in _row_chunks(cef, theta, chunk):
-        out[start:stop] = psi
+    for start, stop, logits in _row_blocks(cef, theta, chunk):
+        out[start:stop] = _logsumexp_rows(logits, overwrite=True)
     return out
 
 
@@ -239,11 +270,13 @@ def cef_transition_matrix(cef: CefSpec, theta, chunk: int = 512) -> StochasticMa
     """Realize the transition matrix P_theta(a, b) by row-wise normalization."""
     size = cef.space.size
     P = np.empty((size, size))
-    for start, stop, logits, psi in _row_chunks(cef, theta, chunk):
+    for start, stop, logits in _row_blocks(cef, theta, chunk, out=P):
+        psi = _logsumexp_rows(logits)
         if not np.all(np.isfinite(psi)):
             bad = start + int(np.argmin(np.isfinite(psi)))
             raise ValueError(f"row {bad} has no mass (kappa identically zero)")
-        P[start:stop] = np.exp(logits - psi[:, None])
+        logits -= psi[:, None]
+        np.exp(logits, out=logits)
     return StochasticMatrix(P=P)
 
 

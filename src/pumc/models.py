@@ -152,6 +152,15 @@ def stability_mef(n: int) -> MefSpec:
     return expfam_to_mef(er_family(n), builtin_family(space, "stability"))
 
 
+def _scaled_ratio_rows(numer: np.ndarray, n: int, denom: np.ndarray) -> np.ndarray:
+    """n * numer[a, b] / denom[a] with 0/0 -> 0, computed in place in numer."""
+    positive = denom > 0
+    np.multiply(numer, n, out=numer)
+    np.divide(numer, denom[:, None], out=numer, where=positive[:, None])
+    numer[~positive] = 0.0
+    return numer
+
+
 def transitivity_cef(n: int) -> CefSpec:
     """Closed-two-path CEF on G(n, 1) with unit carrier; not an MEF.
 
@@ -169,13 +178,10 @@ def transitivity_cef(n: int) -> CefSpec:
         coeff[:, dyad_index(i, k)] += path
         denom += path
     numer = coeff @ digits.T.astype(np.float64)
-    tau = np.divide(
-        n * numer, denom[:, None], out=np.zeros_like(numer), where=denom[:, None] > 0
-    )
     return CefSpec(
         space=space,
         kappa=np.ones((space.size, space.size)),
-        tau=tau,
+        tau=_scaled_ratio_rows(numer, n, denom),
         eta=ParameterMap(kind=NATURAL),
     )
 
@@ -220,12 +226,9 @@ def reciprocity_cef(n: int) -> CefSpec:
         bits[:, f] = (idx >> f) & 1
     numer = bits @ bits[:, tp].T
     arcs = bits.sum(axis=1)
-    tau = np.divide(
-        n * numer, arcs[:, None], out=np.zeros_like(numer), where=arcs[:, None] > 0
-    )
     return CefSpec(
         space=space,
         kappa=np.ones((space.size, space.size)),
-        tau=tau,
+        tau=_scaled_ratio_rows(numer, n, arcs),
         eta=ParameterMap(kind=NATURAL),
     )

@@ -100,17 +100,28 @@ def stat_transitivity(a: Multigraph, b: Multigraph) -> float:
     return n * num / den
 
 
+def _dyad_incidence(n: int) -> np.ndarray:
+    """(num_dyads, n) 0/1 matrix: dyad f touches vertices u and v."""
+    inc = np.zeros((num_dyads(n), n), dtype=np.int64)
+    for f, (u, v) in enumerate(canonical_dyads(n)):
+        inc[f, u] = inc[f, v] = 1
+    return inc
+
+
 def degree_sequence(g: Multigraph) -> np.ndarray:
     """Multiplicity-weighted degree of each vertex."""
-    deg = np.zeros(g.n, dtype=np.int64)
-    for f, (u, v) in enumerate(canonical_dyads(g.n)):
-        deg[u] += g.counts[f]
-        deg[v] += g.counts[f]
-    return deg
+    return g.counts @ _dyad_incidence(g.n)
 
 
 def sorted_degree_sequence(g: Multigraph) -> tuple:
     return tuple(sorted(degree_sequence(g).tolist()))
+
+
+def sorted_degree_table(space: StateSpace) -> np.ndarray:
+    """(size, n) table; row b is the sorted degree sequence of state b."""
+    if space.kind != MULTIGRAPH:
+        raise ValueError("degree sequences need a multigraph space")
+    return np.sort(dyad_count_table(space) @ _dyad_incidence(space.n), axis=1)
 
 
 def density_stat_table(space: StateSpace) -> np.ndarray:
@@ -318,12 +329,31 @@ def iso_classes(space: StateSpace) -> IsoClasses:
         np.minimum(canon, relabelled @ powers, out=canon)
     reps, class_id = np.unique(canon, return_inverse=True)
     classes = tuple(np.where(class_id == c)[0] for c in range(reps.size))
+    iso = IsoClasses(space=space, class_id=class_id, representatives=reps, classes=classes)
     # Degree sequences are isomorphism invariants; any split orbit is a bug.
-    for members in classes:
-        seqs = {sorted_degree_sequence(space.decode(int(i))) for i in members}
-        if len(seqs) != 1:
-            raise TheoremViolationError("orbit mixes degree sequences")
-    return IsoClasses(space=space, class_id=class_id, representatives=reps, classes=classes)
+    degrees = sorted_degree_table(space)
+    if (degrees != degrees[_first_members(iso)]).any():
+        raise TheoremViolationError("orbit mixes degree sequences")
+    return iso
+
+
+def _first_members(classes: IsoClasses) -> np.ndarray:
+    """For every state, the first listed member of its class."""
+    return np.array([members[0] for members in classes.classes])[classes.class_id]
+
+
+def _class_max_deviation(H: np.ndarray, classes: IsoClasses) -> np.ndarray:
+    """(rows, classes) max over each class of |H[r, b] - H[r, first member]|.
+
+    A NaN deviation makes its class's max NaN, which no tolerance exceeds,
+    as with ndarray.max over the class.
+    """
+    sizes = [members.size for members in classes.classes]
+    starts = np.cumsum([0] + sizes[:-1])
+    dev = H[:, np.concatenate(classes.classes)]
+    dev -= dev[:, np.repeat(starts, sizes)]
+    np.abs(dev, out=dev)
+    return np.maximum.reduceat(dev, starts, axis=1)
 
 
 def is_finitely_exchangeable(h, classes: IsoClasses, tol: float = EXCHANGE_TOL):
@@ -335,13 +365,12 @@ def is_finitely_exchangeable(h, classes: IsoClasses, tol: float = EXCHANGE_TOL):
     h = np.asarray(h, dtype=np.float64).reshape(-1)
     if h.shape != (classes.space.size,):
         raise ValueError("h must assign a value to every state")
-    for members in classes.classes:
-        ref = h[members[0]]
-        dev = np.abs(h[members] - ref)
-        if dev.max() > tol:
-            bad = int(members[int(np.argmax(dev))])
-            return False, (int(members[0]), bad)
-    return True, None
+    failing = np.flatnonzero(_class_max_deviation(h[None, :], classes)[0] > tol)
+    if failing.size == 0:
+        return True, None
+    members = classes.classes[failing[0]]
+    bad = int(members[int(np.argmax(np.abs(h[members] - h[members[0]])))])
+    return False, (int(members[0]), bad)
 
 
 def is_relation_invariant(perm: PermutationFamily, classes: IsoClasses):
@@ -353,14 +382,17 @@ def is_relation_invariant(perm: PermutationFamily, classes: IsoClasses):
     if perm.size != classes.space.size:
         raise ValueError("family and classes must share a space")
     cid = classes.class_id
-    for a in range(perm.size):
-        mapped = cid[perm.sigma[a]]
-        for members in classes.classes:
-            vals = mapped[members]
-            if (vals != vals[0]).any():
-                bad = int(members[int(np.argmax(vals != vals[0]))])
-                return False, (a, int(members[0]), bad)
-    return True, None
+    first = _first_members(classes)
+    mapped = cid[perm.sigma]
+    split = mapped != mapped[:, first]
+    rows = np.flatnonzero(split.any(axis=1))
+    if rows.size == 0:
+        return True, None
+    a = int(rows[0])
+    # The first split class in class order, and its first split member.
+    cols = np.flatnonzero(split[a])
+    bad = int(cols[int(np.argmin(cid[cols]))])
+    return False, (a, int(first[bad]), bad)
 
 
 @dataclass(frozen=True)
@@ -389,7 +421,8 @@ def exchangeability_transfer(
     if not ok_inv:
         raise ValueError(f"inverse family does not preserve the relation: {witness_inv}")
     mu_ok, mu_wit = is_finitely_exchangeable(mu.p, classes)
-    rows = tuple(is_finitely_exchangeable(P.P[a], classes)[0] for a in range(P.size))
+    split = (_class_max_deviation(P.P, classes) > EXCHANGE_TOL).any(axis=1)
+    rows = tuple((~split).tolist())
     equivalent = (all(rows) == mu_ok) and (any(rows) == mu_ok)
     if not equivalent:
         raise TheoremViolationError("exchangeability equivalence failed on consistent inputs")

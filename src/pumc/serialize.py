@@ -111,6 +111,13 @@ def dump(obj, fp: IO, indent: int | None = 2):
 
 # ---------------------------------------------------------------- spaces
 
+def _json_int(value, name: str) -> int:
+    """A size or index field read from JSON: an integer, not a bool, float or string."""
+    if type(value) is not int:
+        raise ValueError(f"\"{name}\" must be an integer, got {json.dumps(value, default=repr)}")
+    return value
+
+
 def space_to_dict(space: StateSpace) -> dict:
     if space.kind == MULTIGRAPH:
         return {"kind": MULTIGRAPH, "n": space.n, "t": space.t}
@@ -122,9 +129,9 @@ def space_to_dict(space: StateSpace) -> dict:
 def space_from_dict(d: dict) -> StateSpace:
     kind = d.get("kind")
     if kind == MULTIGRAPH:
-        return build_multigraph_space(int(d["n"]), int(d["t"]))
+        return build_multigraph_space(_json_int(d["n"], "n"), _json_int(d["t"], "t"))
     if kind == MODULAR:
-        return build_modular_space(int(d["n"]))
+        return build_modular_space(_json_int(d["n"], "n"))
     if kind == GENERIC:
         return build_generic_space(tuple(d["labels"]))
     raise ValueError(f"unknown space kind {kind!r}")
@@ -141,11 +148,12 @@ def multigraph_to_dict(g: Multigraph) -> dict:
 
 
 def multigraph_from_dict(d: dict) -> Multigraph:
-    n, t = int(d["n"]), int(d["t"])
+    n, t = _json_int(d["n"], "n"), _json_int(d["t"], "t")
     counts = np.zeros(num_dyads(n), dtype=np.int64)
     seen = set()
     for u, v, m in d["dyads"]:
-        u, v = int(u) - 1, int(v) - 1  # stored 1-based
+        # stored 1-based
+        u, v = _json_int(u, "dyad vertex") - 1, _json_int(v, "dyad vertex") - 1
         if u < v:
             u, v = v, u
         f = u * (u - 1) // 2 + v
@@ -154,7 +162,7 @@ def multigraph_from_dict(d: dict) -> Multigraph:
         if f in seen:
             raise ValueError("duplicate dyad")
         seen.add(f)
-        counts[f] = int(m)
+        counts[f] = _json_int(m, "dyad multiplicity")
     if len(seen) != num_dyads(n):
         raise ValueError("dyad list must cover every dyad")
     return Multigraph(n=n, t=t, counts=counts)
@@ -211,15 +219,15 @@ def eta_to_dict(pm: ParameterMap) -> dict:
 def eta_from_dict(d: dict) -> ParameterMap:
     kind = d["kind"]
     if kind == "natural":
-        return ParameterMap(kind=kind, l=int(d.get("l", 1)))
+        return ParameterMap(kind=kind, l=_json_int(d.get("l", 1), "l"))
     if kind == "scalar_log":
         return ParameterMap(kind=kind)
     if kind == "density_logit":
-        return ParameterMap(kind=kind, n=int(d["n"]))
+        return ParameterMap(kind=kind, n=_json_int(d["n"], "n"))
     if kind == "table":
         return ParameterMap(
             kind=kind,
-            l=int(d.get("l", 1)),
+            l=_json_int(d.get("l", 1), "l"),
             thetas=tuple(tuple(t) if isinstance(t, list) else float(t) for t in d["thetas"]),
             etas=tuple(tuple(e) if isinstance(e, list) else (float(e),) for e in d["etas"]),
         )
@@ -279,8 +287,8 @@ def factorization_from_dict(d: dict):
     from .netstat import DyadicFactorization
 
     return DyadicFactorization(
-        n=int(d["n"]),
-        t=int(d["t"]),
+        n=_json_int(d["n"], "n"),
+        t=_json_int(d["t"], "t"),
         tau_f=None if d.get("tau_f") is None else np.array(d["tau_f"], dtype=np.float64),
         kappa_f=None if d.get("kappa_f") is None else np.array(d["kappa_f"], dtype=np.float64),
     )
@@ -297,7 +305,7 @@ def ermgm_to_dict(model: ErmgmModel) -> dict:
 
 
 def ermgm_from_dict(d: dict) -> ErmgmModel:
-    n, t = int(d["n"]), int(d["t"])
+    n, t = _json_int(d["n"], "n"), _json_int(d["t"], "t")
     tau_f = np.array(d["tau_f"], dtype=np.float64)
     if "kappa_f" in d and d["kappa_f"] is not None:
         kappa_f = np.array(d["kappa_f"], dtype=np.float64)

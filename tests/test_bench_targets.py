@@ -41,3 +41,27 @@ def test_arguments_the_tracer_reads_are_parameters():
         params = inspect.signature(_resolve(module, name)).parameters
         for arg in re.findall(r'a\["(\w+)"\]', inspect.getsource(count)):
             assert arg in params, f"pumc.{module}.{name} has no parameter {arg!r}"
+
+
+def test_survey_runs_through_the_traced_row_log_partitions(monkeypatch):
+    """validate_cef and mef_check reach the row normalizers through
+    expfam.row_log_partitions, once per probe, so the tracer's
+    expfam.survey_s layer holds the survey and survey_rows counts it."""
+    metrics = {(module, name): metric for module, name, metric, *_ in _targets()}
+    assert metrics[("expfam", "row_log_partitions")] == "expfam.survey_s"
+    expfam = importlib.import_module("pumc.expfam")
+    models = importlib.import_module("pumc.models")
+    real = expfam.row_log_partitions
+    calls = []
+
+    def counting(cef, theta, *args, **kwargs):
+        calls.append(theta)
+        return real(cef, theta, *args, **kwargs)
+
+    monkeypatch.setattr(expfam, "row_log_partitions", counting)
+    cef = models.transitivity_cef(4)
+    for check in (expfam.validate_cef, expfam.mef_check):
+        for probes in (None, [0.5, -1.5, 3.0]):
+            calls.clear()
+            check(cef, probes)
+            assert calls == (expfam.default_probes(cef.eta) if probes is None else probes)

@@ -303,6 +303,29 @@ def test_non_integer_index_or_state_exits_2(tmp_path, capsys):
         assert code == 2 and out == "" and f"{bad}:5:" in err
 
 
+def test_non_integer_header_sizes_exit_2(tmp_path, capsys):
+    traj = str(tmp_path / "h.jsonl")
+    model = str(tmp_path / "m.json")
+    for value in ("null", "3.7", '"3"', "true"):
+        with open(traj, "w") as fp:
+            fp.write('{"kind":"trajectory","space":{"kind":"multigraph","n":%s,"t":1}}\n'
+                     '{"i":0,"state":1}\n{"i":1,"state":2}\n' % value)
+        code, out, err = run(capsys, "fit", "--traj", traj, "--stat", "density")
+        assert (code, out) == (2, "")
+        assert err == f'error: "n" must be an integer, got {value}\n'
+        with open(model, "w") as fp:
+            fp.write('{"n":3,"t":%s,"eta":{"kind":"natural","l":1},'
+                     '"tau_f":[[[0.0],[1.0]],[[0.0],[1.0]],[[0.0],[1.0]]]}' % value)
+        code, out, err = run(capsys, "partition", "--model", model, "--theta", "0.5")
+        assert (code, out) == (2, "")
+        assert err == f'error: "t" must be an integer, got {value}\n'
+    with open(model, "w") as fp:
+        fp.write('{"n":3,"t":1,"eta":{"kind":"natural","l":1.0},'
+                 '"tau_f":[[[0.0],[1.0]],[[0.0],[1.0]],[[0.0],[1.0]]]}')
+    code, _, err = run(capsys, "partition", "--model", model, "--theta", "0.5")
+    assert code == 2 and err == 'error: "l" must be an integer, got 1.0\n'
+
+
 def _first_difference(text, expected):
     """(line number, got, expected) of the first differing line, or None."""
     got, want = text.split("\n"), expected.split("\n")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from pumc.core import (
 )
 from pumc.errors import NotAnMefError, TheoremViolationError
 from pumc.expfam import (
+    BLOCK_ENTRIES,
     CefSpec,
     ExpFamilySpec,
     MefSpec,
@@ -231,6 +234,28 @@ def test_row_log_partitions_chunking_invariant():
     full = row_log_partitions(cef, 0.3, chunk=1024)
     small = row_log_partitions(cef, 0.3, chunk=3)
     assert np.array_equal(full, small)
+
+
+def test_reciprocity_build_and_survey_memory():
+    """reciprocity_cef(4) holds its kappa and tau tables (two size^2 float64
+    tables) and little more while it is built; surveying its row normalizers
+    adds one row block."""
+    tracemalloc.start()
+    try:
+        cef = models.reciprocity_cef(4)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        validate_cef(cef)
+        survey_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    size = cef.space.size
+    table = size * size * 8
+    block = min(512, BLOCK_ENTRIES // size) * size * 8
+    slack = 8 * 2**20
+    assert build_peak <= 2 * table + slack, f"build peak {build_peak / 2**20:.1f} MiB"
+    assert survey_peak <= block + slack, f"survey added {survey_peak / 2**20:.1f} MiB"
 
 
 def test_density_and_stability_mefs_verify():

@@ -33,6 +33,7 @@ from pumc.netstat import (
     iso_classes,
     multigraph_union,
     sorted_degree_sequence,
+    sorted_degree_table,
     stability_stat_table,
     stat_density,
     stat_reciprocity,
@@ -114,6 +115,37 @@ def test_stat_tables_match_pairwise_functions():
             a, b = space.decode(i), space.decode(j)
             assert dens[i, j] == stat_density(a, b)
             assert stab[i, j] == stat_stability(a, b)
+
+
+def _directed_adjacency(n, state):
+    """0/1 adjacency of a state of models.directed_space(n), built from its bitmask."""
+    adj = np.zeros((n, n))
+    for f, (i, j) in enumerate(models.directed_pairs(n)):
+        adj[i, j] = (state >> f) & 1
+    return adj
+
+
+def test_cef_tables_match_pairwise_functions():
+    recip = models.reciprocity_cef(3).tau[:, :, 0]
+    adj = [_directed_adjacency(3, s) for s in range(recip.shape[0])]
+    for i in range(recip.shape[0]):
+        for j in range(recip.shape[0]):
+            assert recip[i, j] == stat_reciprocity(adj[i], adj[j])
+    trans = models.transitivity_cef(4).tau[:, :, 0]
+    space = build_multigraph_space(4, 1)
+    graphs = [space.decode(i) for i in range(space.size)]
+    for i in range(space.size):
+        for j in range(space.size):
+            assert trans[i, j] == stat_transitivity(graphs[i], graphs[j])
+
+
+def test_sorted_degree_table_matches_per_state_sequences():
+    for n, t in ((1, 1), (2, 1), (3, 2), (5, 1)):
+        space = build_multigraph_space(n, t)
+        table = sorted_degree_table(space)
+        assert table.dtype == np.int64 and table.shape == (space.size, n)
+        for i in range(space.size):
+            assert tuple(table[i].tolist()) == sorted_degree_sequence(space.decode(i))
 
 
 # ----------------------------------------------------------- factorization
@@ -277,6 +309,111 @@ def test_stability_family_not_relation_invariant():
     cls = iso_classes(space)
     ok, _ = is_relation_invariant(builtin_family(space, "stability"), cls)
     assert not ok
+
+
+def _ref_is_finitely_exchangeable(h, classes, tol=1e-12):
+    """Class-by-class loop that is_finitely_exchangeable must agree with."""
+    h = np.asarray(h, dtype=np.float64).reshape(-1)
+    for members in classes.classes:
+        dev = np.abs(h[members] - h[members[0]])
+        if dev.max() > tol:
+            return False, (int(members[0]), int(members[int(np.argmax(dev))]))
+    return True, None
+
+
+def _ref_is_relation_invariant(perm, classes):
+    """Row-by-row, class-by-class loop that is_relation_invariant must agree with."""
+    cid = classes.class_id
+    for a in range(perm.size):
+        mapped = cid[perm.sigma[a]]
+        for members in classes.classes:
+            vals = mapped[members]
+            if (vals != vals[0]).any():
+                return False, (a, int(members[0]), int(members[int(np.argmax(vals != vals[0]))]))
+    return True, None
+
+
+def _relabelling_family(space, seed):
+    """Each row relabels the vertices by its own random permutation."""
+    gen = np.random.default_rng(seed)
+    digits = dyad_count_table(space)
+    powers = (space.t + 1) ** np.arange(digits.shape[1])
+    dyads = canonical_dyads(space.n)
+    sigma = np.empty((space.size, space.size), dtype=np.int64)
+    for a in range(space.size):
+        perm = gen.permutation(space.n)
+        dmap = [dyad_index(perm[u], perm[v]) for u, v in dyads]
+        relabelled = np.empty_like(digits)
+        relabelled[:, dmap] = digits
+        sigma[a] = relabelled @ powers
+    return PermutationFamily(sigma=sigma)
+
+
+def test_relation_invariance_matches_loop_reference():
+    space = build_multigraph_space(4, 1)
+    cls = iso_classes(space)
+    gen = np.random.default_rng(3)
+    invariant = _relabelling_family(space, 4)
+    families = [identity_family(space.size), builtin_family(space, "stability"), invariant]
+    for _ in range(20):
+        families.append(PermutationFamily(sigma=np.array(
+            [gen.permutation(space.size) for _ in range(space.size)])))
+    for _ in range(20):
+        # an invariant family with two targets swapped in one random row
+        sigma = invariant.sigma.copy()
+        a, b, c = gen.integers(space.size, size=3)
+        sigma[a, [b, c]] = sigma[a, [c, b]]
+        families.append(PermutationFamily(sigma=sigma))
+    verdicts = [is_relation_invariant(fam, cls) for fam in families]
+    assert verdicts == [_ref_is_relation_invariant(fam, cls) for fam in families]
+    assert verdicts[0] == verdicts[2] == (True, None) and not verdicts[1][0]
+    assert sum(ok for ok, _ in verdicts) < len(families) - 20
+
+
+def test_exchangeability_matches_loop_reference_with_ties_and_nan():
+    space = build_multigraph_space(4, 1)
+    cls = iso_classes(space)
+    gen = np.random.default_rng(5)
+    for trial in range(200):
+        # class-constant values, some nudged inside or past the tolerance
+        h = gen.integers(0, 3, size=len(cls.classes)).astype(float)[cls.class_id]
+        nudge = gen.random(space.size) < 0.03
+        h[nudge] += gen.choice([5e-13, 2e-12, 1.0], size=nudge.sum())
+        if trial % 3 == 0:
+            h[gen.integers(space.size, size=gen.integers(1, 4))] = np.nan
+        assert is_finitely_exchangeable(h, cls) == _ref_is_finitely_exchangeable(h, cls)
+
+
+def test_transfer_rows_match_loop_reference():
+    space = build_multigraph_space(4, 1)
+    cls = iso_classes(space)
+    fam = _relabelling_family(space, 6)
+    gen = np.random.default_rng(7)
+    class_mass = gen.random(len(cls.classes))
+    for mu in (
+        models.er_pmf(4, 0.3),
+        Pmf(class_mass[cls.class_id] / class_mass[cls.class_id].sum()),
+        Pmf(gen.dirichlet(np.ones(space.size))),
+    ):
+        P = StochasticMatrix(mu.p[fam.sigma])
+        rep = exchangeability_transfer(P, fam, mu, cls)
+        ref = tuple(_ref_is_finitely_exchangeable(P.P[a], cls)[0] for a in range(space.size))
+        assert rep.row_exchangeable == ref
+        assert all(type(r) is bool for r in rep.row_exchangeable)
+        assert (rep.mu_exchangeable, rep.mu_witness) == _ref_is_finitely_exchangeable(mu.p, cls)
+
+
+def test_iso_classes_checks_degree_sequences_per_orbit(monkeypatch):
+    from pumc import netstat
+
+    space = build_multigraph_space(3, 1)
+    split = sorted_degree_table(space).copy()
+    split[7] = [0, 0, 0]  # the triangle, alone in its orbit: still consistent
+    monkeypatch.setattr(netstat, "sorted_degree_table", lambda s: split)
+    iso_classes(space)
+    split[4] = [0, 0, 0]  # a one-edge graph, in an orbit of three
+    with pytest.raises(TheoremViolationError):
+        iso_classes(space)
 
 
 # ------------------------------------------------------------------ transfer

@@ -176,6 +176,40 @@ def test_ermgm_round_trip_with_default_kappa():
     assert np.array_equal(filled.kappa_f, np.ones((num_dyads(3), 2)))
 
 
+def test_readers_require_integer_size_fields():
+    """Every *_from_dict reader takes n, t, l and dyad fields as JSON integers only."""
+    graph = serialize.multigraph_to_dict(build_multigraph_space(3, 1).decode(5))
+    fact = serialize.factorization_to_dict(DyadicFactorization(n=3, t=1, kappa_f=np.ones((3, 2))))
+    cases = [
+        (serialize.space_from_dict, {"kind": "multigraph", "n": 3, "t": 1}, ("n", "t")),
+        (serialize.space_from_dict, {"kind": "modular", "n": 4}, ("n",)),
+        (serialize.multigraph_from_dict, graph, ("n", "t")),
+        (serialize.eta_from_dict, {"kind": "natural", "l": 2}, ("l",)),
+        (serialize.eta_from_dict, {"kind": "density_logit", "n": 3}, ("n",)),
+        (serialize.eta_from_dict,
+         {"kind": "table", "l": 1, "thetas": [0.5], "etas": [0.1]}, ("l",)),
+        (serialize.factorization_from_dict, fact, ("n", "t")),
+        (serialize.ermgm_from_dict,
+         {"n": 3, "t": 1, "eta": {"kind": "natural", "l": 1}, "tau_f": [[[0.0], [1.0]]] * 3},
+         ("n", "t")),
+    ]
+    for reader, good, keys in cases:
+        reader(good)
+        for key in keys:
+            for bad in (None, 3.0, 3.7, "3", True):
+                with pytest.raises(ValueError, match=f'"{key}" must be an integer'):
+                    reader(dict(good, **{key: bad}))
+    for k, name in ((0, "dyad vertex"), (1, "dyad vertex"), (2, "dyad multiplicity")):
+        for bad in (None, 1.0, "1", True):
+            dyads = [list(d) for d in graph["dyads"]]
+            dyads[0][k] = bad
+            with pytest.raises(ValueError, match=f'"{name}" must be an integer'):
+                serialize.multigraph_from_dict(dict(graph, dyads=dyads))
+    with pytest.raises(ValueError, match='"n" must be an integer'):
+        serialize.cef_from_dict(dict(serialize.cef_to_dict(models.gani_cef()),
+                                     space={"kind": "modular", "n": 3.0}))
+
+
 def test_states_jsonl_round_trip(tmp_path):
     space = build_multigraph_space(3, 1)
     states = np.array([0, 7, 3, 5])
