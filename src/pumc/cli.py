@@ -222,13 +222,12 @@ def _diagnose_table(args, space):
         rows = netstat.sorted_degree_table(space)
         return np.broadcast_to(rows[None, :, :], (space.size, space.size, space.n)), "identity"
     if args.stat == "transitivity":
-        return models.transitivity_cef(space.n).tau[:, :, 0], None
+        return models.transitivity_table(space.n), None
     if args.n is None:
         raise ValueError("--stat reciprocity needs --n")
-    rc = models.reciprocity_cef(args.n)
-    if rc.space.size != space.size:
+    if models.directed_space(args.n).size != space.size:
         raise ValueError("trajectory space does not match the directed space for --n")
-    return rc.tau[:, :, 0], None
+    return models.reciprocity_table(args.n), None
 
 
 def cmd_diagnose(args) -> int:

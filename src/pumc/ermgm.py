@@ -22,11 +22,17 @@ from .core import (
     StateSpace,
     build_multigraph_space,
     dyad_count_table,
-    edge_total_table,
     num_dyads,
 )
-from .expfam import ExpFamilySpec, ParameterMap, _logsumexp_rows, affinely_independent_entries, default_probes
-from .netstat import DyadicFactorization
+from .expfam import (
+    DENSITY_LOGIT,
+    ExpFamilySpec,
+    ParameterMap,
+    _logsumexp_rows,
+    affinely_independent_entries,
+    default_probes,
+)
+from .netstat import DyadicFactorization, edge_stat_counts
 from .puniform import Trajectory
 from .rng import stream
 
@@ -129,10 +135,8 @@ def multigraph_log_pmf(model: ErmgmModel, theta, w: Multigraph) -> float:
     """Log mass of one multigraph; -inf when it hits a zero-carrier count."""
     if w.n != model.n or w.t != model.t:
         raise ValueError("multigraph does not belong to this model's space")
-    probs = _dyad_pmf_table(model, theta)[np.arange(model.num_dyads), w.counts]
-    if np.any(probs == 0):
-        return float("-inf")
-    return float(np.log(probs).sum())
+    logw = _dyad_log_weights(model, theta)
+    return float((logw[np.arange(model.num_dyads), w.counts] - _logsumexp_rows(logw)).sum())
 
 
 def sample_multigraphs(model: ErmgmModel, theta, count: int, seed: int) -> np.ndarray:
@@ -156,33 +160,27 @@ def sample_multigraph(model: ErmgmModel, theta, seed: int) -> Multigraph:
     return Multigraph(n=model.n, t=model.t, counts=counts)
 
 
-def union_log_probability(model: ErmgmModel, theta, t: int, w: Multigraph) -> float:
-    """Log mass of w as a union of t iid simple-graph draws from the model.
+def _union_model(model: ErmgmModel, t: int) -> ErmgmModel:
+    """The law of W = Z_1 + .. + Z_t, t iid draws of a simple-graph model.
 
-    Pr(W = w) = Pr(Z = z) * prod_f C(t, w(f)) for any fixed z with union w;
-    the canonical z puts the first w(f) coordinates of dyad f on. Requires a
-    simple-graph model (t = 1).
+    W is again dyadically independent on G(n, t), with the same parameter
+    function, statistic tau_f(m) = m tau_f(1) + (t - m) tau_f(0) and carrier
+    kappa_f(m) = C(t, m) kappa_f(1)^m kappa_f(0)^(t - m).
     """
     if model.t != 1:
         raise ValueError("union law needs a simple-graph model")
     if t < 1:
         raise ValueError("need at least one draw")
-    if w.n != model.n or w.t != t:
-        raise ValueError(f"w must live in G({model.n}, {t})")
-    probs = _dyad_pmf_table(model, theta)
-    wc = w.counts
-    total = 0.0
-    for f in range(model.num_dyads):
-        p0, p1 = probs[f, 0], probs[f, 1]
-        on, off = int(wc[f]), t - int(wc[f])
-        if (on and p1 == 0) or (off and p0 == 0):
-            return float("-inf")
-        total += np.log(comb(t, on))
-        if on:
-            total += on * np.log(p1)
-        if off:
-            total += off * np.log(p0)
-    return float(total)
+    m = np.arange(t + 1, dtype=np.float64)
+    tau_f = m[None, :, None] * model.tau_f[:, 1:2] + (t - m)[None, :, None] * model.tau_f[:, 0:1]
+    binom = np.array([comb(t, k) for k in range(t + 1)], dtype=np.float64)
+    kappa_f = binom * model.kappa_f[:, 1:2] ** m * model.kappa_f[:, 0:1] ** (t - m)
+    return ErmgmModel(n=model.n, t=t, tau_f=tau_f, kappa_f=kappa_f, eta=model.eta)
+
+
+def union_log_probability(model: ErmgmModel, theta, t: int, w: Multigraph) -> float:
+    """Log mass of w in G(n, t) as a union of t iid simple-graph draws from the model."""
+    return multigraph_log_pmf(_union_model(model, t), theta, w)
 
 
 @dataclass(frozen=True)
@@ -196,30 +194,11 @@ class UnionFamily:
 def union_expfam(model: ErmgmModel, t: int, probes=None) -> UnionFamily:
     """Exponential family of W = Z_1 + .. + Z_t on G(n, t).
 
-    Same parameter function as the part model; sufficient statistic
-    sum_f [tau_f(1) W(f) + tau_f(0) (t - W(f))] and carrier
-    prod_f C(t, W(f)) kappa_f(1)^W(f) kappa_f(0)^(t - W(f)). Whether eta's
-    entries look affinely independent over the probes is recorded, not
-    enforced.
+    The union of t draws is again a dyadic model with the same parameter
+    function, materialized over G(n, t). Whether eta's entries look
+    affinely independent over the probes is recorded, not enforced.
     """
-    if model.t != 1:
-        raise ValueError("union family needs a simple-graph model")
-    if t < 1:
-        raise ValueError("need at least one draw")
-    space = build_multigraph_space(model.n, t)
-    digits = dyad_count_table(space).astype(np.float64)
-    tau1 = model.tau_f[:, 1, :]
-    tau0 = model.tau_f[:, 0, :]
-    tau = digits @ tau1 + (t - digits) @ tau0
-    comb_table = np.array([[comb(t, m) for m in range(t + 1)]], dtype=np.float64)
-    k1 = model.kappa_f[:, 1][None, :]
-    k0 = model.kappa_f[:, 0][None, :]
-    kappa = (
-        comb_table[0][digits.astype(np.int64)].prod(axis=1)
-        * np.power(k1, digits).prod(axis=1)
-        * np.power(k0, t - digits).prod(axis=1)
-    )
-    fam = ExpFamilySpec(space=space, kappa=kappa, tau=tau, eta=model.eta)
+    fam = to_expfam(_union_model(model, t))
     if probes is None:
         probes = default_probes(model.eta)
     samples = np.array([model.eta.evaluate(th) for th in probes])
@@ -242,18 +221,9 @@ def mle_density_stability(x: Trajectory, kind: str) -> MleEstimate:
     the logit parameter diverges there; the estimate is not clamped.
     """
     space = x.space
-    if space.kind != "multigraph" or space.t != 1 or space.n < 2:
-        raise ValueError("the closed-form MLE needs a simple-graph chain with n >= 2")
     if x.transitions < 1:
         raise ValueError("need at least one transition")
-    edges = edge_total_table(space)
-    src, dst = x.states[:-1], x.states[1:]
-    if kind == "density":
-        per_step = edges[dst]
-    elif kind == "stability":
-        per_step = num_dyads(space.n) - edges[src ^ dst]
-    else:
-        raise ValueError("kind must be 'density' or 'stability'")
+    per_step = edge_stat_counts(space, kind, x.states[:-1], x.states[1:])
     stat_sum = float(per_step.sum()) / (space.n - 1)
     p_hat = (space.n - 1) * stat_sum / (x.transitions * num_dyads(space.n))
     return MleEstimate(
@@ -266,8 +236,4 @@ def mle_density_stability(x: Trajectory, kind: str) -> MleEstimate:
 
 def eta_density(p: float, n: int) -> float:
     """Natural parameter of the density family: (n-1) log(p / (1-p))."""
-    if not 0 < p < 1:
-        raise ValueError("need 0 < p < 1")
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return (n - 1) * float(np.log(p / (1.0 - p)))
+    return float(ParameterMap(DENSITY_LOGIT, n=n).evaluate(p)[0])

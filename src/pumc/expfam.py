@@ -363,8 +363,10 @@ def gani_row_value_sets(cef: CefSpec, tol: float = MEF_REL_TOL):
     if cef.eta.l != 1:
         raise ValueError("row value sets are defined for scalar statistics")
     sets = []
-    for a in range(cef.space.size):
-        vals = np.sort(cef.tau[a, :, 0])
+    for row in cef.tau[:, :, 0]:
+        # Repeated values never start a new representative, so the greedy
+        # collapse runs over each row's distinct values only.
+        vals = np.unique(row)
         keep = [vals[0]]
         for v in vals[1:]:
             if v - keep[-1] > tol:

@@ -161,29 +161,33 @@ def _scaled_ratio_rows(numer: np.ndarray, n: int, denom: np.ndarray) -> np.ndarr
     return numer
 
 
-def transitivity_cef(n: int) -> CefSpec:
-    """Closed-two-path CEF on G(n, 1) with unit carrier; not an MEF.
+def transitivity_table(n: int) -> np.ndarray:
+    """(size, size) closed-two-path statistic on G(n, 1).
 
     tau(a, b) = n * (two-paths of a closed by b) / (two-paths of a), with
-    0/0 -> 0; the natural scalar parameter multiplies it directly.
+    0/0 -> 0.
     """
     if n < 3:
         raise ValueError("transitivity needs n >= 3")
-    space = build_multigraph_space(n, 1)
-    digits = dyad_count_table(space)
-    coeff = np.zeros((space.size, num_dyads(n)))
-    denom = np.zeros(space.size)
+    digits = dyad_count_table(build_multigraph_space(n, 1))
+    coeff = np.zeros((digits.shape[0], num_dyads(n)))
+    denom = np.zeros(digits.shape[0])
     for i, j, k in itertools.combinations(range(n), 3):
         path = digits[:, dyad_index(i, j)] * digits[:, dyad_index(j, k)]
         coeff[:, dyad_index(i, k)] += path
         denom += path
     numer = coeff @ digits.T.astype(np.float64)
-    return CefSpec(
-        space=space,
-        kappa=np.ones((space.size, space.size)),
-        tau=_scaled_ratio_rows(numer, n, denom),
-        eta=ParameterMap(kind=NATURAL),
-    )
+    return _scaled_ratio_rows(numer, n, denom)
+
+
+def _natural_cef(tau: np.ndarray, space: StateSpace) -> CefSpec:
+    """Unit-carrier CEF whose natural scalar parameter multiplies tau directly."""
+    return CefSpec(space=space, kappa=np.ones(tau.shape), tau=tau, eta=ParameterMap(kind=NATURAL))
+
+
+def transitivity_cef(n: int) -> CefSpec:
+    """Closed-two-path CEF on G(n, 1) with unit carrier; not an MEF."""
+    return _natural_cef(transitivity_table(n), build_multigraph_space(n, 1))
 
 
 def directed_pairs(n: int) -> list[tuple[int, int]]:
@@ -208,8 +212,8 @@ def directed_space(n: int) -> StateSpace:
     return build_generic_space(labels)
 
 
-def reciprocity_cef(n: int) -> CefSpec:
-    """Reciprocated-arc CEF over loop-free directed graphs; not an MEF.
+def reciprocity_table(n: int) -> np.ndarray:
+    """(size, size) reciprocated-arc statistic over directed_space(n).
 
     tau(a, b) = n * sum_{(i,j)} b(j,i) a(i,j) / (arc count of a), 0/0 -> 0.
     """
@@ -219,16 +223,16 @@ def reciprocity_cef(n: int) -> CefSpec:
     m = len(pairs)
     lookup = directed_pair_index(n)
     tp = np.array([lookup[(j, i)] for (i, j) in pairs], dtype=np.int64)
-    space = directed_space(n)
-    idx = np.arange(space.size, dtype=np.int64)
-    bits = np.empty((space.size, m), dtype=np.float64)
+    size = directed_space(n).size
+    idx = np.arange(size, dtype=np.int64)
+    bits = np.empty((size, m), dtype=np.float64)
     for f in range(m):
         bits[:, f] = (idx >> f) & 1
     numer = bits @ bits[:, tp].T
     arcs = bits.sum(axis=1)
-    return CefSpec(
-        space=space,
-        kappa=np.ones((space.size, space.size)),
-        tau=_scaled_ratio_rows(numer, n, arcs),
-        eta=ParameterMap(kind=NATURAL),
-    )
+    return _scaled_ratio_rows(numer, n, arcs)
+
+
+def reciprocity_cef(n: int) -> CefSpec:
+    """Reciprocated-arc CEF over loop-free directed graphs; not an MEF."""
+    return _natural_cef(reciprocity_table(n), directed_space(n))

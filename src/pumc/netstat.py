@@ -124,21 +124,34 @@ def sorted_degree_table(space: StateSpace) -> np.ndarray:
     return np.sort(dyad_count_table(space) @ _dyad_incidence(space.n), axis=1)
 
 
+def edge_stat_counts(space: StateSpace, kind: str, source, target) -> np.ndarray:
+    """Dyad counts behind the density and stability statistics.
+
+    Density counts the target's edges; stability counts the dyads where the
+    target agrees with the source, N - |a xor b|. `source` and `target` are
+    broadcastable arrays of state indices; the statistic is the count over
+    n - 1.
+    """
+    if space.kind != MULTIGRAPH or space.t != 1 or space.n < 2:
+        raise ValueError(f"{kind} needs a simple-graph space with n >= 2")
+    edges = edge_total_table(space)
+    if kind == "density":
+        return np.broadcast_to(edges[target], np.broadcast_shapes(np.shape(source), np.shape(target)))
+    if kind == "stability":
+        return num_dyads(space.n) - edges[source ^ target]
+    raise ValueError("kind must be 'density' or 'stability'")
+
+
 def density_stat_table(space: StateSpace) -> np.ndarray:
     """Transition table of the density statistic: rows constant in the source."""
-    if space.kind != MULTIGRAPH or space.t != 1 or space.n < 2:
-        raise ValueError("density table needs a simple-graph space with n >= 2")
-    edges = edge_total_table(space) / (space.n - 1)
-    return np.broadcast_to(edges, (space.size, space.size)).copy()
+    idx = np.arange(space.size, dtype=np.int64)
+    return edge_stat_counts(space, "density", idx[:, None], idx) / (space.n - 1)
 
 
 def stability_stat_table(space: StateSpace) -> np.ndarray:
     """Transition table of the stability statistic: dyads outside a xor b."""
-    if space.kind != MULTIGRAPH or space.t != 1 or space.n < 2:
-        raise ValueError("stability table needs a simple-graph space with n >= 2")
     idx = np.arange(space.size, dtype=np.int64)
-    edges = edge_total_table(space)
-    return (num_dyads(space.n) - edges[idx[:, None] ^ idx[None, :]]) / (space.n - 1)
+    return edge_stat_counts(space, "stability", idx[:, None], idx) / (space.n - 1)
 
 
 @dataclass(frozen=True)

@@ -107,34 +107,32 @@ def check_puniform(P, fam: PermutationFamily, tol: float = DETECT_TOL):
     return False, (0, int(a), int(c))
 
 
-def _stable_matching(table: np.ndarray):
-    """Match every row to row 0 by stable sort on (value, index).
+def _matched_family(P, tol: float):
+    """Match every row to row 0 by stable sort on (value, index), then test it.
 
-    Returns (order, sigma): order sorts each row, and sigma sends row a's
-    k-th smallest entry to the position of row 0's k-th smallest.
+    sigma sends row a's k-th smallest entry to the position of row 0's k-th
+    smallest, which picks the lexicographically smallest assignment inside
+    exact-tie blocks and makes sigma_0 the identity. Returns the table, the
+    family and check_puniform's (ok, triple) under it.
     """
+    table = _as_table(P)
     order = np.argsort(table, axis=1, kind="stable")
     sigma = np.empty_like(order)
     sigma[np.arange(table.shape[0])[:, None], order] = order[0]
-    return order, sigma
+    fam = PermutationFamily(sigma=sigma, tag="detected")
+    return table, fam, check_puniform(table, fam, tol)
 
 
 def detect_puniform(P: StochasticMatrix, tol: float = DETECT_TOL):
     """Find a p-uniform witness for P, or None.
 
-    Rows are matched to row 0 by stable sort on (value, index), which picks
-    the lexicographically smallest assignment inside exact-tie blocks; the
-    canonical witness has sigma_0 = identity and mu = row 0. The defining
-    condition is re-verified before returning, so tolerance chains across
-    near-ties cannot produce a false witness.
+    Rows are matched to row 0 by stable sort on (value, index), and
+    check_puniform tests the defining condition once under that matching.
+    The matching puts row a's k-th smallest entry against row 0's k-th
+    smallest, so that test is also the comparison of sorted rows. The
+    witness has sigma_0 = identity and mu = row 0.
     """
-    table = P.P
-    order, sigma = _stable_matching(table)
-    sorted_rows = np.take_along_axis(table, order, axis=1)
-    if np.abs(sorted_rows - sorted_rows[0]).max() > tol:
-        return None
-    fam = PermutationFamily(sigma=sigma, tag="detected")
-    ok, _ = check_puniform(P, fam, tol)
+    table, fam, (ok, _) = _matched_family(P, tol)
     if not ok:
         return None
     return PuniformWitness(matrix=P, family=fam, mu=Pmf(table[0].copy()), tol=max(tol, WITNESS_TOL))
@@ -143,13 +141,11 @@ def detect_puniform(P: StochasticMatrix, tol: float = DETECT_TOL):
 def detection_violation(P, tol: float = DETECT_TOL):
     """Concrete violating triple (a, b, c) for a matrix detection rejected.
 
-    Builds the same stable-sort matching detection would use, then reports
-    where the defining condition breaks under it. For a matrix that is in
-    fact p-uniform within tol this returns None.
+    Uses the matching detection uses and reports where the defining
+    condition breaks under it. For a matrix that is in fact p-uniform
+    within tol this returns None.
     """
-    table = _as_table(P)
-    _, sigma = _stable_matching(table)
-    ok, triple = check_puniform(table, PermutationFamily(sigma=sigma, tag="attempted"), tol)
+    _, _, (ok, triple) = _matched_family(P, tol)
     return None if ok else triple
 
 

@@ -175,7 +175,13 @@ def family_to_dict(fam: PermutationFamily) -> dict:
 
 
 def family_from_dict(d: dict) -> PermutationFamily:
-    return PermutationFamily(sigma=np.array(d["sigma"], dtype=np.int64), tag=d.get("tag", ""))
+    sigma = d["sigma"]
+    if type(sigma) is not list or not all(
+        type(row) is list and all(type(x) is int and 0 <= x < len(sigma) for x in row)
+        for row in sigma
+    ):
+        raise ValueError("\"sigma\" must be a 2-D array of integer state indices")
+    return PermutationFamily(sigma=np.array(sigma, dtype=np.int64), tag=d.get("tag", ""))
 
 
 # --------------------------------------------------------------- matrices
@@ -236,40 +242,34 @@ def eta_from_dict(d: dict) -> ParameterMap:
 
 # ------------------------------------------------------------ CEF specs
 
-def cef_to_dict(cef: CefSpec) -> dict:
+def cef_to_dict(spec: CefSpec | ExpFamilySpec) -> dict:
+    """A CefSpec or an ExpFamilySpec as JSON; both use this one layout."""
     return {
-        "space": space_to_dict(cef.space),
-        "eta": eta_to_dict(cef.eta),
-        "kappa": cef.kappa,
-        "tau": cef.tau,
+        "space": space_to_dict(spec.space),
+        "eta": eta_to_dict(spec.eta),
+        "kappa": spec.kappa,
+        "tau": spec.tau,
     }
+
+
+expfam_to_dict = cef_to_dict
+
+
+def _spec_from_dict(cls, d: dict):
+    return cls(
+        space=space_from_dict(d["space"]),
+        kappa=np.array(d["kappa"], dtype=np.float64),
+        tau=np.array(d["tau"], dtype=np.float64),
+        eta=eta_from_dict(d["eta"]),
+    )
 
 
 def cef_from_dict(d: dict) -> CefSpec:
-    return CefSpec(
-        space=space_from_dict(d["space"]),
-        kappa=np.array(d["kappa"], dtype=np.float64),
-        tau=np.array(d["tau"], dtype=np.float64),
-        eta=eta_from_dict(d["eta"]),
-    )
-
-
-def expfam_to_dict(fam: ExpFamilySpec) -> dict:
-    return {
-        "space": space_to_dict(fam.space),
-        "eta": eta_to_dict(fam.eta),
-        "kappa": fam.kappa,
-        "tau": fam.tau,
-    }
+    return _spec_from_dict(CefSpec, d)
 
 
 def expfam_from_dict(d: dict) -> ExpFamilySpec:
-    return ExpFamilySpec(
-        space=space_from_dict(d["space"]),
-        kappa=np.array(d["kappa"], dtype=np.float64),
-        tau=np.array(d["tau"], dtype=np.float64),
-        eta=eta_from_dict(d["eta"]),
-    )
+    return _spec_from_dict(ExpFamilySpec, d)
 
 
 # ----------------------------------------------------------- dyadic models

@@ -1,10 +1,12 @@
+import argparse
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pumc import models, serialize
-from pumc.cli import main
+from pumc.cli import _diagnose_table, main
 from pumc.core import build_multigraph_space, edge_total_table
 from pumc.ermgm import from_factorization, mle_density_stability, sample_multigraphs
 from pumc.expfam import ParameterMap
@@ -458,6 +460,36 @@ def test_reordered_or_gapped_trajectory_exits_2(tmp_path, capsys):
         fp.write("\n".join([header, *records[:4], *records[5:]]) + "\n")
     code, out, err = run(capsys, "fit", "--traj", gapped, "--stat", "stability")
     assert code == 2 and out == "" and '"i": 4' in err
+
+
+def test_fractional_family_file_exits_2(tmp_path, capsys):
+    traj_path = str(tmp_path / "x.jsonl")
+    run(capsys, "simulate", "--model", "modular", "--n", "3", "--steps", "10", "--seed", "4",
+        "--out", traj_path)
+    fam_path = str(tmp_path / "fam.json")
+    with open(fam_path, "w") as fp:
+        fp.write('{"sigma": [[0, 1, 2.9], [2, 0, 1], [1, 2, 0]]}')
+    out_path = tmp_path / "z.jsonl"
+    code, out, err = run(capsys, "transform", "--traj", traj_path, "--direction", "chain2iid",
+                         "--family", fam_path, "--out", str(out_path))
+    assert (code, out) == (2, "")
+    assert err == 'error: "sigma" must be a 2-D array of integer state indices\n'
+    assert not out_path.exists()
+
+
+def test_reciprocity_diagnose_table_holds_one_table():
+    """diagnose --stat reciprocity builds its statistic table and no carrier."""
+    args = argparse.Namespace(stat="reciprocity", n=4)
+    space = models.directed_space(4)
+    tracemalloc.start()
+    try:
+        table, fam = _diagnose_table(args, space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fam is None and table.shape == (space.size, space.size)
+    limit = space.size * space.size * 8 + 8 * 2**20
+    assert peak <= limit, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_out_flag_writes_file_not_stdout(tmp_path, capsys):

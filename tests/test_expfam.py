@@ -196,6 +196,48 @@ def test_gani_value_sets():
         assert np.allclose(s, [1.0, 3.0])
 
 
+def _value_sets_per_entry(tau: np.ndarray, tol: float) -> list:
+    """Reference: the greedy collapse run over every entry of each sorted row."""
+    sets = []
+    for row in tau:
+        vals = np.sort(row)
+        keep = [vals[0]]
+        for v in vals[1:]:
+            if v - keep[-1] > tol:
+                keep.append(v)
+        sets.append(np.array(keep))
+    return sets
+
+
+def test_gani_value_sets_match_per_entry_collapse():
+    tol = 1e-9
+    rng = np.random.default_rng(5)
+    size = 12
+    rows = [
+        np.zeros(size),                                   # one value, all tied
+        np.repeat([0.0, 1.0, 2.0], 4),                    # exact ties only
+        np.arange(size) * (tol * 0.999),                  # one chain of gaps under tol
+        np.repeat(np.arange(6) * (tol * 0.999), 2),       # the chain, each value tied
+        np.r_[np.arange(6) * (tol * 0.999), 1.0 + np.arange(6) * tol * 1.001],
+        np.r_[np.zeros(4), np.full(4, tol), np.full(4, 2 * tol + 1e-18)],
+    ]
+    while len(rows) < size:
+        base = rng.choice([0.0, 0.5, 1.0], size=size)
+        rows.append(base + rng.choice([0.0, 0.4, 0.999, 1.001], size=size) * tol)
+    for row in rows:
+        rng.shuffle(row)
+    tau = np.array(rows)
+    cef = CefSpec(space=build_generic_space(tuple(str(i) for i in range(size))),
+                  kappa=np.ones((size, size)), tau=tau, eta=ParameterMap("natural"))
+    for t in (0.0, 1e-12, tol, 1e-6):
+        sets, equal = gani_row_value_sets(cef, t)
+        expected = _value_sets_per_entry(tau, t)
+        assert all(np.array_equal(a, b) for a, b in zip(sets, expected))
+        assert equal == all(
+            e.size == expected[0].size and np.abs(e - expected[0]).max() <= t for e in expected[1:]
+        )
+
+
 def test_mef_check_rejects_gani_full():
     res = mef_check(models.gani_cef())
     assert not res.ok and res.row == 2

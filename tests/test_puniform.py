@@ -20,6 +20,7 @@ from pumc.puniform import (
     Trajectory,
     chain_to_iid,
     check_puniform,
+    check_triple,
     detect_puniform,
     detection_violation,
     iid_to_chain,
@@ -81,6 +82,39 @@ def test_detect_reproduces_known_chain_families():
         # the witness must reproduce the matrix even if sigma differs from
         # the generating family on tie blocks
         assert np.abs(w.mu.p[w.family.sigma] - cm.matrix().P).max() <= 1e-12
+
+
+@st.composite
+def near_tie_matrices(draw):
+    """A p-uniform matrix whose mu has exact ties, with some rows nudged.
+
+    A nudge moves eps from one entry of a row to another, so rows still sum
+    to 1; eps runs from 1e-12 to 3e-9, across every tolerance tested.
+    """
+    size = draw(st.integers(2, 6))
+    levels = np.array(draw(st.lists(st.integers(1, 3), min_size=size, max_size=size)), float)
+    mu = levels / levels.sum()
+    perms = [draw(st.permutations(range(size))) for _ in range(size)]
+    P = mu[np.array(perms)]
+    eps = st.one_of(st.sampled_from([1e-12, 1e-10, 0.999e-9, 1e-9, 1.001e-9, 3e-9]),
+                    st.floats(1e-12, 3e-9))
+    for _ in range(draw(st.integers(0, 3))):
+        a, i, j = (draw(st.integers(0, size - 1)) for _ in range(3))
+        e = draw(eps)
+        P[a, i] += e
+        P[a, j] -= e
+    return P
+
+
+@given(near_tie_matrices(), st.sampled_from([1e-12, 1e-9, 1e-8]))
+@settings(max_examples=300, deadline=None)
+def test_detection_and_violation_agree_on_near_ties(P, tol):
+    witness = detect_puniform(StochasticMatrix(P), tol)
+    violation = detection_violation(P, tol)
+    assert (witness is None) == (violation is not None)
+    if witness is not None:
+        check_triple(witness.matrix, witness.family, witness.mu, witness.tol)
+        assert np.array_equal(witness.family.sigma[0], np.arange(P.shape[0]))
 
 
 def test_witness_rejects_inconsistent_triple():

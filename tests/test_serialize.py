@@ -102,6 +102,18 @@ def test_family_round_trip():
     assert again.tag == "stability"
 
 
+def test_family_sigma_must_be_json_integers():
+    good = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert serialize.family_from_dict({"sigma": good}).sigma.tolist() == good
+    bad = ([0, 1, 2.9], [0, 1, 2.0], [0, True, 2], [0, 1, "2"], [0, 1, None], 0,
+           [0, 1, 3], [0, 1, -1], [0, 1, 2**70])
+    for row0 in bad:
+        with pytest.raises(ValueError, match='"sigma" must be a 2-D array of integer state indices'):
+            serialize.family_from_dict({"sigma": [row0] + good[1:]})
+    with pytest.raises(ValueError, match='"sigma" must be a 2-D array of integer state indices'):
+        serialize.family_from_dict({"sigma": "0,1,2"})
+
+
 def test_matrix_csv_and_json(tmp_path):
     P = models.density_chain(3, 0.3).matrix()
     csv_path = str(tmp_path / "m.csv")
