@@ -12,13 +12,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
 from . import ermgm, models, netstat, oracle, serialize, simulate
-from .core import Pmf, build_generic_space, builtin_family
+from .core import Pmf, build_generic_space, build_multigraph_space, builtin_family, check_dense_budget, num_dyads
 from .errors import PowerIterationError, TheoremViolationError
 from .puniform import DETECT_TOL, Trajectory, chain_to_iid, detect_puniform, detection_violation, iid_to_chain
 
@@ -113,6 +112,8 @@ def cmd_simulate(args) -> int:
         payload["replicate"] = r
         payloads.append(payload)
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             paths = list(pool.map(_simulate_one, payloads))
     else:
@@ -237,8 +238,6 @@ def cmd_diagnose(args) -> int:
     if args.target is not None:
         target = [float(x) for x in args.target.split(",")]
     elif args.p is not None and args.stat in ("density", "stability"):
-        from .core import num_dyads
-
         target = args.p * num_dyads(space.n) / (space.n - 1)
     else:
         raise ValueError("pass --target (or --p for density/stability)")
@@ -267,14 +266,14 @@ def cmd_exchangeability(args) -> int:
     if args.model == "custom":
         if not (args.n and args.mu):
             raise ValueError("--model custom needs --n and --mu")
-        from .core import build_multigraph_space
-
         space = build_multigraph_space(args.n, 1)
-        mu = Pmf(np.array(_load_json(args.mu)["p"], dtype=np.float64))
+        mu = serialize.load_pmf(args.mu)
         fam = _resolve_family(space, args.family if args.family != "auto" else "identity")
         cm = models.ChainModel(space=space, family=fam, mu=mu)
     else:
         cm = _chain_model(args)
+    # The dense matrix below must fit; refuse before the isomorphism pass.
+    check_dense_budget(cm.space.size, "the transition matrix")
     classes = netstat.iso_classes(cm.space)
     report = netstat.exchangeability_transfer(cm.matrix(), cm.family, cm.mu, classes)
     payload = {

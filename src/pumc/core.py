@@ -17,11 +17,24 @@ import numpy as np
 from .errors import SpaceTooLargeError
 
 ENUMERATION_CAP = 2 ** 24
+# Entries of one dense size x size table: reciprocity on 4 vertices (2^24)
+# fits, G(6, 1) (2^30) does not.
+DENSE_ENTRY_CAP = 2 ** 26
+# Largest modulus: the sum of two residues must stay inside int64.
+MODULAR_CAP = 2 ** 62
 PMF_TOL = 1e-12
 
 MULTIGRAPH = "multigraph"
 MODULAR = "modular"
 GENERIC = "generic"
+
+
+def check_dense_budget(size: int, what: str):
+    """Raise SpaceTooLargeError before a size x size table passes DENSE_ENTRY_CAP."""
+    if size * size > DENSE_ENTRY_CAP:
+        raise SpaceTooLargeError(
+            f"{what} would hold {size} x {size} entries, past the cap of {DENSE_ENTRY_CAP}"
+        )
 
 
 def num_dyads(n: int) -> int:
@@ -163,18 +176,21 @@ def build_multigraph_space(n: int, t: int) -> StateSpace:
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
     nd = num_dyads(n)
-    size = (t + 1) ** nd
-    if size > ENUMERATION_CAP:
+    # With t >= 1 there are at least 2^nd states, so past the cap's bit
+    # length the count (t + 1)^nd is never built.
+    if t and (nd >= ENUMERATION_CAP.bit_length() or (t + 1) ** nd > ENUMERATION_CAP):
         raise SpaceTooLargeError(
-            f"G({n},{t}) has {size} states, past the cap of {ENUMERATION_CAP}"
+            f"G({n},{t}) has {t + 1}^{nd} states, past the cap of {ENUMERATION_CAP}"
         )
-    return StateSpace(kind=MULTIGRAPH, size=size, n=n, t=t)
+    return StateSpace(kind=MULTIGRAPH, size=(t + 1) ** nd, n=n, t=t)
 
 
 def build_modular_space(n: int) -> StateSpace:
-    """Residues modulo n."""
+    """Residues modulo n; n <= MODULAR_CAP keeps index sums inside int64."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > MODULAR_CAP:
+        raise SpaceTooLargeError(f"Z/{n} has {n} states, past the modular cap of 2^62")
     return StateSpace(kind=MODULAR, size=n, n=n)
 
 
@@ -235,36 +251,127 @@ class StochasticMatrix:
         return self.P.shape[0]
 
 
-@dataclass(frozen=True)
 class PermutationFamily:
-    """One permutation of the state indices per state: sigma[a, b] = sigma_a(b)."""
+    """One permutation of the state indices per state: sigma_a(b).
 
-    sigma: np.ndarray
-    tag: str = ""
+    This class holds sigma as a (size, size) index matrix whose rows are
+    checked to be permutations; family files and detected families are
+    tables. The builtin families are formulas (see builtin_family) and
+    build sigma only when it is read. Outside this module families are used
+    through apply, unapply and walk, which broadcast over index arrays.
+    """
 
-    def __post_init__(self):
-        sigma = np.ascontiguousarray(self.sigma, dtype=np.int64)
-        object.__setattr__(self, "sigma", sigma)
+    def __init__(self, sigma, tag: str = ""):
+        sigma = np.ascontiguousarray(sigma, dtype=np.int64)
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] == 0:
             raise ValueError("need a nonempty square index matrix")
         size = sigma.shape[0]
         # Every row must hit each index exactly once.
         if not np.array_equal(np.sort(sigma, axis=1), np.broadcast_to(np.arange(size), sigma.shape)):
             raise ValueError("every row must be a permutation of 0..size-1")
+        self._sigma = sigma
+        self.size = size
+        self.tag = tag
 
     @property
-    def size(self) -> int:
-        return self.sigma.shape[0]
+    def sigma(self) -> np.ndarray:
+        """The (size, size) table sigma[a, b] = sigma_a(b)."""
+        return self._sigma
+
+    def apply(self, a, b):
+        """sigma_a(b) over broadcastable index arrays."""
+        return self._sigma[a, b]
+
+    def unapply(self, a, z):
+        """sigma_a^-1(z) over broadcastable index arrays."""
+        return _inverse_table(self._sigma)[a, z]
+
+    def walk(self, x0: int, z: np.ndarray) -> np.ndarray:
+        """The path x_0 = x0, x_{i+1} = sigma_{x_i}^-1(z_{i+1}), start included."""
+        inv = _inverse_table(self._sigma)
+        states = np.empty(z.size + 1, dtype=np.int64)
+        states[0] = x0
+        cur = int(x0)
+        for i, zi in enumerate(z):
+            cur = int(inv[cur, zi])
+            states[i + 1] = cur
+        return states
+
+
+class _GroupFamily(PermutationFamily):
+    """A builtin family as a formula on an abelian group of state indices.
+
+    "identity" is sigma_a(b) = b; "xor" is sigma_a(b) = a ^ b ^ mask on
+    bitmask states (symdiff with mask 0, stability with the all-ones mask),
+    which is its own inverse; "mod" is sigma_a(b) = (b - a) mod size. The
+    chain replay is then a prefix scan instead of a per-step lookup.
+    """
+
+    def __init__(self, size: int, tag: str, op: str, mask: int = 0):
+        self.size = size
+        self.tag = tag
+        self._op = op
+        self._mask = mask
+
+    @property
+    def sigma(self) -> np.ndarray:
+        check_dense_budget(self.size, f"the {self.tag} family table")
+        idx = np.arange(self.size, dtype=np.int64)
+        return np.ascontiguousarray(self.apply(idx[:, None], idx))
+
+    def apply(self, a, b):
+        if self._op == "identity":
+            shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+            # A path gets a fresh, writable array like the other families; an
+            # index grid stays a read-only view, since a copy would cost size^2.
+            return np.array(b) if shape == np.shape(b) else np.broadcast_to(b, shape)
+        if self._op == "xor":
+            out = np.bitwise_xor(a, b)
+            out ^= self._mask
+        else:
+            out = np.subtract(b, a)
+            out %= self.size
+        return out
+
+    def unapply(self, a, z):
+        if self._op == "mod":
+            out = np.add(a, z)
+            out %= self.size
+            return out
+        return self.apply(a, z)
+
+    def walk(self, x0: int, z: np.ndarray) -> np.ndarray:
+        states = np.empty(z.size + 1, dtype=np.int64)
+        states[0] = x0
+        states[1:] = z
+        if self._op == "xor":
+            states[1:] ^= self._mask
+            np.bitwise_xor.accumulate(states, out=states)
+        elif self._op == "mod":
+            # Blocks short enough that no partial sum leaves int64.
+            block = max(1, 2 ** 62 // self.size)
+            for start in range(0, states.size, block):
+                part = states[start:start + block]
+                if start:
+                    part[0] += states[start - 1]
+                np.cumsum(part, out=part)
+                part %= self.size
+        return states
+
+
+def _inverse_table(sigma: np.ndarray) -> np.ndarray:
+    """Row-wise inverse permutations of an index table."""
+    size = sigma.shape[0]
+    inv = np.empty_like(sigma)
+    inv[np.arange(size)[:, None], sigma] = np.broadcast_to(np.arange(size), sigma.shape)
+    return inv
 
 
 def invert_family(fam: PermutationFamily) -> PermutationFamily:
-    """Family of row-wise inverse permutations."""
-    size = fam.size
-    inv = np.empty_like(fam.sigma)
-    rows = np.arange(size)[:, None]
-    inv[rows, fam.sigma] = np.broadcast_to(np.arange(size), fam.sigma.shape)
+    """Family of row-wise inverse permutations, as a table."""
+    check_dense_budget(fam.size, "the inverse family table")
     tag = f"{fam.tag}^-1" if fam.tag else ""
-    return PermutationFamily(sigma=inv, tag=tag)
+    return PermutationFamily(sigma=_inverse_table(fam.sigma), tag=tag)
 
 
 def is_symmetric_family(fam: PermutationFamily):
@@ -273,7 +380,8 @@ def is_symmetric_family(fam: PermutationFamily):
     Returns (True, None) or (False, (a, b)) with the first counterexample in
     row-major order.
     """
-    mismatch = fam.sigma != fam.sigma.T
+    sigma = fam.sigma
+    mismatch = sigma != sigma.T
     if not mismatch.any():
         return True, None
     a, b = np.argwhere(mismatch)[0]
@@ -281,12 +389,11 @@ def is_symmetric_family(fam: PermutationFamily):
 
 
 def identity_family(size: int, tag: str = "identity") -> PermutationFamily:
-    sigma = np.broadcast_to(np.arange(size, dtype=np.int64), (size, size)).copy()
-    return PermutationFamily(sigma=sigma, tag=tag)
+    return _GroupFamily(size, tag, "identity")
 
 
 def builtin_family(space: StateSpace, name: str) -> PermutationFamily:
-    """Construct a named permutation family on `space`.
+    """Construct a named permutation family on `space`, as a formula.
 
     identity   sigma_a = id on any space
     symdiff    sigma_a(b) = a xor b, simple-graph spaces only
@@ -298,15 +405,10 @@ def builtin_family(space: StateSpace, name: str) -> PermutationFamily:
     if name in ("symdiff", "stability"):
         if space.kind != MULTIGRAPH or space.t != 1:
             raise ValueError(f"family '{name}' needs a simple-graph space (t = 1)")
-        idx = np.arange(space.size, dtype=np.int64)
-        sigma = idx[:, None] ^ idx[None, :]
-        if name == "stability":
-            sigma ^= space.size - 1  # t = 1 makes indices bitmasks; this complements
-        return PermutationFamily(sigma=sigma, tag=name)
+        # t = 1 makes indices bitmasks; xor with size - 1 complements.
+        return _GroupFamily(space.size, name, "xor", space.size - 1 if name == "stability" else 0)
     if name == "modular":
         if space.kind != MODULAR:
             raise ValueError("family 'modular' needs a modular space")
-        idx = np.arange(space.size, dtype=np.int64)
-        sigma = (idx[None, :] - idx[:, None]) % space.size
-        return PermutationFamily(sigma=sigma, tag=name)
+        return _GroupFamily(space.size, name, "mod")
     raise ValueError(f"unknown builtin family '{name}'")

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Pmf, PermutationFamily, StateSpace, StochasticMatrix, invert_family
+from .core import Pmf, PermutationFamily, StateSpace, StochasticMatrix, check_dense_budget
 from .errors import NotAnMefError, TheoremViolationError
 from .puniform import Trajectory, check_puniform
 
@@ -269,6 +269,7 @@ def row_log_partitions(cef: CefSpec, theta, chunk: int = 512) -> np.ndarray:
 def cef_transition_matrix(cef: CefSpec, theta, chunk: int = 512) -> StochasticMatrix:
     """Realize the transition matrix P_theta(a, b) by row-wise normalization."""
     size = cef.space.size
+    check_dense_budget(size, "the transition matrix")
     P = np.empty((size, size))
     for start, stop, logits in _row_blocks(cef, theta, chunk, out=P):
         psi = _logsumexp_rows(logits)
@@ -476,7 +477,7 @@ def puniform_cef_to_expfam(
         ok, triple = check_puniform(cef_transition_matrix(cef, theta), fam)
         if not ok:
             raise ValueError(f"realized matrix is not p-uniform at theta={theta!r}: {triple}")
-    inv = invert_family(fam).sigma
+    inv = fam.unapply(np.arange(min(2, fam.size))[:, None], np.arange(fam.size))
     kappa = cef.kappa[0, inv[0]]
     tau = cef.tau[0, inv[0]]
     if cef.space.size > 1:
@@ -495,8 +496,10 @@ def expfam_to_mef(fam: ExpFamilySpec, perm: PermutationFamily) -> MefSpec:
     """
     if perm.size != fam.space.size:
         raise ValueError("permutation family does not match the state space")
-    kappa = fam.kappa[perm.sigma]
-    tau = fam.tau[perm.sigma]
+    idx = np.arange(perm.size)
+    sigma = perm.apply(idx[:, None], idx)
+    kappa = fam.kappa[sigma]
+    tau = fam.tau[sigma]
     return as_mef(CefSpec(space=fam.space, kappa=kappa, tau=tau, eta=fam.eta))
 
 

@@ -25,6 +25,7 @@ from .core import (
     build_modular_space,
     build_multigraph_space,
     builtin_family,
+    check_dense_budget,
     dyad_count_table,
     dyad_index,
     edge_total_table,
@@ -169,7 +170,9 @@ def transitivity_table(n: int) -> np.ndarray:
     """
     if n < 3:
         raise ValueError("transitivity needs n >= 3")
-    digits = dyad_count_table(build_multigraph_space(n, 1))
+    space = build_multigraph_space(n, 1)
+    check_dense_budget(space.size, "the transitivity table")
+    digits = dyad_count_table(space)
     coeff = np.zeros((digits.shape[0], num_dyads(n)))
     denom = np.zeros(digits.shape[0])
     for i, j, k in itertools.combinations(range(n), 3):
@@ -224,6 +227,7 @@ def reciprocity_table(n: int) -> np.ndarray:
     lookup = directed_pair_index(n)
     tp = np.array([lookup[(j, i)] for (i, j) in pairs], dtype=np.int64)
     size = directed_space(n).size
+    check_dense_budget(size, "the reciprocity table")
     idx = np.arange(size, dtype=np.int64)
     bits = np.empty((size, m), dtype=np.float64)
     for f in range(m):

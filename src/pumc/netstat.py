@@ -22,6 +22,7 @@ from .core import (
     StateSpace,
     StochasticMatrix,
     canonical_dyads,
+    check_dense_budget,
     dyad_count_table,
     dyad_index,
     edge_total_table,
@@ -144,12 +145,14 @@ def edge_stat_counts(space: StateSpace, kind: str, source, target) -> np.ndarray
 
 def density_stat_table(space: StateSpace) -> np.ndarray:
     """Transition table of the density statistic: rows constant in the source."""
+    check_dense_budget(space.size, "the density statistic table")
     idx = np.arange(space.size, dtype=np.int64)
     return edge_stat_counts(space, "density", idx[:, None], idx) / (space.n - 1)
 
 
 def stability_stat_table(space: StateSpace) -> np.ndarray:
     """Transition table of the stability statistic: dyads outside a xor b."""
+    check_dense_budget(space.size, "the stability statistic table")
     idx = np.arange(space.size, dtype=np.int64)
     return edge_stat_counts(space, "stability", idx[:, None], idx) / (space.n - 1)
 
@@ -396,7 +399,8 @@ def is_relation_invariant(perm: PermutationFamily, classes: IsoClasses):
         raise ValueError("family and classes must share a space")
     cid = classes.class_id
     first = _first_members(classes)
-    mapped = cid[perm.sigma]
+    idx = np.arange(perm.size)
+    mapped = cid[perm.apply(idx[:, None], idx)]
     split = mapped != mapped[:, first]
     rows = np.flatnonzero(split.any(axis=1))
     if rows.size == 0:

@@ -18,7 +18,7 @@ from .core import (
     PermutationFamily,
     StateSpace,
     StochasticMatrix,
-    invert_family,
+    check_dense_budget,
     is_symmetric_family,
 )
 from .errors import TheoremViolationError
@@ -49,7 +49,9 @@ class Trajectory:
 
 def puniform_matrix(fam: PermutationFamily, mu: Pmf) -> np.ndarray:
     """Entries P(a, b) = mu(sigma_a(b)) of the matrix a (family, mu) pair defines."""
-    return mu.p[fam.sigma]
+    check_dense_budget(fam.size, "the transition matrix")
+    idx = np.arange(fam.size)
+    return mu.p[fam.apply(idx[:, None], idx)]
 
 
 def check_triple(P: StochasticMatrix, fam: PermutationFamily, mu: Pmf, tol: float = WITNESS_TOL):
@@ -96,9 +98,9 @@ def check_puniform(P, fam: PermutationFamily, tol: float = DETECT_TOL):
     table = _as_table(P)
     if fam.size != table.shape[0]:
         raise ValueError("family size does not match the table")
-    rows = np.arange(table.shape[0])[:, None]
+    idx = np.arange(table.shape[0])
     relabelled = np.empty_like(table)
-    relabelled[rows, fam.sigma] = table  # relabelled[a, c] = P(a, sigma_a^-1(c))
+    relabelled[idx[:, None], fam.apply(idx[:, None], idx)] = table  # [a, c] = P(a, sigma_a^-1(c))
     dev = np.abs(relabelled - relabelled[0])
     worst = dev.max()
     if worst <= tol:
@@ -154,7 +156,7 @@ def chain_to_iid(x: Trajectory, fam: PermutationFamily) -> np.ndarray:
     if fam.size != x.space.size:
         raise ValueError("family does not match the trajectory's space")
     s = x.states
-    return fam.sigma[s[:-1], s[1:]]
+    return fam.apply(s[:-1], s[1:])
 
 
 def iid_to_chain(x0: int, z: np.ndarray, fam: PermutationFamily, space: StateSpace) -> Trajectory:
@@ -162,14 +164,9 @@ def iid_to_chain(x0: int, z: np.ndarray, fam: PermutationFamily, space: StateSpa
     z = np.ascontiguousarray(z, dtype=np.int64)
     if z.size and (z.min() < 0 or z.max() >= fam.size):
         raise ValueError("iid value out of range")
-    inv = invert_family(fam).sigma
-    states = np.empty(z.size + 1, dtype=np.int64)
-    states[0] = x0
-    cur = int(x0)
-    for i, zi in enumerate(z):
-        cur = int(inv[cur, zi])
-        states[i + 1] = cur
-    return Trajectory(space=space, states=states)
+    if not 0 <= x0 < fam.size:
+        raise ValueError("x0 out of range")
+    return Trajectory(space=space, states=fam.walk(x0, z))
 
 
 def induced_function(fam: PermutationFamily, z: int) -> np.ndarray:
@@ -182,8 +179,8 @@ def induced_function(fam: PermutationFamily, z: int) -> np.ndarray:
     """
     if not 0 <= z < fam.size:
         raise ValueError("z out of range")
-    inv = invert_family(fam).sigma
-    full = inv.T  # full[z, b] = sigma_b^-1(z)
+    idx = np.arange(fam.size)
+    full = fam.unapply(idx, idx[:, None])  # full[z, b] = sigma_b^-1(z)
     if np.unique(full, axis=0).shape[0] != fam.size:
         raise TheoremViolationError("induced maps are not pairwise distinct")
     return full[z].copy()

@@ -7,7 +7,7 @@ bit-exactly and repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import json
-from itertools import islice
+from itertools import chain, islice
 from typing import IO
 
 import numpy as np
@@ -18,6 +18,7 @@ from .core import (
     MULTIGRAPH,
     Multigraph,
     PermutationFamily,
+    Pmf,
     StateSpace,
     StochasticMatrix,
     build_generic_space,
@@ -186,6 +187,20 @@ def family_from_dict(d: dict) -> PermutationFamily:
 
 # --------------------------------------------------------------- matrices
 
+def _json_numbers(value, name: str) -> np.ndarray:
+    """A JSON array of numbers, or of rows of numbers, as float64.
+
+    Strings, booleans and nulls raise ValueError; np.array would parse "0.5"
+    and turn true into 1.0.
+    """
+    flat = value
+    if type(value) is list and all(type(row) is list for row in value):
+        flat = chain.from_iterable(value)
+    if type(value) is not list or not set(map(type, flat)) <= {int, float}:
+        raise ValueError(f"{name} must be an array of JSON numbers")
+    return np.array(value, dtype=np.float64)
+
+
 def load_matrix(path: str) -> StochasticMatrix:
     """Dense matrix from .csv (row-major) or .json ({"matrix": rows} or bare rows)."""
     if path.endswith(".csv"):
@@ -193,8 +208,17 @@ def load_matrix(path: str) -> StochasticMatrix:
     else:
         with open(path) as fp:
             obj = json.load(fp)
-        data = np.array(obj["matrix"] if isinstance(obj, dict) else obj, dtype=np.float64)
+        data = _json_numbers(obj["matrix"] if isinstance(obj, dict) else obj, "\"matrix\"")
     return StochasticMatrix(P=data)
+
+
+def load_pmf(path: str) -> Pmf:
+    """A pmf from a JSON file {"p": [masses]}."""
+    with open(path) as fp:
+        obj = json.load(fp)
+    if not isinstance(obj, dict):
+        raise ValueError("a pmf file holds a JSON object with \"p\"")
+    return Pmf(_json_numbers(obj["p"], "\"p\""))
 
 
 def save_matrix(path: str, P: StochasticMatrix):
@@ -310,7 +334,7 @@ def ermgm_from_dict(d: dict) -> ErmgmModel:
     if "kappa_f" in d and d["kappa_f"] is not None:
         kappa_f = np.array(d["kappa_f"], dtype=np.float64)
     else:
-        kappa_f = np.ones((num_dyads(n), t + 1))
+        kappa_f = np.ones(tau_f.shape[:2])
     return ErmgmModel(n=n, t=t, tau_f=tau_f, kappa_f=kappa_f, eta=eta_from_dict(d["eta"]))
 
 

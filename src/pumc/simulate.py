@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .core import Pmf, PermutationFamily, StateSpace, StochasticMatrix, num_dyads
+from .core import Pmf, PermutationFamily, StateSpace, StochasticMatrix, check_dense_budget, num_dyads
 from .errors import PowerIterationError, TheoremViolationError
 from .puniform import Trajectory, check_puniform, iid_to_chain
 from .rng import stream
@@ -93,10 +93,11 @@ def convergence_report(
     under it; without that certificate the column would be meaningless for
     a dependent sequence, so it stays None.
     """
+    size = x.space.size
+    check_dense_budget(size, "the statistic table")
     table = np.asarray(stat_table, dtype=np.float64)
     if table.ndim == 2:
         table = table[:, :, None]
-    size = x.space.size
     if table.shape[:2] != (size, size):
         raise ValueError("stat table must be (size, size, l)")
     if x.transitions < 1:

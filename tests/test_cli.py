@@ -501,3 +501,64 @@ def test_out_flag_writes_file_not_stdout(tmp_path, capsys):
     assert out == ""
     report = json.load(open(result))
     assert report["log_partition"][0] == pytest.approx(3 * np.log(2), rel=1e-14)
+
+
+def test_diagnose_needs_a_graph_space_under_any_family(tmp_path, capsys):
+    traj_path = str(tmp_path / "m.jsonl")
+    run(capsys, "simulate", "--model", "modular", "--n", "5", "--steps", "20", "--seed", "1",
+        "--out", traj_path)
+    for family in ("auto", "identity"):
+        code, out, err = run(capsys, "diagnose", "--traj", traj_path, "--stat", "density",
+                             "--p", "0.3", "--family", family)
+        assert (code, out) == (2, "")
+        assert err == "error: --stat density needs a simple-graph trajectory\n"
+
+
+def test_string_and_bool_numbers_are_rejected(tmp_path, capsys):
+    for rows in ([["0.5", "0.5"], ["0.5", "0.5"]], [[True, 0.0], [0.5, 0.5]], [[True, False], [False, True]],
+                 [[0.5, None], [0.5, 0.5]]):
+        path = str(tmp_path / "m.json")
+        with open(path, "w") as fp:
+            json.dump({"matrix": rows}, fp)
+        code, out, err = run(capsys, "detect", "--matrix", path)
+        assert (code, out) == (2, ""), rows
+        assert err == 'error: "matrix" must be an array of JSON numbers\n'
+    for masses in (["0.125"] * 8, [True] + [0.0] * 7, 0.125):
+        path = str(tmp_path / "mu.json")
+        with open(path, "w") as fp:
+            json.dump({"p": masses}, fp)
+        code, out, err = run(capsys, "exchangeability", "--model", "custom", "--n", "3",
+                             "--mu", path)
+        assert (code, out) == (2, ""), masses
+        assert err == 'error: "p" must be an array of JSON numbers\n'
+    path = str(tmp_path / "ints.json")
+    with open(path, "w") as fp:
+        json.dump([[1, 0], [0, 1]], fp)
+    code, _, _ = run(capsys, "detect", "--matrix", path)
+    assert code == 0
+
+
+def test_huge_trajectory_space_reports_its_size(tmp_path, capsys):
+    path = str(tmp_path / "big.jsonl")
+    with open(path, "w") as fp:
+        fp.write('{"kind":"trajectory","space":{"kind":"multigraph","n":2000,"t":1}}\n'
+                 '{"i":0,"state":0}\n')
+    code, out, err = run(capsys, "fit", "--traj", path, "--stat", "density")
+    assert (code, out) == (2, "")
+    assert err == "error: G(2000,1) has 2^1999000 states, past the cap of 16777216\n"
+
+
+def test_dyadic_model_shape_is_checked_before_the_default_carrier(tmp_path, capsys):
+    path = str(tmp_path / "m.json")
+    with open(path, "w") as fp:
+        json.dump({"n": 100000, "t": 1, "eta": {"kind": "natural", "l": 1},
+                   "tau_f": [[[0.0], [1.0]]]}, fp)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "partition", "--model", path, "--theta", "0.5")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: tau_f must be (num_dyads, t+1, l)\n"
+    assert peak < 2 ** 20

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pumc.core import (
+    DENSE_ENTRY_CAP,
     ENUMERATION_CAP,
     Multigraph,
     PermutationFamily,
@@ -15,6 +16,7 @@ from pumc.core import (
     build_multigraph_space,
     builtin_family,
     canonical_dyads,
+    check_dense_budget,
     dyad_count_table,
     dyad_index,
     edge_total_table,
@@ -24,6 +26,7 @@ from pumc.core import (
     num_dyads,
 )
 from pumc.errors import SpaceTooLargeError
+from pumc.puniform import Trajectory, chain_to_iid
 
 
 def test_num_dyads_small_values():
@@ -167,6 +170,116 @@ def test_modular_family_not_symmetric_above_two():
     assert not ok
     a, b = pair
     assert fam.sigma[a, b] != fam.sigma[b, a]
+
+
+def _formula_cases():
+    """(family, numpy sigma table, numpy inverse table) for every builtin on
+    G(n, 1) with n <= 4 and on the modular spaces with n <= 7."""
+    for n in range(1, 5):
+        space = build_multigraph_space(n, 1)
+        idx = np.arange(space.size)
+        xor = idx[:, None] ^ idx[None, :]
+        ident = np.broadcast_to(idx, xor.shape)
+        yield builtin_family(space, "identity"), ident, ident
+        yield builtin_family(space, "symdiff"), xor, xor
+        comp = xor ^ (space.size - 1)
+        yield builtin_family(space, "stability"), comp, comp
+    for n in range(1, 8):
+        space = build_modular_space(n)
+        idx = np.arange(n)
+        ident = np.broadcast_to(idx, (n, n))
+        yield builtin_family(space, "identity"), ident, ident
+        yield builtin_family(space, "modular"), (idx[None, :] - idx[:, None]) % n, (
+            idx[:, None] + idx[None, :]) % n
+
+
+def test_builtin_formulas_match_numpy_on_every_pair():
+    for fam, sigma, inverse in _formula_cases():
+        idx = np.arange(fam.size)
+        assert np.array_equal(fam.apply(idx[:, None], idx), sigma), fam.tag
+        assert np.array_equal(fam.unapply(idx[:, None], idx), inverse), fam.tag
+        assert np.array_equal(fam.sigma, sigma), fam.tag
+        table = PermutationFamily(sigma=sigma)
+        assert np.array_equal(table.unapply(idx[:, None], idx), inverse)
+        a, b = idx[-1], idx[0]  # scalars broadcast too
+        assert fam.apply(a, b) == sigma[a, b] and fam.unapply(a, b) == inverse[a, b]
+        path = Trajectory(space=build_modular_space(fam.size), states=idx[::-1].copy())
+        z = chain_to_iid(path, fam)
+        assert z.flags.writeable and not np.shares_memory(z, path.states), fam.tag
+
+
+def test_builtin_walk_matches_the_table_loop():
+    rng = np.random.default_rng(20261018)
+    for fam, sigma, _ in _formula_cases():
+        reference = PermutationFamily(sigma=sigma)
+        for x0 in {0, fam.size - 1}:
+            z = rng.integers(0, fam.size, size=10_000)
+            path = fam.walk(x0, z)
+            assert path.dtype == np.int64
+            assert np.array_equal(path, reference.walk(x0, z)), fam.tag
+        assert np.array_equal(fam.walk(0, np.zeros(0, dtype=np.int64)), [0])
+
+
+def test_modular_space_stops_where_residue_sums_would_leave_int64():
+    build_modular_space(2 ** 62)
+    with pytest.raises(SpaceTooLargeError, match=r"Z/4611686018427387905 has"):
+        build_modular_space(2 ** 62 + 1)
+
+
+def test_modular_walk_stays_exact_past_int64_partial_sums():
+    for size in (2 ** 61 + 1, 2 ** 62):
+        fam = builtin_family(build_modular_space(size), "modular")
+        z = np.array([size - 1, size - 2, size - 3, 5, size - 7, size - 1], dtype=np.int64)
+        expect, cur = [size - 4], size - 4
+        for zi in z.tolist():
+            cur = (cur + zi) % size
+            expect.append(cur)
+        assert fam.walk(size - 4, z).tolist() == expect
+        a = np.array([size - 1, size - 2])
+        assert fam.unapply(a, a).tolist() == [size - 2, size - 4]
+
+
+def test_builtin_family_is_a_formula_until_sigma_is_read():
+    # Just past the budget, so a missing check costs 0.5 GB here, not 8 GiB.
+    wide = builtin_family(build_modular_space(2 ** 13 + 1), "modular")
+    with pytest.raises(SpaceTooLargeError, match="modular family table"):
+        wide.sigma
+    with pytest.raises(SpaceTooLargeError, match="inverse family"):
+        invert_family(wide)
+    fam = builtin_family(build_multigraph_space(6, 1), "stability")
+    assert fam.size == 2 ** 15
+    a = np.array([0, 5, 2 ** 15 - 1])
+    assert fam.apply(a, a).tolist() == [2 ** 15 - 1] * 3
+    assert np.array_equal(fam.unapply(a, fam.apply(a, a[::-1])), a[::-1])
+
+
+def test_invert_family_of_a_formula_is_its_inverse_table():
+    space = build_modular_space(6)
+    fam = builtin_family(space, "modular")
+    inv = invert_family(fam)
+    idx = np.arange(6)
+    assert inv.tag == "modular^-1"
+    assert np.array_equal(inv.sigma, fam.unapply(idx[:, None], idx))
+
+
+def test_dense_budget_bounds():
+    check_dense_budget(2 ** 12, "reciprocity on 4 vertices")
+    check_dense_budget(int(DENSE_ENTRY_CAP ** 0.5), "at the cap")
+    with pytest.raises(SpaceTooLargeError, match="32768 x 32768"):
+        check_dense_budget(2 ** 15, "G(6, 1)")
+    assert 2 ** 24 <= DENSE_ENTRY_CAP < 2 ** 30
+
+
+def test_multigraph_space_cap_message_never_formats_the_count():
+    with pytest.raises(SpaceTooLargeError) as info:
+        build_multigraph_space(2000, 1)
+    assert str(info.value) == f"G(2000,1) has 2^1999000 states, past the cap of {ENUMERATION_CAP}"
+    with pytest.raises(SpaceTooLargeError, match=r"G\(8,1\) has 2\^28 states"):
+        build_multigraph_space(8, 1)
+    with pytest.raises(SpaceTooLargeError, match=r"G\(4,16\) has 17\^6 states"):
+        build_multigraph_space(4, 16)
+    assert build_multigraph_space(2000, 0).size == 1
+    assert build_multigraph_space(4, 15).size == 16 ** 6
 
 
 def test_builtin_family_rejects_mismatched_space():

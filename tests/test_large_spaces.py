@@ -1,0 +1,97 @@
+"""The chain pipeline on G(6, 1), 32768 states, under a 3 GB address-space cap.
+
+The builtin families are formulas, so simulate, both transforms and fit
+never build a 32768 x 32768 table (8 GiB as int64), and the commands that
+need one (diagnose and exchangeability read dense statistic tables) exit 2
+before allocating it. Every
+run is a subprocess with RLIMIT_AS set, so a regression fails fast with
+exit 1 instead of taking the machine's memory.
+"""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+AS_LIMIT = 3 * 10 ** 9
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
+
+
+def _run(cwd, *argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True,
+        preexec_fn=_limit_address_space, timeout=300,
+    )
+
+
+def pumc(cwd, *argv):
+    return _run(cwd, "-m", "pumc.cli", *argv)
+
+
+def test_stability_pipeline_runs_at_n6(tmp_path):
+    steps = [
+        ("simulate", "--model", "stability", "--n", "6", "--p", "0.3", "--steps", "10000",
+         "--seed", "6", "--x0", "5", "--out", "s.jsonl"),
+        ("transform", "--traj", "s.jsonl", "--direction", "chain2iid", "--family", "stability",
+         "--out", "z.jsonl"),
+        ("transform", "--traj", "z.jsonl", "--direction", "iid2chain", "--family", "stability",
+         "--x0", "5", "--out", "back.jsonl"),
+        ("fit", "--traj", "s.jsonl", "--stat", "stability"),
+    ]
+    results = [pumc(tmp_path, *argv) for argv in steps]
+    for argv, res in zip(steps, results):
+        assert res.returncode == 0, (argv[0], res.stderr)
+    assert (tmp_path / "back.jsonl").read_bytes() == (tmp_path / "s.jsonl").read_bytes()
+    fit = json.loads(results[3].stdout)
+    assert fit["transitions"] == 10000 and abs(fit["p_hat"] - 0.3) < 0.02
+
+
+def test_dense_table_commands_exit_2_at_n6(tmp_path):
+    assert pumc(tmp_path, "simulate", "--model", "density", "--n", "6", "--p", "0.3",
+                "--steps", "100", "--seed", "1", "--out", "d.jsonl").returncode == 0
+    for argv in (
+        ("diagnose", "--traj", "d.jsonl", "--stat", "transitivity", "--target", "1"),
+        ("diagnose", "--traj", "d.jsonl", "--stat", "stability", "--p", "0.3", "--csv", "run.csv"),
+        ("diagnose", "--traj", "d.jsonl", "--stat", "stability", "--family", "symdiff",
+         "--p", "0.3"),
+        ("exchangeability", "--model", "density", "--n", "6", "--p", "0.3"),
+    ):
+        res = pumc(tmp_path, *argv)
+        assert (res.returncode, res.stdout) == (2, ""), (argv, res.stderr)
+        [line] = res.stderr.splitlines()
+        assert line.startswith("error: ") and "32768 x 32768" in line, line
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_builtin_replay_at_n6_holds_no_table(tmp_path):
+    script = """
+import tracemalloc
+import numpy as np
+from pumc.core import build_multigraph_space, builtin_family
+from pumc.puniform import Trajectory, chain_to_iid, iid_to_chain
+
+space = build_multigraph_space(6, 1)
+z = np.random.default_rng(1).integers(0, space.size, size=10_000)
+tracemalloc.start()
+fam = builtin_family(space, "stability")
+x = iid_to_chain(3, z, fam, space)
+back = chain_to_iid(x, fam)
+peak = tracemalloc.get_traced_memory()[1]
+assert np.array_equal(back, z)
+print(peak)
+"""
+    res = _run(tmp_path, "-c", script)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) < 2 ** 20
+
+
+def test_cli_import_leaves_the_process_pool_alone(tmp_path):
+    res = _run(tmp_path, "-c", "import sys, pumc.cli; print('concurrent.futures' in sys.modules)")
+    assert (res.returncode, res.stdout) == (0, "False\n")
