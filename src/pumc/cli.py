@@ -114,7 +114,8 @@ def cmd_simulate(args) -> int:
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        workers = min(args.jobs, args.replicates, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             paths = list(pool.map(_simulate_one, payloads))
     else:
         paths = [_simulate_one(p) for p in payloads]
@@ -184,7 +185,8 @@ def cmd_partition(args) -> int:
     payload = {"theta": probes, "log_partition": values, "terms": terms}
     summary = f"partition: {len(probes)} probe(s), {terms} terms each"
     if args.brute:
-        brutes = [oracle.brute_partition(ermgm.to_expfam(model), th) for th in probes]
+        fam = ermgm.to_expfam(model)
+        brutes = [oracle.brute_partition(fam, th) for th in probes]
         rels = [abs(v - b) / max(1.0, abs(b)) for v, b in zip(values, brutes)]
         payload["brute"] = brutes
         payload["rel_error"] = rels
@@ -226,7 +228,9 @@ def _diagnose_table(args, space):
         return models.transitivity_table(space.n), None
     if args.n is None:
         raise ValueError("--stat reciprocity needs --n")
-    if models.directed_space(args.n).size != space.size:
+    # Sizes first: the directed space's labels are 2^(n(n-1)) strings.
+    arcs = args.n * (args.n - 1)
+    if arcs >= space.size.bit_length() or 2 ** arcs != space.size:
         raise ValueError("trajectory space does not match the directed space for --n")
     return models.reciprocity_table(args.n), None
 
@@ -268,6 +272,8 @@ def cmd_exchangeability(args) -> int:
             raise ValueError("--model custom needs --n and --mu")
         space = build_multigraph_space(args.n, 1)
         mu = serialize.load_pmf(args.mu)
+        if mu.size != space.size:
+            raise ValueError("pmf file does not match the space")
         fam = _resolve_family(space, args.family if args.family != "auto" else "identity")
         cm = models.ChainModel(space=space, family=fam, mu=mu)
     else:

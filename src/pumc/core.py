@@ -17,8 +17,8 @@ import numpy as np
 from .errors import SpaceTooLargeError
 
 ENUMERATION_CAP = 2 ** 24
-# Entries of one dense size x size table: reciprocity on 4 vertices (2^24)
-# fits, G(6, 1) (2^30) does not.
+# Entries of one dense table, size x size or states x dyads: reciprocity on
+# 4 vertices (2^24) fits, G(6, 1) (2^30) does not.
 DENSE_ENTRY_CAP = 2 ** 26
 # Largest modulus: the sum of two residues must stay inside int64.
 MODULAR_CAP = 2 ** 62
@@ -111,11 +111,7 @@ class StateSpace:
         if self.kind == MULTIGRAPH:
             if not isinstance(state, Multigraph) or state.n != self.n or state.t != self.t:
                 raise ValueError("state does not belong to this space")
-            base = self.t + 1
-            idx = 0
-            for digit in state.counts[::-1]:
-                idx = idx * base + int(digit)
-            return idx
+            return int(state.counts @ place_values(self))
         if self.kind == MODULAR:
             idx = int(state)
             if not 0 <= idx < self.size:
@@ -127,7 +123,7 @@ class StateSpace:
         if not 0 <= idx < self.size:
             raise ValueError("state index out of range")
         if self.kind == MULTIGRAPH:
-            return Multigraph(self.n, self.t, _digit_table(self.n, self.t)[idx].copy())
+            return Multigraph(self.n, self.t, dyad_counts(self, idx))
         if self.kind == MODULAR:
             return int(idx)
         return self.labels[idx]
@@ -142,33 +138,41 @@ def _label_index(labels: tuple[str, ...]) -> dict:
     return {lab: i for i, lab in enumerate(labels)}
 
 
-@lru_cache(maxsize=32)
-def _digit_table(n: int, t: int) -> np.ndarray:
-    """All states of G(n, t) as a (size, num_dyads) digit matrix."""
-    nd = num_dyads(n)
-    size = (t + 1) ** nd
-    if size * max(nd, 1) > ENUMERATION_CAP * 4:
-        raise SpaceTooLargeError("digit table would exceed the enumeration budget")
-    idx = np.arange(size, dtype=np.int64)
-    table = np.empty((size, nd), dtype=np.int64)
-    power = 1
-    for f in range(nd):
-        table[:, f] = (idx // power) % (t + 1)
-        power *= t + 1
-    table.setflags(write=False)
-    return table
+def place_values(space: StateSpace) -> np.ndarray:
+    """(t+1)^f for every dyad f: a state's index is its counts @ place_values."""
+    if space.kind != MULTIGRAPH:
+        raise ValueError("dyad counts exist only for multigraph spaces")
+    return (space.t + 1) ** np.arange(num_dyads(space.n), dtype=np.int64)
+
+
+def _digit_columns(space: StateSpace, states: np.ndarray):
+    """The multiplicity of dyad 0, 1, ..., N-1 in each state, one array at a time."""
+    return (states // place % (space.t + 1) for place in place_values(space))
+
+
+def dyad_counts(space: StateSpace, states) -> np.ndarray:
+    """Dyad multiplicities of the given state indices, shape states.shape + (N,)."""
+    states = np.asarray(states, dtype=np.int64)
+    nd = num_dyads(space.n)
+    if states.size * nd > DENSE_ENTRY_CAP:
+        raise SpaceTooLargeError(f"{states.size} x {nd} dyad counts pass the cap of {DENSE_ENTRY_CAP} entries")
+    out = np.empty(states.shape + (nd,), dtype=np.int64)
+    for f, column in enumerate(_digit_columns(space, states)):
+        out[..., f] = column
+    return out
 
 
 def dyad_count_table(space: StateSpace) -> np.ndarray:
-    """Read-only (size, num_dyads) matrix of dyad multiplicities by state index."""
-    if space.kind != MULTIGRAPH:
-        raise ValueError("dyad counts exist only for multigraph spaces")
-    return _digit_table(space.n, space.t)
+    """(size, num_dyads) matrix of dyad multiplicities by state index."""
+    return dyad_counts(space, np.arange(space.size))
 
 
 def edge_total_table(space: StateSpace) -> np.ndarray:
     """Total edge multiplicity of every state, indexed by state."""
-    return dyad_count_table(space).sum(axis=1)
+    total = np.zeros(space.size, dtype=np.int64)
+    for column in _digit_columns(space, np.arange(space.size)):
+        total += column
+    return total
 
 
 def build_multigraph_space(n: int, t: int) -> StateSpace:

@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    DENSE_ENTRY_CAP,
     Multigraph,
     Pmf,
     StateSpace,
@@ -145,6 +146,9 @@ def sample_multigraphs(model: ErmgmModel, theta, count: int, seed: int) -> np.nd
     Dyad f consumes draws from the (seed, f) stream, one step per sample, so
     any dyad subset can be regenerated independently.
     """
+    cap = DENSE_ENTRY_CAP // max(model.num_dyads, 1)
+    if not 0 <= count <= cap:
+        raise ValueError(f"count must lie in 0..{cap}")
     probs = _dyad_pmf_table(model, theta)
     out = np.empty((count, model.num_dyads), dtype=np.int64)
     for f in range(model.num_dyads):

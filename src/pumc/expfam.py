@@ -64,6 +64,8 @@ class ParameterMap:
             eta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
             if eta.shape != (self.l,):
                 raise ValueError(f"natural parameter must have shape ({self.l},)")
+            if not np.isfinite(eta).all():
+                raise ValueError("natural parameter must be finite")
             return eta
         if self.kind == TABLE:
             for th, eta in zip(self.thetas, self.etas):
@@ -72,8 +74,8 @@ class ParameterMap:
             raise ValueError("table map evaluated off its sample points")
         theta = float(theta)
         if self.kind == SCALAR_LOG:
-            if theta <= 0:
-                raise ValueError("scalar_log needs theta > 0")
+            if not 0 < theta < np.inf:
+                raise ValueError("scalar_log needs finite theta > 0")
             return np.array([np.log(theta)])
         if not 0 < theta < 1:
             raise ValueError("density_logit needs 0 < p < 1")
@@ -210,7 +212,8 @@ class CefSpec:
     eta: ParameterMap
 
     def __post_init__(self):
-        kappa = np.ascontiguousarray(self.kappa, dtype=np.float64)
+        # A read-only view (a broadcast unit carrier) is kept as it is.
+        kappa = np.asarray(self.kappa, dtype=np.float64)
         tau = np.ascontiguousarray(self.tau, dtype=np.float64)
         if tau.ndim == 2:
             tau = tau[:, :, None]

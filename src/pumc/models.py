@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DENSE_ENTRY_CAP,
+    ENUMERATION_CAP,
     PermutationFamily,
     Pmf,
     StateSpace,
@@ -32,6 +34,7 @@ from .core import (
     identity_family,
     num_dyads,
 )
+from .errors import SpaceTooLargeError
 from .expfam import (
     NATURAL,
     SCALAR_LOG,
@@ -133,6 +136,8 @@ def stability_chain(n: int, p: float) -> ChainModel:
 def modular_chain(n: int, mu=None) -> ChainModel:
     """Additive-increment walk on residues: X_{i+1} = X_i + Z_{i+1} mod n."""
     space = build_modular_space(n)
+    if n > DENSE_ENTRY_CAP:
+        raise SpaceTooLargeError(f"a pmf on Z/{n} would hold {n} entries, past the cap of {DENSE_ENTRY_CAP}")
     if mu is None:
         weights = np.zeros(n)
         weights[: min(2, n)] = 1.0
@@ -185,7 +190,7 @@ def transitivity_table(n: int) -> np.ndarray:
 
 def _natural_cef(tau: np.ndarray, space: StateSpace) -> CefSpec:
     """Unit-carrier CEF whose natural scalar parameter multiplies tau directly."""
-    return CefSpec(space=space, kappa=np.ones(tau.shape), tau=tau, eta=ParameterMap(kind=NATURAL))
+    return CefSpec(space=space, kappa=np.broadcast_to(1.0, tau.shape), tau=tau, eta=ParameterMap(kind=NATURAL))
 
 
 def transitivity_cef(n: int) -> CefSpec:
@@ -209,8 +214,8 @@ def directed_space(n: int) -> StateSpace:
     labels spell the bitmask most-significant-arc first.
     """
     m = n * (n - 1)
-    if 2 ** m > 2 ** 24:
-        raise ValueError("directed space too large to enumerate")
+    if m >= ENUMERATION_CAP.bit_length() or 2 ** m > ENUMERATION_CAP:
+        raise SpaceTooLargeError(f"directed graphs on {n} vertices: 2^{m} states, past the cap of {ENUMERATION_CAP}")
     labels = tuple(format(i, f"0{m}b") for i in range(2 ** m))
     return build_generic_space(labels)
 

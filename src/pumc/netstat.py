@@ -24,10 +24,12 @@ from .core import (
     canonical_dyads,
     check_dense_budget,
     dyad_count_table,
+    dyad_counts,
     dyad_index,
     edge_total_table,
     invert_family,
     num_dyads,
+    place_values,
 )
 from .errors import TheoremViolationError
 from .puniform import check_triple
@@ -240,16 +242,13 @@ def factor_dyadditive(space: StateSpace, tau, probes=None, seed=None) -> FactorR
     l = vals.shape[1]
     tau_f = np.empty((nd, space.t + 1, l))
     tau_f[:, 0] = base / nd
-    power = 1
-    for f in range(nd):
-        for m in range(1, space.t + 1):
-            tau_f[f, m] = vals[m * power] - base + base / nd
-        power *= space.t + 1
+    # The single-dyad state with dyad f at multiplicity m has index m (t+1)^f.
+    single = np.arange(1, space.t + 1) * place_values(space)[:, None]
+    tau_f[:, 1:] = vals[single] - base + base / nd
     fact = DyadicFactorization(n=space.n, t=space.t, tau_f=tau_f)
-    digits = dyad_count_table(space)
-    rebuilt = tau_f[np.arange(nd)[None, :], digits].sum(axis=1)
     check = _probe_states(space, probes, seed)
-    dev = np.abs(rebuilt[check] - vals[check]).max(axis=1)
+    rebuilt = tau_f[np.arange(nd), dyad_counts(space, check)].sum(axis=1)
+    dev = np.abs(rebuilt - vals[check]).max(axis=1)
     if dev.max() > RECONSTRUCTION_TOL:
         bad = int(check[int(np.argmax(dev))])
         return FactorResult(factorization=None, witness=space.decode(bad))
@@ -275,25 +274,19 @@ def factor_dyadically_multiplicative(space: StateSpace, kappa, probes=None, seed
     if vals.min() < 0:
         raise ValueError("carrier values must be nonnegative")
     nd = num_dyads(space.n)
-    digits = dyad_count_table(space)
     ref = 0 if vals[0] > 0 else int(np.argmax(vals))
     ref_val = vals[ref]
     if ref_val == 0:
         return FactorResult(factorization=None, witness=space.decode(int(np.argmax(vals > 0))))
-    ref_digits = digits[ref]
-    kappa_f = np.empty((nd, space.t + 1))
     scale = ref_val ** ((nd - 1) / nd) if nd else 1.0
-    power = 1
-    for f in range(nd):
-        for m in range(space.t + 1):
-            probe_idx = ref + (m - ref_digits[f]) * power
-            kappa_f[f, m] = vals[probe_idx] / scale
-        power *= space.t + 1
+    # The reference state with dyad f moved to multiplicity m.
+    shift = np.arange(space.t + 1) - dyad_counts(space, ref)[:, None]
+    kappa_f = vals[ref + shift * place_values(space)[:, None]] / scale
     fact = DyadicFactorization(n=space.n, t=space.t, kappa_f=kappa_f)
-    rebuilt = kappa_f[np.arange(nd)[None, :], digits].prod(axis=1)
     check = _probe_states(space, probes, seed)
+    rebuilt = kappa_f[np.arange(nd), dyad_counts(space, check)].prod(axis=1)
     scale_ref = max(1.0, float(np.abs(vals[check]).max()))
-    dev = np.abs(rebuilt[check] - vals[check])
+    dev = np.abs(rebuilt - vals[check])
     if dev.max() > RECONSTRUCTION_TOL * scale_ref:
         bad = int(check[int(np.argmax(dev))])
         return FactorResult(factorization=None, witness=space.decode(bad))
@@ -334,15 +327,13 @@ def iso_classes(space: StateSpace) -> IsoClasses:
     if space.n > ISO_MAX_N:
         raise ValueError(f"brute-force isomorphism is capped at n = {ISO_MAX_N}")
     digits = dyad_count_table(space)
-    nd = num_dyads(space.n)
-    powers = (space.t + 1) ** np.arange(nd, dtype=np.int64)
+    place = place_values(space)
     dyads = canonical_dyads(space.n)
     canon = np.full(space.size, np.iinfo(np.int64).max, dtype=np.int64)
     for perm in itertools.permutations(range(space.n)):
-        dmap = np.array([dyad_index(perm[u], perm[v]) for u, v in dyads], dtype=np.int64)
-        relabelled = np.empty_like(digits)
-        relabelled[:, dmap] = digits
-        np.minimum(canon, relabelled @ powers, out=canon)
+        # Relabelling moves dyad f to dmap[f], so its digit takes that place value.
+        dmap = [dyad_index(perm[u], perm[v]) for u, v in dyads]
+        np.minimum(canon, digits @ place[dmap], out=canon)
     reps, class_id = np.unique(canon, return_inverse=True)
     classes = tuple(np.where(class_id == c)[0] for c in range(reps.size))
     iso = IsoClasses(space=space, class_id=class_id, representatives=reps, classes=classes)

@@ -118,6 +118,7 @@ def _matched_family(P, tol: float):
     family and check_puniform's (ok, triple) under it.
     """
     table = _as_table(P)
+    check_dense_budget(table.shape[0], "detection's work tables")
     order = np.argsort(table, axis=1, kind="stable")
     sigma = np.empty_like(order)
     sigma[np.arange(table.shape[0])[:, None], order] = order[0]

@@ -7,6 +7,7 @@ bit-exactly and repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import warnings
 from itertools import chain, islice
 from typing import IO
 
@@ -25,7 +26,8 @@ from .core import (
     build_modular_space,
     build_multigraph_space,
     canonical_dyads,
-    dyad_count_table,
+    dyad_counts,
+    dyad_index,
     num_dyads,
 )
 from .expfam import CefSpec, ExpFamilySpec, ParameterMap
@@ -112,6 +114,12 @@ def dump(obj, fp: IO, indent: int | None = 2):
 
 # ---------------------------------------------------------------- spaces
 
+def _json_object(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    return value
+
+
 def _json_int(value, name: str) -> int:
     """A size or index field read from JSON: an integer, not a bool, float or string."""
     if type(value) is not int:
@@ -128,7 +136,7 @@ def space_to_dict(space: StateSpace) -> dict:
 
 
 def space_from_dict(d: dict) -> StateSpace:
-    kind = d.get("kind")
+    kind = _json_object(d, "\"space\"").get("kind")
     if kind == MULTIGRAPH:
         return build_multigraph_space(_json_int(d["n"], "n"), _json_int(d["t"], "t"))
     if kind == MODULAR:
@@ -157,9 +165,9 @@ def multigraph_from_dict(d: dict) -> Multigraph:
         u, v = _json_int(u, "dyad vertex") - 1, _json_int(v, "dyad vertex") - 1
         if u < v:
             u, v = v, u
-        f = u * (u - 1) // 2 + v
         if not 0 <= v < u < n:
             raise ValueError(f"dyad ({u + 1},{v + 1}) out of range")
+        f = dyad_index(u, v)
         if f in seen:
             raise ValueError("duplicate dyad")
         seen.add(f)
@@ -176,7 +184,7 @@ def family_to_dict(fam: PermutationFamily) -> dict:
 
 
 def family_from_dict(d: dict) -> PermutationFamily:
-    sigma = d["sigma"]
+    sigma = _json_object(d, "a family")["sigma"]
     if type(sigma) is not list or not all(
         type(row) is list and all(type(x) is int and 0 <= x < len(sigma) for x in row)
         for row in sigma
@@ -188,14 +196,17 @@ def family_from_dict(d: dict) -> PermutationFamily:
 # --------------------------------------------------------------- matrices
 
 def _json_numbers(value, name: str) -> np.ndarray:
-    """A JSON array of numbers, or of rows of numbers, as float64.
+    """A JSON array of numbers, nested to any depth, as float64.
 
-    Strings, booleans and nulls raise ValueError; np.array would parse "0.5"
-    and turn true into 1.0.
+    Strings, booleans, nulls and objects raise ValueError; np.array would
+    parse "0.5" and turn true into 1.0. An ndarray, as the *_to_dict writers
+    leave in a dict that never went through JSON, is taken as it is.
     """
+    if isinstance(value, np.ndarray):
+        return value.astype(np.float64)
     flat = value
-    if type(value) is list and all(type(row) is list for row in value):
-        flat = chain.from_iterable(value)
+    while type(flat) is list and flat and all(type(row) is list for row in flat):
+        flat = list(chain.from_iterable(flat))
     if type(value) is not list or not set(map(type, flat)) <= {int, float}:
         raise ValueError(f"{name} must be an array of JSON numbers")
     return np.array(value, dtype=np.float64)
@@ -204,7 +215,10 @@ def _json_numbers(value, name: str) -> np.ndarray:
 def load_matrix(path: str) -> StochasticMatrix:
     """Dense matrix from .csv (row-major) or .json ({"matrix": rows} or bare rows)."""
     if path.endswith(".csv"):
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # An empty file is refused below, as a JSON one is; no warning line.
+            warnings.simplefilter("ignore")
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
     else:
         with open(path) as fp:
             obj = json.load(fp)
@@ -247,7 +261,7 @@ def eta_to_dict(pm: ParameterMap) -> dict:
 
 
 def eta_from_dict(d: dict) -> ParameterMap:
-    kind = d["kind"]
+    kind = _json_object(d, "\"eta\"")["kind"]
     if kind == "natural":
         return ParameterMap(kind=kind, l=_json_int(d.get("l", 1), "l"))
     if kind == "scalar_log":
@@ -329,10 +343,10 @@ def ermgm_to_dict(model: ErmgmModel) -> dict:
 
 
 def ermgm_from_dict(d: dict) -> ErmgmModel:
-    n, t = _json_int(d["n"], "n"), _json_int(d["t"], "t")
-    tau_f = np.array(d["tau_f"], dtype=np.float64)
+    n, t = _json_int(_json_object(d, "a dyadic model")["n"], "n"), _json_int(d["t"], "t")
+    tau_f = _json_numbers(d["tau_f"], "\"tau_f\"")
     if "kappa_f" in d and d["kappa_f"] is not None:
-        kappa_f = np.array(d["kappa_f"], dtype=np.float64)
+        kappa_f = _json_numbers(d["kappa_f"], "\"kappa_f\"")
     else:
         kappa_f = np.ones(tau_f.shape[:2])
     return ErmgmModel(n=n, t=t, tau_f=tau_f, kappa_f=kappa_f, eta=eta_from_dict(d["eta"]))
@@ -368,8 +382,8 @@ def write_states_jsonl(
         distinct = np.unique(states)
         if distinct.size and (distinct[0] < 0 or distinct[-1] >= space.size):
             raise ValueError("state index out of range")
+        counts = dyad_counts(space, distinct).tolist()
         template = _dyads_template(space.n)
-        counts = dyad_count_table(space)[distinct].tolist()
         dyads = {s: template % tuple(row) for s, row in zip(distinct.tolist(), counts)}
         line = _EXPANDED_LINE
     with open(path, "w") as fp:

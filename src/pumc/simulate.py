@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .core import Pmf, PermutationFamily, StateSpace, StochasticMatrix, check_dense_budget, num_dyads
+from .core import DENSE_ENTRY_CAP, Pmf, PermutationFamily, StateSpace, StochasticMatrix, check_dense_budget, num_dyads
 from .errors import PowerIterationError, TheoremViolationError
 from .puniform import Trajectory, check_puniform, iid_to_chain
 from .rng import stream
@@ -37,8 +37,8 @@ def sample_chain(
         raise ValueError("matrix does not match the space")
     if not 0 <= x0 < space.size:
         raise ValueError("x0 out of range")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    if not 0 <= steps < DENSE_ENTRY_CAP:
+        raise ValueError(f"steps must lie in 0..{DENSE_ENTRY_CAP - 1}")
     cum = np.cumsum(P.P, axis=1)
     u = stream(seed, replicate).random(steps)
     states = np.empty(steps + 1, dtype=np.int64)
@@ -62,8 +62,8 @@ def sample_puniform_chain(
     """Sample the iid coordinates from mu, then replay them through the family."""
     if mu.size != space.size or fam.size != space.size:
         raise ValueError("pmf and family must match the space")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    if not 0 <= steps < DENSE_ENTRY_CAP:
+        raise ValueError(f"steps must lie in 0..{DENSE_ENTRY_CAP - 1}")
     u = stream(seed, replicate).random(steps)
     z = _draw_indices(np.cumsum(mu.p), u)
     return iid_to_chain(x0, z, fam, space)

@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pumc.core
 from pumc import models, serialize
 from pumc.cli import _diagnose_table, main
 from pumc.core import build_multigraph_space, edge_total_table
+from pumc.errors import SpaceTooLargeError
 from pumc.ermgm import from_factorization, mle_density_stability, sample_multigraphs
 from pumc.expfam import ParameterMap
 from pumc.netstat import factor_dyadditive
@@ -490,6 +492,35 @@ def test_reciprocity_diagnose_table_holds_one_table():
     assert fam is None and table.shape == (space.size, space.size)
     limit = space.size * space.size * 8 + 8 * 2**20
     assert peak <= limit, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_reciprocity_size_mismatch_is_found_before_the_labels(tmp_path, capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("directed_space called")
+
+    monkeypatch.setattr(models, "directed_space", refuse)
+    traj_path = str(tmp_path / "s.jsonl")
+    run(capsys, "simulate", "--model", "stability", "--n", "3", "--p", "0.3", "--steps", "10",
+        "--seed", "2", "--out", traj_path)
+    for n in ("2", "5", "40"):
+        code, out, err = run(capsys, "diagnose", "--traj", traj_path, "--stat", "reciprocity",
+                             "--n", n, "--target", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: trajectory space does not match the directed space for --n\n"
+
+
+def test_directed_space_shares_the_state_cap():
+    with pytest.raises(SpaceTooLargeError, match=r"6 vertices: 2\^30 states, past the cap of 16777216"):
+        models.directed_space(6)
+
+
+def test_detect_checks_its_work_tables_against_the_budget(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "P.json")
+    serialize.save_matrix(path, models.stability_chain(3, 0.3).matrix())
+    monkeypatch.setattr(pumc.core, "DENSE_ENTRY_CAP", 63)
+    code, out, err = run(capsys, "detect", "--matrix", path)
+    assert (code, out) == (2, "")
+    assert err == "error: detection's work tables would hold 8 x 8 entries, past the cap of 63\n"
 
 
 def test_out_flag_writes_file_not_stdout(tmp_path, capsys):

@@ -18,6 +18,7 @@ from pumc.core import (
     canonical_dyads,
     check_dense_budget,
     dyad_count_table,
+    dyad_counts,
     dyad_index,
     edge_total_table,
     identity_family,
@@ -72,6 +73,24 @@ def test_codec_round_trip(n, t, data):
     space = build_multigraph_space(n, t)
     idx = data.draw(st.integers(0, space.size - 1))
     assert space.encode(space.decode(idx)) == idx
+
+
+@given(st.integers(1, 7), st.integers(0, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_dyad_counts_match_decode_and_encode(n, t, data):
+    if (t + 1) ** num_dyads(n) > 2 ** 16:
+        return
+    space = build_multigraph_space(n, t)
+    idx = np.array(data.draw(st.lists(st.integers(0, space.size - 1), max_size=20)), dtype=np.int64)
+    counts = dyad_counts(space, idx)
+    assert counts.shape == (idx.size, num_dyads(n))
+    for i, row in zip(idx, counts):
+        g = space.decode(int(i))
+        assert np.array_equal(row, g.counts)
+        assert space.encode(g) == i
+    table = dyad_count_table(space)
+    assert np.array_equal(table[idx], counts)
+    assert np.array_equal(edge_total_table(space), table.sum(axis=1))
 
 
 def test_dyad_count_table_matches_decode():

@@ -1,11 +1,12 @@
-"""The chain pipeline on G(6, 1), 32768 states, under a 3 GB address-space cap.
+"""The chain pipeline on G(6, 1) and G(7, 1) under a 3 GB address-space cap.
 
 The builtin families are formulas, so simulate, both transforms and fit
 never build a 32768 x 32768 table (8 GiB as int64), and the commands that
 need one (diagnose and exchangeability read dense statistic tables) exit 2
-before allocating it. Every
-run is a subprocess with RLIMIT_AS set, so a regression fails fast with
-exit 1 instead of taking the machine's memory.
+before allocating it. Dyad counts are computed per state, so the G(7, 1)
+pipeline holds no 2^21 x 21 digit table either. Every run is a subprocess
+with RLIMIT_AS set, so a regression fails fast with exit 1 instead of
+taking the machine's memory.
 """
 
 import json
@@ -13,6 +14,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -23,12 +25,39 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
 
 
+def _env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+
+
 def _run(cwd, *argv):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
     return subprocess.run(
-        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True,
+        [sys.executable, *argv], cwd=cwd, env=_env(), capture_output=True, text=True,
         preexec_fn=_limit_address_space, timeout=300,
     )
+
+
+def pumc_peak_mb(cwd, *argv):
+    """Run one pumc command; return its exit code, stderr and peak RSS in MB.
+
+    os.wait4 reads the usage of this child alone; RUSAGE_CHILDREN would
+    report the largest child the test process ever reaped.
+    """
+    with open(cwd / "stderr.txt", "w+") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pumc.cli", *argv], cwd=cwd, env=_env(),
+            stdout=subprocess.DEVNULL, stderr=err, preexec_fn=_limit_address_space,
+        )
+        deadline = time.monotonic() + 300
+        while True:
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            if pid:
+                break
+            if time.monotonic() > deadline:
+                proc.kill()
+            time.sleep(0.05)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return proc.returncode, err.read(), usage.ru_maxrss / 1024
 
 
 def pumc(cwd, *argv):
@@ -51,6 +80,23 @@ def test_stability_pipeline_runs_at_n6(tmp_path):
     assert (tmp_path / "back.jsonl").read_bytes() == (tmp_path / "s.jsonl").read_bytes()
     fit = json.loads(results[3].stdout)
     assert fit["transitions"] == 10000 and abs(fit["p_hat"] - 0.3) < 0.02
+
+
+def test_expanded_pipeline_at_n7_stays_small(tmp_path):
+    steps = [
+        ("simulate", "--model", "stability", "--n", "7", "--p", "0.3", "--steps", "10000",
+         "--seed", "7", "--x0", "5", "--expand", "--out", "s.jsonl"),
+        ("transform", "--traj", "s.jsonl", "--direction", "chain2iid", "--family", "stability",
+         "--out", "z.jsonl"),
+        ("transform", "--traj", "z.jsonl", "--direction", "iid2chain", "--family", "stability",
+         "--x0", "5", "--expand", "--out", "back.jsonl"),
+        ("fit", "--traj", "s.jsonl", "--stat", "stability"),
+    ]
+    for argv in steps:
+        code, err, peak_mb = pumc_peak_mb(tmp_path, *argv)
+        assert code == 0, (argv[0], err)
+        assert peak_mb <= 200, (argv[:3], f"{peak_mb:.0f} MB")
+    assert (tmp_path / "back.jsonl").read_bytes() == (tmp_path / "s.jsonl").read_bytes()
 
 
 def test_dense_table_commands_exit_2_at_n6(tmp_path):
