@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 
@@ -81,44 +82,47 @@ def _replicate_path(path: str, replicate: int, total: int) -> str:
     return f"{stem}.r{replicate}{ext}"
 
 
-def _simulate_one(payload: dict) -> str:
+def _simulate_range(payload: dict, start: int, stop: int) -> list[str]:
+    """Sample and write replicates start..stop-1, building the chain once."""
     args = argparse.Namespace(**payload)
     if args.model == "custom":
         P = serialize.load_matrix(args.matrix)
         space = build_generic_space(tuple(str(i) for i in range(P.size)))
-        traj = simulate.sample_chain(space, P, args.x0, args.steps, args.seed, args.replicate)
+        sample = partial(simulate.sample_chain, space, P, args.x0, args.steps, args.seed)
     else:
         cm = _chain_model(args)
-        traj = simulate.sample_puniform_chain(
-            cm.space, cm.mu, cm.family, args.x0, args.steps, args.seed, args.replicate
-        )
-    path = _replicate_path(args.out, args.replicate, args.replicates)
-    serialize.write_trajectory(path, traj, expand=args.expand)
-    return path
+        sample = partial(simulate.sample_puniform_chain, cm.space, cm.mu, cm.family, args.x0, args.steps, args.seed)
+    paths = []
+    for r in range(start, stop):
+        paths.append(_replicate_path(args.out, r, args.replicates))
+        serialize.write_trajectory(paths[-1], sample(r), expand=args.expand)
+    return paths
 
 
 def cmd_simulate(args) -> int:
+    if args.replicates < 1 or args.jobs < 1:
+        raise ValueError("--replicates and --jobs must be at least 1")
     if args.model == "custom" and not args.matrix:
         raise ValueError("--model custom needs --matrix")
     if args.replicates > 1 and not args.out:
         raise ValueError("--replicates > 1 needs --out")
     if not args.out:
         raise ValueError("simulate writes JSONL; pass --out")
-    payloads = []
-    for r in range(args.replicates):
-        payload = {k: getattr(args, k) for k in (
-            "model", "n", "p", "mu", "matrix", "steps", "x0", "seed", "out", "expand", "replicates"
-        )}
-        payload["replicate"] = r
-        payloads.append(payload)
-    if args.jobs > 1:
+    payload = {k: getattr(args, k) for k in (
+        "model", "n", "p", "mu", "matrix", "steps", "x0", "seed", "out", "expand", "replicates"
+    )}
+    # One contiguous range of replicates per worker; serial is the one-range case.
+    workers = min(args.jobs, args.replicates, os.cpu_count() or 1)
+    bounds = [args.replicates * k // workers for k in range(workers + 1)]
+    tasks = ([payload] * workers, bounds[:-1], bounds[1:])
+    if workers == 1:
+        ranges = list(map(_simulate_range, *tasks))
+    else:
         from concurrent.futures import ProcessPoolExecutor
 
-        workers = min(args.jobs, args.replicates, os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            paths = list(pool.map(_simulate_one, payloads))
-    else:
-        paths = [_simulate_one(p) for p in payloads]
+            ranges = list(pool.map(_simulate_range, *tasks))
+    paths = [path for chunk in ranges for path in chunk]
     print(
         f"simulate: model={args.model} steps={args.steps} seed={args.seed} "
         f"replicates={args.replicates} -> {', '.join(paths)}",
@@ -191,7 +195,7 @@ def cmd_partition(args) -> int:
         payload["brute"] = brutes
         payload["rel_error"] = rels
         worst = max(rels)
-        if worst > PARTITION_REL_TOL:
+        if not worst <= PARTITION_REL_TOL:  # a NaN error fails too
             _emit(args, payload, f"partition: MISMATCH, worst relative error {worst:.3e}")
             return 3
         summary += f", brute agrees to {worst:.1e}"

@@ -37,6 +37,16 @@ def check_dense_budget(size: int, what: str):
         )
 
 
+def check_finite(table: np.ndarray, what: str):
+    """Raise ValueError when a table holds NaN or an infinity.
+
+    min() and max() carry either through in two passes, with no bool
+    temporary the size of the table and no copy of a broadcast view.
+    """
+    if table.size and not (np.isfinite(table.min()) and np.isfinite(table.max())):
+        raise ValueError(f"{what} must be finite")
+
+
 def num_dyads(n: int) -> int:
     return n * (n - 1) // 2
 

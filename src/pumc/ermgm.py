@@ -22,6 +22,7 @@ from .core import (
     Pmf,
     StateSpace,
     build_multigraph_space,
+    check_finite,
     dyad_count_table,
     num_dyads,
 )
@@ -35,7 +36,7 @@ from .expfam import (
 )
 from .netstat import DyadicFactorization, edge_stat_counts
 from .puniform import Trajectory
-from .rng import stream
+from .rng import inverse_cdf, stream
 
 LOG_PARTITION_REL_TOL = 1e-10
 
@@ -62,6 +63,8 @@ class ErmgmModel:
             raise ValueError("tau_f must be (num_dyads, t+1, l)")
         if kappa_f.shape != (nd, self.t + 1):
             raise ValueError("kappa_f must be (num_dyads, t+1)")
+        check_finite(tau_f, "tau_f")
+        check_finite(kappa_f, "kappa_f")
         if kappa_f.min() < 0 or (kappa_f.max(axis=1) == 0).any():
             raise ValueError("each dyad needs nonnegative, not identically zero carrier")
 
@@ -154,7 +157,7 @@ def sample_multigraphs(model: ErmgmModel, theta, count: int, seed: int) -> np.nd
     for f in range(model.num_dyads):
         cum = np.cumsum(probs[f])
         u = stream(seed, f).random(count)
-        out[:, f] = np.minimum(np.searchsorted(cum, u, side="right"), model.t)
+        out[:, f] = inverse_cdf(cum, u)
     return out
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Pmf, PermutationFamily, StateSpace, StochasticMatrix, check_dense_budget
+from .core import Pmf, PermutationFamily, StateSpace, StochasticMatrix, check_dense_budget, check_finite
 from .errors import NotAnMefError, TheoremViolationError
 from .puniform import Trajectory, check_puniform
 
@@ -163,10 +163,12 @@ class ExpFamilySpec:
         size = self.space.size
         if kappa.shape != (size,):
             raise ValueError("kappa must have one entry per state")
+        check_finite(kappa, "kappa")
         if kappa.min() < 0 or kappa.max() == 0:
             raise ValueError("kappa must be nonnegative and not identically zero")
         if tau.shape != (size, self.eta.l):
             raise ValueError("tau must be (size, l)")
+        check_finite(tau, "tau")
 
 
 def log_partition(fam: ExpFamilySpec, theta) -> float:
@@ -222,10 +224,12 @@ class CefSpec:
         size = self.space.size
         if kappa.shape != (size, size):
             raise ValueError("kappa must be a (size, size) table")
+        check_finite(kappa, "kappa")
         if kappa.min() < 0:
             raise ValueError("kappa must be nonnegative")
         if tau.shape != (size, size, self.eta.l):
             raise ValueError("tau must be (size, size, l)")
+        check_finite(tau, "tau")
 
 
 @dataclass(frozen=True)

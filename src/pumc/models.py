@@ -207,6 +207,14 @@ def directed_pair_index(n: int) -> dict:
     return {pair: f for f, pair in enumerate(directed_pairs(n))}
 
 
+def _directed_size(n: int) -> int:
+    """2^(n(n-1)), the number of loop-free directed graphs, held to the state cap."""
+    m = n * (n - 1)
+    if m >= ENUMERATION_CAP.bit_length() or 2 ** m > ENUMERATION_CAP:
+        raise SpaceTooLargeError(f"directed graphs on {n} vertices: 2^{m} states, past the cap of {ENUMERATION_CAP}")
+    return 2 ** m
+
+
 def directed_space(n: int) -> StateSpace:
     """Loop-free directed graphs on n vertices as a generic labelled space.
 
@@ -214,9 +222,7 @@ def directed_space(n: int) -> StateSpace:
     labels spell the bitmask most-significant-arc first.
     """
     m = n * (n - 1)
-    if m >= ENUMERATION_CAP.bit_length() or 2 ** m > ENUMERATION_CAP:
-        raise SpaceTooLargeError(f"directed graphs on {n} vertices: 2^{m} states, past the cap of {ENUMERATION_CAP}")
-    labels = tuple(format(i, f"0{m}b") for i in range(2 ** m))
+    labels = tuple(format(i, f"0{m}b") for i in range(_directed_size(n)))
     return build_generic_space(labels)
 
 
@@ -227,12 +233,12 @@ def reciprocity_table(n: int) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("reciprocity needs n >= 2")
+    size = _directed_size(n)
+    check_dense_budget(size, "the reciprocity table")
     pairs = directed_pairs(n)
     m = len(pairs)
     lookup = directed_pair_index(n)
     tp = np.array([lookup[(j, i)] for (i, j) in pairs], dtype=np.int64)
-    size = directed_space(n).size
-    check_dense_budget(size, "the reciprocity table")
     idx = np.arange(size, dtype=np.int64)
     bits = np.empty((size, m), dtype=np.float64)
     for f in range(m):

@@ -23,6 +23,7 @@ from .core import (
     StochasticMatrix,
     canonical_dyads,
     check_dense_budget,
+    check_finite,
     dyad_count_table,
     dyad_counts,
     dyad_index,
@@ -176,11 +177,13 @@ class DyadicFactorization:
                 tau_f = tau_f[:, :, None]
             if tau_f.shape[:2] != (nd, self.t + 1):
                 raise ValueError("tau_f must be (num_dyads, t+1, l)")
+            check_finite(tau_f, "tau_f")
             object.__setattr__(self, "tau_f", tau_f)
         if self.kappa_f is not None:
             kappa_f = np.ascontiguousarray(self.kappa_f, dtype=np.float64)
             if kappa_f.shape != (nd, self.t + 1):
                 raise ValueError("kappa_f must be (num_dyads, t+1)")
+            check_finite(kappa_f, "kappa_f")
             if kappa_f.min() < 0:
                 raise ValueError("kappa_f must be nonnegative")
             object.__setattr__(self, "kappa_f", kappa_f)

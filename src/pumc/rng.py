@@ -9,7 +9,8 @@ by a 64-bit seed plus a small tuple of lane indices. Stream layout:
 
 The k-th draw from a stream is the value at step k, so draws are fully
 determined by (seed, lanes, step) and independent lanes can be consumed in
-any order without interference.
+any order without interference. `inverse_cdf` is the one lookup that turns
+a stream's uniforms into state or multiplicity indices.
 """
 
 from __future__ import annotations
@@ -37,3 +38,11 @@ def stream(seed: int, *lanes: int) -> np.random.Generator:
     key = np.array([int(seed) & _MASK64, _lane_key(lanes)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
+
+def inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Indices drawn by uniforms u through the cumulative masses cum.
+
+    Index k is drawn when cum[k-1] <= u < cum[k]; a u at or past a rounded
+    total below 1 falls on the last index.
+    """
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)

@@ -16,17 +16,12 @@ from . import models
 from .core import DENSE_ENTRY_CAP, Pmf, PermutationFamily, StateSpace, StochasticMatrix, check_dense_budget, num_dyads
 from .errors import PowerIterationError, TheoremViolationError
 from .puniform import Trajectory, check_puniform, iid_to_chain
-from .rng import stream
+from .rng import inverse_cdf, stream
 
 STATIONARY_TOL = 1e-12
 STATIONARY_MAX_ITER = 10 ** 6
 TRACE_TOL = 1e-10
 UNIFORM_ENTRY_TOL = 1e-14
-
-
-def _draw_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, cum.size - 1)
 
 
 def sample_chain(
@@ -45,7 +40,7 @@ def sample_chain(
     states[0] = x0
     cur = int(x0)
     for i in range(steps):
-        cur = int(_draw_indices(cum[cur], u[i : i + 1])[0])
+        cur = int(inverse_cdf(cum[cur], u[i : i + 1])[0])
         states[i + 1] = cur
     return Trajectory(space=space, states=states)
 
@@ -65,7 +60,7 @@ def sample_puniform_chain(
     if not 0 <= steps < DENSE_ENTRY_CAP:
         raise ValueError(f"steps must lie in 0..{DENSE_ENTRY_CAP - 1}")
     u = stream(seed, replicate).random(steps)
-    z = _draw_indices(np.cumsum(mu.p), u)
+    z = inverse_cdf(np.cumsum(mu.p), u)
     return iid_to_chain(x0, z, fam, space)
 
 
@@ -135,8 +130,18 @@ class StationaryResult:
     pi: Pmf
     residual: float
     iterations: int
-    second_start_converged: bool
     unique_hint: bool
+
+
+def _reachable(edges: np.ndarray, start: int) -> np.ndarray:
+    """Mask of the states reachable from start (itself included) along a boolean adjacency."""
+    seen = np.zeros(edges.shape[0], dtype=bool)
+    seen[start] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return seen
 
 
 def stationary_distribution(
@@ -144,41 +149,36 @@ def stationary_distribution(
 ) -> StationaryResult:
     """Power iteration pi <- pi P from the uniform start.
 
-    Convergence is ||pi P - pi||_1 <= tol. A second run from a point mass on
-    the last state probes uniqueness: disagreement (or non-convergence of
-    the probe) clears the unique_hint flag but is not an error. Failure of
-    the primary run raises, carrying the last iterate.
+    Convergence is ||pi P - pi||_1 <= tol; failure raises, carrying the last
+    iterate. unique_hint is exact: pi is unique iff the support graph P > 0
+    has one closed class. A walk from argmax(pi) to reached states that
+    cannot reach back shrinks its reachable set, so it ends in a closed
+    class, the only one iff every state reaches it.
     """
-
-    def _iterate(start: np.ndarray):
-        pi = start
-        for it in range(1, max_iter + 1):
-            nxt = pi @ P.P
-            resid = float(np.abs(nxt - pi).sum())
-            pi = nxt / nxt.sum()  # renormalize against drift
-            if resid <= tol:
-                return True, pi, resid, it
-        return False, pi, resid, max_iter
-
-    size = P.size
-    converged, pi, resid, iters = _iterate(np.full(size, 1.0 / size))
-    if not converged:
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    pi = np.full(P.size, 1.0 / P.size)
+    for iters in range(1, max_iter + 1):
+        nxt = pi @ P.P
+        resid = float(np.abs(nxt - pi).sum())
+        pi = nxt / nxt.sum()  # renormalize against drift
+        if resid <= tol:
+            break
+    else:
         raise PowerIterationError(
             f"no convergence after {iters} iterations, residual {resid:.3e}",
             last_iterate=pi,
             iterations=iters,
         )
-    start2 = np.zeros(size)
-    start2[size - 1] = 1.0
-    second_ok, pi2, _, _ = _iterate(start2)
-    agrees = second_ok and float(np.abs(pi2 - pi).sum()) <= 1e-8
-    return StationaryResult(
-        pi=Pmf(pi),
-        residual=resid,
-        iterations=iters,
-        second_start_converged=second_ok,
-        unique_hint=bool(agrees),
-    )
+    edges = P.P > 0
+    r = int(np.argmax(pi))
+    while True:
+        reaches_r = _reachable(edges.T, r)
+        escape = _reachable(edges, r) & ~reaches_r
+        if not escape.any():
+            break
+        r = int(np.argmax(escape))
+    return StationaryResult(pi=Pmf(pi), residual=resid, iterations=iters, unique_hint=bool(reaches_r.all()))
 
 
 def stability_transition_matrix(n: int, p: float) -> StochasticMatrix:

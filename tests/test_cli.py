@@ -65,6 +65,12 @@ def test_simulate_argument_validation(tmp_path, capsys):
                        "--p", "0.3", "--steps", "5", "--seed", "1")
     assert code == 2 and "--out" in err
 
+    for flags in (("--replicates", "0"), ("--replicates", "-3", "--jobs", "2"), ("--jobs", "0")):
+        code, stdout, err = run(capsys, "simulate", "--model", "density", "--n", "3", "--p", "0.3",
+                                "--steps", "5", "--seed", "1", "--out", out, *flags)
+        assert (code, stdout, err) == (2, "", "error: --replicates and --jobs must be at least 1\n"), flags
+    assert list(tmp_path.iterdir()) == []
+
 
 def test_simulate_replicates_and_jobs_agree(tmp_path, capsys):
     base = [
@@ -593,3 +599,19 @@ def test_dyadic_model_shape_is_checked_before_the_default_carrier(tmp_path, caps
     assert (code, out) == (2, "")
     assert err == "error: tau_f must be (num_dyads, t+1, l)\n"
     assert peak < 2 ** 20
+
+
+def test_non_finite_model_tables_exit_2(tmp_path, capsys):
+    head = '{"n": 3, "t": 1, "eta": {"kind": "natural", "l": 1}, '
+    files = {
+        "tau_f": head + '"tau_f": [[0, NaN], [0, 1], [0, 1]]}',
+        "kappa_f": head + '"tau_f": [[0, 1], [0, 1], [0, 1]], "kappa_f": [[1, Infinity], [1, 1], [1, 1]]}',
+    }
+    for name, text in files.items():
+        path = str(tmp_path / f"{name}.json")
+        with open(path, "w") as fp:
+            fp.write(text)
+        for argv in (("partition", "--model", path, "--theta", "0.5", "--brute"),
+                     ("sample", "--model", path, "--theta", "0.5", "--seed", "1", "--count", "3")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: {name} must be finite\n"), argv

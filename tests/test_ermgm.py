@@ -20,8 +20,8 @@ from pumc.ermgm import (
     union_expfam,
     union_log_probability,
 )
-from pumc.expfam import ParameterMap, log_partition, pmf
-from pumc.netstat import factor_dyadditive
+from pumc.expfam import CefSpec, ExpFamilySpec, ParameterMap, log_partition, pmf
+from pumc.netstat import DyadicFactorization, factor_dyadditive
 from pumc.puniform import Trajectory
 
 
@@ -46,6 +46,33 @@ def test_model_validation():
             n=3, t=1, tau_f=np.zeros((2, 2, 1)), kappa_f=np.ones((3, 2)),
             eta=ParameterMap("natural", l=1),
         )
+
+
+def test_non_finite_tables_are_rejected():
+    space = build_multigraph_space(3, 1)
+    eta = ParameterMap("natural", l=1)
+    for bad in (np.nan, np.inf, -np.inf):
+        tau_f, kappa_f = np.zeros((3, 2, 1)), np.ones((3, 2))
+        tau_f[0, 1, 0] = bad
+        with pytest.raises(ValueError, match="tau_f must be finite"):
+            ErmgmModel(n=3, t=1, tau_f=tau_f, kappa_f=np.ones((3, 2)), eta=eta)
+        with pytest.raises(ValueError, match="tau_f must be finite"):
+            DyadicFactorization(n=3, t=1, tau_f=tau_f)
+        kappa_f[1, 0] = abs(bad)
+        with pytest.raises(ValueError, match="kappa_f must be finite"):
+            ErmgmModel(n=3, t=1, tau_f=np.zeros((3, 2, 1)), kappa_f=kappa_f, eta=eta)
+        with pytest.raises(ValueError, match="kappa_f must be finite"):
+            DyadicFactorization(n=3, t=1, kappa_f=kappa_f)
+        tau, kappa = np.zeros(space.size), np.ones(space.size)
+        tau[5], kappa[6] = bad, abs(bad)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            ExpFamilySpec(space=space, kappa=np.ones(space.size), tau=tau, eta=eta)
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            ExpFamilySpec(space=space, kappa=kappa, tau=np.zeros(space.size), eta=eta)
+        with pytest.raises(ValueError, match="tau must be finite"):
+            CefSpec(space=space, kappa=np.broadcast_to(1.0, (8, 8)), tau=np.full((8, 8), bad), eta=eta)
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            CefSpec(space=space, kappa=np.broadcast_to(abs(bad), (8, 8)), tau=np.zeros((8, 8)), eta=eta)
 
 
 def test_dyad_pmf_bernoulli_closed_form():

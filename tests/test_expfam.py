@@ -16,7 +16,7 @@ from pumc.core import (
     identity_family,
     num_dyads,
 )
-from pumc.errors import NotAnMefError, TheoremViolationError
+from pumc.errors import NotAnMefError, SpaceTooLargeError, TheoremViolationError
 from pumc.expfam import (
     BLOCK_ENTRIES,
     CefSpec,
@@ -298,6 +298,18 @@ def test_reciprocity_build_and_survey_memory():
     slack = 8 * 2**20
     assert build_peak <= table + slack, f"build peak {build_peak / 2**20:.1f} MiB"
     assert survey_peak <= block + slack, f"survey added {survey_peak / 2**20:.1f} MiB"
+
+
+def test_reciprocity_table_refuses_n5_before_the_labels():
+    """2^20 directed graphs on 5 vertices: the budget refuses before any label is formatted."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpaceTooLargeError, match="1048576 x 1048576"):
+            models.reciprocity_table(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_density_and_stability_mefs_verify():

@@ -141,3 +141,32 @@ print(peak)
 def test_cli_import_leaves_the_process_pool_alone(tmp_path):
     res = _run(tmp_path, "-c", "import sys, pumc.cli; print('concurrent.futures' in sys.modules)")
     assert (res.returncode, res.stdout) == (0, "False\n")
+
+
+def test_huge_replicate_count_runs_replicates_as_it_goes(tmp_path):
+    """simulate holds one payload, not one per replicate, so a write failure
+    at the third of 10^11 replicates ends the run with exit 2 and little memory."""
+    script = """
+import sys, tracemalloc
+from pumc import cli, serialize
+
+calls, write = [], serialize.write_trajectory
+
+def write_then_fail(*args, **kwargs):
+    calls.append(1)
+    if len(calls) == 3:
+        raise ValueError("disk full")
+    return write(*args, **kwargs)
+
+serialize.write_trajectory = write_then_fail
+tracemalloc.start()
+code = cli.main(sys.argv[1:])
+print(code, len(calls), tracemalloc.get_traced_memory()[1])
+"""
+    res = _run(tmp_path, "-c", script, "simulate", "--model", "density", "--n", "3", "--p", "0.3",
+               "--steps", "5", "--seed", "1", "--replicates", str(10 ** 11), "--out", "r.jsonl")
+    assert res.returncode == 0, res.stderr
+    code, calls, peak = map(int, res.stdout.split())
+    assert (code, calls, res.stderr) == (2, 3, "error: disk full\n")
+    assert peak < 4 * 2 ** 20, f"peak {peak} bytes"
+    assert sorted(p.name for p in tmp_path.glob("r.r*.jsonl")) == ["r.r0.jsonl", "r.r1.jsonl"]

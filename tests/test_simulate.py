@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pumc import models
 from pumc.core import (
@@ -129,6 +131,44 @@ def test_stationary_periodic_chain_raises_with_iterate():
     assert err.value.iterations == 3
     res = stationary_distribution(P)
     assert np.abs(res.pi.p - 0.5).max() <= 1e-12
+
+
+def test_stationary_swap_is_unique_and_max_iter_is_checked():
+    swap = StochasticMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    res = stationary_distribution(swap)
+    assert res.unique_hint and res.iterations == 1
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        stationary_distribution(swap, max_iter=0)
+
+
+def _one_closed_class(P: np.ndarray) -> bool:
+    """Reference: closed classes read off the reachability matrix (I + A)^n > 0."""
+    n = P.shape[0]
+    reach = np.linalg.matrix_power(np.eye(n, dtype=np.int64) + (P > 0), n) > 0
+    closed = [i for i in range(n) if not (reach[i] & ~reach[:, i]).any()]
+    return len({tuple(reach[i] & reach[:, i]) for i in closed}) == 1
+
+
+@st.composite
+def sparse_chains(draw):
+    n = draw(st.integers(1, 6))
+    weights = st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 1.0])
+    W = np.array(draw(st.lists(st.lists(weights, min_size=n, max_size=n), min_size=n, max_size=n)))
+    for i in np.flatnonzero(W.sum(axis=1) == 0):
+        W[i, draw(st.integers(0, n - 1))] = 1.0
+    return W / W.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@example(P=np.array([[0.0, 1.0], [1.0, 0.0]]))
+@example(P=np.array([[1.0, 0.0], [0.0, 1.0]]))
+@given(P=sparse_chains())
+def test_unique_hint_is_one_closed_class(P):
+    try:
+        res = stationary_distribution(StochasticMatrix(P), max_iter=2000)
+    except PowerIterationError:
+        assume(False)
+    assert res.unique_hint == _one_closed_class(P)
 
 
 def test_stability_matrix_entries_closed_form():
