@@ -132,6 +132,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    if not 0 <= args.tol < float("inf"):  # NaN fails too
+        raise ValueError("--tol must be a finite number >= 0")
     P = serialize.load_matrix(args.matrix)
     witness = detect_puniform(P, tol=args.tol)
     if witness is None:
@@ -249,6 +251,8 @@ def cmd_diagnose(args) -> int:
         target = args.p * num_dyads(space.n) / (space.n - 1)
     else:
         raise ValueError("pass --target (or --p for density/stability)")
+    if not np.isfinite(target).all():
+        raise ValueError("the diagnose target must be finite; check --target or --p")
     fam = None
     if args.family != "none":
         name = fam_name if args.family == "auto" else args.family

@@ -359,6 +359,48 @@ CHUNK = 8192
 
 _STATE_LINE = '{"i":%d,"state":%d}\n'
 _EXPANDED_LINE = '{"i":%d,"state":%d,"dyads":%s}\n'
+_LINE_HEAD, _LINE_MID, _LINE_TAIL = (
+    np.frombuffer(piece, dtype=np.uint8) for piece in _STATE_LINE.encode().split(b"%d")
+)
+# bytes.translate table: ASCII digits stay, every other byte becomes a space.
+_DIGITS_ONLY = bytes(c if 48 <= c < 58 else 32 for c in range(256))
+
+
+def _put_digits(block, keep, at: int, width: int, values):
+    """Write values (>= 0) right-aligned into columns at..at+width-1 of block.
+
+    keep marks each number's own digits; the zero padding to its left is
+    left unmarked, except the last column, so 0 renders as "0".
+    """
+    for col in range(at + width - 1, at - 1, -1):
+        quotient = values // 10  # a scalar divisor; an array of powers is ~5x slower
+        block[:, col] = values - quotient * 10 + 48
+        keep[:, col] = values != 0
+        values = quotient
+    keep[:, at + width - 1] = True
+
+
+def _render_lines(first: int, states) -> bytes:
+    """_STATE_LINE for i = first, first + 1, ... and states (all >= 0), as bytes.
+
+    Each line is one row of a uint8 block with every number zero-padded to
+    the chunk's widest; one boolean mask then drops the padding.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    n = states.size
+    if not n:
+        return b""
+    wide_i, wide_s = len(str(first + n - 1)), len(str(int(states.max())))
+    mid = _LINE_HEAD.size + wide_i
+    end = mid + _LINE_MID.size + wide_s
+    block = np.empty((n, end + _LINE_TAIL.size), dtype=np.uint8)
+    keep = np.ones(block.shape, dtype=bool)
+    block[:, :_LINE_HEAD.size] = _LINE_HEAD
+    block[:, mid:mid + _LINE_MID.size] = _LINE_MID
+    block[:, end:] = _LINE_TAIL
+    _put_digits(block, keep, _LINE_HEAD.size, wide_i, np.arange(first, first + n, dtype=np.int64))
+    _put_digits(block, keep, mid + _LINE_MID.size, wide_s, states)
+    return block[keep].tobytes()
 
 
 def _dyads_template(n: int) -> str:
@@ -386,16 +428,20 @@ def write_states_jsonl(
         template = _dyads_template(space.n)
         dyads = {s: template % tuple(row) for s, row in zip(distinct.tolist(), counts)}
         line = _EXPANDED_LINE
-    with open(path, "w") as fp:
-        fp.write(dumps({"kind": kind, "space": space_to_dict(space)}) + "\n")
+    with open(path, "wb") as fp:
+        fp.write((dumps({"kind": kind, "space": space_to_dict(space)}) + "\n").encode())
         for start in range(0, states.size, CHUNK):
-            chunk = states[start:start + CHUNK].tolist()
+            chunk = states[start:start + CHUNK]
+            if dyads is None and chunk.min() >= 0:
+                fp.write(_render_lines(start, chunk))
+                continue
+            chunk = chunk.tolist()
             index = range(start, start + len(chunk))
             if dyads is None:
                 rows = zip(index, chunk)
             else:
                 rows = zip(index, chunk, map(dyads.__getitem__, chunk))
-            fp.write("".join(map(line.__mod__, rows)))
+            fp.write("".join(map(line.__mod__, rows)).encode())
 
 
 def read_states_jsonl(path: str):
@@ -404,7 +450,8 @@ def read_states_jsonl(path: str):
     Every state line is a JSON object with integer "i" and "state"; "i"
     runs 0, 1, 2, ... in file order, so a reordered, skipped or repeated
     line raises ValueError, as does a state outside the declared space.
-    Blank lines are skipped. Lines are parsed CHUNK at a time.
+    Blank lines are skipped. Lines are parsed CHUNK at a time: first as the
+    layout write_states_jsonl writes, then as JSON, then line by line.
     """
     with open(path) as fp:
         header = json.loads(fp.readline())
@@ -414,7 +461,9 @@ def read_states_jsonl(path: str):
         parts = []
         count, lineno = 0, 2
         while chunk := list(islice(fp, CHUNK)):
-            states = _parse_chunk(chunk, count, space.size)
+            states = _parse_canonical(chunk, count, space.size)
+            if states is None:
+                states = _parse_chunk(chunk, count, space.size)
             if states is None:
                 states = _check_lines(path, chunk, lineno, count, space.size)
             parts.append(np.array(states, dtype=np.int64))
@@ -422,6 +471,23 @@ def read_states_jsonl(path: str):
             lineno += len(chunk)
     arr = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
     return header.get("kind", "trajectory"), space, arr
+
+
+def _parse_canonical(chunk: list, first: int, size: int):
+    """States of a chunk in exactly _render_lines' layout, or None.
+
+    The digit pass reads every run of digits as a number, so it accepts
+    much that is not a state line; the chunk is taken only if re-rendering
+    those numbers gives back its exact bytes.
+    """
+    text = "".join(chunk).encode()
+    if not text.startswith(_LINE_HEAD.tobytes()):  # e.g. json.dumps' '{"i": 0, ...'
+        return None
+    numbers = np.fromstring(text.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
+    states = numbers[1::2]
+    if _render_lines(first, states) != text or states.max() >= size:
+        return None
+    return states
 
 
 def _parse_chunk(chunk: list, first: int, size: int):
@@ -506,8 +572,9 @@ def write_running_means_csv(path: str, running_mean):
     with open(path, "w") as fp:
         fp.write("step,running_mean\n")
         for start in range(0, len(running_mean), CHUNK):
-            chunk = running_mean[start:start + CHUNK].tolist()
-            fp.write("".join(line % (k, *row) for k, row in enumerate(chunk, start + 1)))
+            chunk = running_mean[start:start + CHUNK]
+            steps = range(start + 1, start + 1 + len(chunk))
+            fp.write("".join(map(line.__mod__, zip(steps, *chunk.T.tolist()))))
 
 
 def write_trajectory(path: str, traj: Trajectory, expand: bool = False):

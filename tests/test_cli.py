@@ -615,3 +615,24 @@ def test_non_finite_model_tables_exit_2(tmp_path, capsys):
                      ("sample", "--model", path, "--theta", "0.5", "--seed", "1", "--count", "3")):
             code, out, err = run(capsys, *argv)
             assert (code, out, err) == (2, "", f"error: {name} must be finite\n"), argv
+
+
+def test_detect_tol_must_be_finite_and_non_negative(tmp_path, capsys):
+    mpath = str(tmp_path / "P.json")
+    serialize.save_matrix(mpath, models.stability_chain(4, 0.3).matrix())
+    code, out, _ = run(capsys, "detect", "--matrix", mpath)
+    assert code == 0 and read_json(out)["puniform"] is True
+    for tol in ("nan", "-1", "inf", "-inf"):
+        code, out, err = run(capsys, "detect", "--matrix", mpath, f"--tol={tol}")
+        assert (code, out, err) == (2, "", "error: --tol must be a finite number >= 0\n"), tol
+
+
+def test_diagnose_non_finite_target_exits_2(tmp_path, capsys):
+    traj_path = str(tmp_path / "x.jsonl")
+    run(capsys, "simulate", "--model", "stability", "--n", "3", "--p", "0.3",
+        "--steps", "20", "--seed", "13", "--out", traj_path)
+    for flags in (("density", "--target", "nan"), ("degseq", "--target", "0.4,inf,1"),
+                  ("density", "--p", "nan"), ("stability", "--p", "nan"), ("stability", "--p", "1e308")):
+        code, out, err = run(capsys, "diagnose", "--traj", traj_path, "--stat", *flags)
+        assert code == 2 and out == "", flags
+        assert err == "error: the diagnose target must be finite; check --target or --p\n", flags

@@ -119,7 +119,8 @@ def test_malformed_files_exit_cleanly(data):
 
 
 @given(
-    command=st.sampled_from(["density", "stability", "modular", "exchangeability", "sample", "reciprocity"]),
+    command=st.sampled_from(["density", "stability", "modular", "exchangeability", "sample", "reciprocity",
+                             "diagnose", "detect"]),
     n=SIZES,
     steps=st.sampled_from([-1, 0, 5, *HUGE]),
     count=st.sampled_from([-1, 0, 1, 3, *HUGE]),
@@ -140,9 +141,17 @@ def test_extreme_sizes_exit_cleanly(command, n, steps, count, p, seed, x0):
             model = dict(MODEL, n=n) if n > 3 else MODEL
             path = _write(d, "model.json", json.dumps(model))
             code = run("sample", "--model", path, "--theta", p, "--seed", seed, "--count", count, "--out", out)
+        elif command == "detect":
+            path = _write(d, "m.json", json.dumps(MATRIX))
+            code = run("detect", "--matrix", path, f"--tol={p}")
+            assert code == (0 if p >= 0 and math.isfinite(p) else 2)
         else:
             traj = _write(d, "t.jsonl", json.dumps(HEADER) + '\n{"i":0,"state":1}\n{"i":1,"state":6}\n')
-            code = run("diagnose", "--traj", traj, "--stat", "reciprocity", "--n", n, "--target", 1)
-            assert code == 2  # an 8-state trajectory is no directed space
-        if command in ("density", "stability", "exchangeability", "sample") and not math.isfinite(p):
+            if command == "reciprocity":
+                code = run("diagnose", "--traj", traj, "--stat", "reciprocity", "--n", n, "--target", 1)
+                assert code == 2  # an 8-state trajectory is no directed space
+            else:
+                code = run("diagnose", "--traj", traj, "--stat", "stability", "--p", p)
+                assert run("diagnose", "--traj", traj, "--stat", "density", "--target", p) == code
+        if command in ("density", "stability", "exchangeability", "sample", "diagnose") and not math.isfinite(p):
             assert code == 2

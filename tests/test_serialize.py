@@ -390,3 +390,72 @@ def test_states_jsonl_reader_memory_stays_bounded(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back, states)
     assert peak <= 8 * 2**20, f"reader peak {peak / 2**20:.1f} MiB"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    # first offsets whose chunk crosses a digit-count boundary (9 -> 10, 99999 -> 100000)
+    first=st.sampled_from([0, 1, 5, 95, 99_990, 99_999, 10**12 - 3]) | st.integers(0, 10**15),
+    states=st.lists(st.sampled_from([0, 9, 10, 99, 100, 2**62 - 1]) | st.integers(0, 2**62 - 1),
+                    max_size=20),
+)
+def test_render_lines_matches_the_template(first, states):
+    expected = "".join(serialize._STATE_LINE % row for row in zip(range(first, first + len(states)), states))
+    assert serialize._render_lines(first, np.array(states, dtype=np.int64)) == expected.encode()
+
+
+def test_states_jsonl_round_trip_on_the_largest_modular_space(tmp_path, monkeypatch):
+    space = build_modular_space(2**62)
+    states = [0, 2**62 - 1, 9, 10, 0, 2**62 - 1]
+    path = tmp_path / "z.jsonl"
+    serialize.write_states_jsonl(str(path), space, states)
+    body = path.read_text().split("\n", 1)[1]
+    assert body == "".join(serialize._STATE_LINE % row for row in enumerate(states))
+    # Canonical bytes never reach the JSON parsers.
+    monkeypatch.setattr(serialize, "_parse_chunk", None)
+    monkeypatch.setattr(serialize, "_check_lines", None)
+    kind, again, back = serialize.read_states_jsonl(str(path))
+    assert again == space and back.tolist() == states
+
+
+def _read_line_by_line(path):
+    """read_states_jsonl's result through _check_lines alone: states, or the error text."""
+    with open(path) as fp:
+        space = serialize.space_from_dict(json.loads(fp.readline())["space"])
+        try:
+            return serialize._check_lines(path, list(fp), 2, 0, space.size)
+        except ValueError as exc:
+            return str(exc)
+
+
+EDITS = st.tuples(
+    st.sampled_from(["insert", "delete", "replace"]),
+    st.integers(0, 2**16),
+    st.sampled_from(["-", " ", "\r\n", "\r", "\n", "0", "7", "{", "}", '"', ",", ":", ".", "e", "x"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    states=st.lists(st.integers(0, 12), min_size=1, max_size=14),
+    edits=st.lists(EDITS, min_size=1, max_size=3),
+    chunk=st.sampled_from([1, 3, serialize.CHUNK]),
+)
+def test_edited_state_files_read_as_the_per_line_checks_do(tmp_path_factory, states, edits, chunk):
+    # states up to 12 on an 8-state space: some files are out of range as written
+    file = tmp_path_factory.mktemp("edits") / "t.jsonl"
+    path = str(file)
+    serialize.write_states_jsonl(path, build_multigraph_space(3, 1), states)
+    header, body = file.read_bytes().split(b"\n", 1)
+    for op, at, text in edits:
+        at %= len(body) + (op == "insert")
+        body = body[:at] + (text.encode() if op != "delete" else b"") + body[at + (op != "insert"):]
+    file.write_bytes(header + b"\n" + body)
+    expected = _read_line_by_line(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "CHUNK", chunk)
+        try:
+            got = serialize.read_states_jsonl(path)[2].tolist()
+        except ValueError as exc:
+            got = str(exc)
+    assert got == expected
