@@ -241,18 +241,26 @@ def _diagnose_table(args, space):
     return models.reciprocity_table(args.n), None
 
 
+def _finite_target(values):
+    if not np.isfinite(values).all():
+        raise ValueError("the diagnose target must be finite; check --target or --p")
+    return values
+
+
 def cmd_diagnose(args) -> int:
+    # Inputs first: the trajectory read and the statistic table cost far more.
+    if args.target is not None:
+        target = _finite_target([float(x) for x in args.target.split(",")])
+    elif args.p is not None and args.stat in ("density", "stability"):
+        _finite_target(args.p)
+    else:
+        raise ValueError("pass --target (or --p for density/stability)")
     traj = serialize.read_trajectory(args.traj)
     space = traj.space
     table, fam_name = _diagnose_table(args, space)
-    if args.target is not None:
-        target = [float(x) for x in args.target.split(",")]
-    elif args.p is not None and args.stat in ("density", "stability"):
-        target = args.p * num_dyads(space.n) / (space.n - 1)
-    else:
-        raise ValueError("pass --target (or --p for density/stability)")
-    if not np.isfinite(target).all():
-        raise ValueError("the diagnose target must be finite; check --target or --p")
+    if args.target is None:
+        # A finite --p near the float maximum can still overflow here.
+        target = _finite_target(args.p * num_dyads(space.n) / (space.n - 1))
     fam = None
     if args.family != "none":
         name = fam_name if args.family == "auto" else args.family

@@ -417,31 +417,28 @@ def write_states_jsonl(
     dyad multiplicities as [u, v, m] triples, 1-based vertices.
     """
     states = np.asarray(states, dtype=np.int64)
-    line, dyads = _STATE_LINE, None
+    if states.size and states.min() < 0:  # _render_lines writes digits only
+        raise ValueError("state index out of range")
+    dyads = None
     if expand:
         if space.kind != MULTIGRAPH:
             raise ValueError("dyad expansion needs a multigraph space")
         distinct = np.unique(states)
-        if distinct.size and (distinct[0] < 0 or distinct[-1] >= space.size):
+        if distinct.size and distinct[-1] >= space.size:
             raise ValueError("state index out of range")
         counts = dyad_counts(space, distinct).tolist()
         template = _dyads_template(space.n)
         dyads = {s: template % tuple(row) for s, row in zip(distinct.tolist(), counts)}
-        line = _EXPANDED_LINE
     with open(path, "wb") as fp:
         fp.write((dumps({"kind": kind, "space": space_to_dict(space)}) + "\n").encode())
         for start in range(0, states.size, CHUNK):
             chunk = states[start:start + CHUNK]
-            if dyads is None and chunk.min() >= 0:
+            if dyads is None:
                 fp.write(_render_lines(start, chunk))
                 continue
             chunk = chunk.tolist()
-            index = range(start, start + len(chunk))
-            if dyads is None:
-                rows = zip(index, chunk)
-            else:
-                rows = zip(index, chunk, map(dyads.__getitem__, chunk))
-            fp.write("".join(map(line.__mod__, rows)).encode())
+            rows = zip(range(start, start + len(chunk)), chunk, map(dyads.__getitem__, chunk))
+            fp.write("".join(map(_EXPANDED_LINE.__mod__, rows)).encode())
 
 
 def read_states_jsonl(path: str):
@@ -480,9 +477,12 @@ def _parse_canonical(chunk: list, first: int, size: int):
     much that is not a state line; the chunk is taken only if re-rendering
     those numbers gives back its exact bytes.
     """
-    text = "".join(chunk).encode()
-    if not text.startswith(_LINE_HEAD.tobytes()):  # e.g. json.dumps' '{"i": 0, ...'
+    # The first line alone turns away other layouts (json.dumps' spaces,
+    # --expand's dyads, a digitless '{"i":null') before the whole-chunk pass.
+    line, prefix = chunk[0], '{"i":%d,"state":' % first
+    if not (line.startswith(prefix) and line.endswith("}\n") and line[len(prefix):-2].isdigit()):
         return None
+    text = "".join(chunk).encode()
     numbers = np.fromstring(text.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
     states = numbers[1::2]
     if _render_lines(first, states) != text or states.max() >= size:

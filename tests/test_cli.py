@@ -636,3 +636,7 @@ def test_diagnose_non_finite_target_exits_2(tmp_path, capsys):
         code, out, err = run(capsys, "diagnose", "--traj", traj_path, "--stat", *flags)
         assert code == 2 and out == "", flags
         assert err == "error: the diagnose target must be finite; check --target or --p\n", flags
+    # A non-finite input is refused before the trajectory is read.
+    for flags in (("density", "--target", "nan"), ("stability", "--p", "inf")):
+        code, out, err = run(capsys, "diagnose", "--traj", str(tmp_path / "missing.jsonl"), "--stat", *flags)
+        assert (code, out, err) == (2, "", "error: the diagnose target must be finite; check --target or --p\n")

@@ -256,6 +256,9 @@ def test_states_jsonl_rejects_out_of_range(tmp_path):
     serialize.write_states_jsonl(path, space, [0, 99])
     with pytest.raises(ValueError):
         serialize.read_states_jsonl(path)
+    for expand in (False, True):
+        with pytest.raises(ValueError, match="state index out of range"):
+            serialize.write_states_jsonl(path, space, [0, -1], expand=expand)
 
 
 def test_states_jsonl_rejects_swapped_and_gapped_lines(tmp_path):
@@ -356,12 +359,18 @@ def test_states_jsonl_rejects_non_integer_fields(tmp_path):
     space = build_multigraph_space(3, 1)
     header = json.dumps({"kind": "trajectory", "space": serialize.space_to_dict(space)})
     for rest in ('{"i":1,"state":2.7}', '{"i":true,"state":2}', '{"i":1.0,"state":2}',
-                 '{"i":1,"state":"2"}', '{"i":1,"state":true}', '{"i":1}', '[1,2]'):
+                 '{"i":1,"state":"2"}', '{"i":1,"state":true}', '{"i":1}', '[1,2]',
+                 '{"i":null,"state":null}'):
         path = str(tmp_path / "bad.jsonl")
         with open(path, "w") as fp:
             fp.write("\n".join([header, '{"i":0,"state":1}', rest, '{"i":2,"state":3}']) + "\n")
         with pytest.raises(ValueError, match=":3: "):
             serialize.read_states_jsonl(path)
+    # A chunk that opens like a state line but holds no digit at all.
+    with open(path, "w") as fp:
+        fp.write(header + '\n{"i":null,"state":null}\n')
+    with pytest.raises(ValueError, match=":2: "):
+        serialize.read_states_jsonl(path)
 
 
 def test_states_jsonl_rejects_records_that_straddle_lines(tmp_path):
