@@ -38,8 +38,6 @@ from .netstat import DyadicFactorization, edge_stat_counts
 from .puniform import Trajectory
 from .rng import inverse_cdf, stream
 
-LOG_PARTITION_REL_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ErmgmModel:

@@ -207,18 +207,6 @@ class FactorResult:
         return self.factorization is not None
 
 
-def _as_stat_vector(space: StateSpace, tau) -> np.ndarray:
-    if callable(tau):
-        vals = np.array([np.atleast_1d(tau(g)) for g in space.states()], dtype=np.float64)
-    else:
-        vals = np.asarray(tau, dtype=np.float64)
-        if vals.ndim == 1:
-            vals = vals[:, None]
-    if vals.shape[0] != space.size:
-        raise ValueError("statistic must cover every state")
-    return vals
-
-
 def _probe_states(space: StateSpace, probes, seed) -> np.ndarray:
     if probes is None:
         if space.size > 4 * DEFAULT_PROBE_BUDGET:
@@ -230,16 +218,21 @@ def _probe_states(space: StateSpace, probes, seed) -> np.ndarray:
 
 
 def factor_dyadditive(space: StateSpace, tau, probes=None, seed=None) -> FactorResult:
-    """Split a per-state statistic into per-dyad summands, if possible.
+    """Split a statistic, an array indexed by state, into per-dyad summands, if possible.
 
-    Component tables come from single-dyad states: tau_f(m) is the value of
-    the graph with dyad f at multiplicity m, shifted so the empty graph's
-    value spreads evenly. Verification is exhaustive by default, or over a
-    seeded random probe budget; the first failing state is the witness.
+    tau is (size,) or (size, l). Component tables come from single-dyad
+    states: tau_f(m) is the value of the graph with dyad f at multiplicity
+    m, shifted so the empty graph's value spreads evenly. Verification is
+    exhaustive by default, or over a seeded random probe budget; the first
+    failing state is the witness.
     """
     if space.kind != MULTIGRAPH:
         raise ValueError("dyadic factorization needs a multigraph space")
-    vals = _as_stat_vector(space, tau)
+    vals = np.asarray(tau, dtype=np.float64)
+    if vals.ndim == 1:
+        vals = vals[:, None]
+    if vals.shape[0] != space.size:
+        raise ValueError("statistic must cover every state")
     nd = num_dyads(space.n)
     base = vals[0]  # empty graph is state 0
     l = vals.shape[1]
@@ -259,7 +252,7 @@ def factor_dyadditive(space: StateSpace, tau, probes=None, seed=None) -> FactorR
 
 
 def factor_dyadically_multiplicative(space: StateSpace, kappa, probes=None, seed=None) -> FactorResult:
-    """Split a per-state carrier into per-dyad factors, if possible.
+    """Split a carrier, an array indexed by state, into per-dyad factors, if possible.
 
     The candidate anchors at the empty graph when its carrier is positive,
     otherwise at a maximal-carrier reference state; zeros at probe states
@@ -268,10 +261,7 @@ def factor_dyadically_multiplicative(space: StateSpace, kappa, probes=None, seed
     """
     if space.kind != MULTIGRAPH:
         raise ValueError("dyadic factorization needs a multigraph space")
-    if callable(kappa):
-        vals = np.array([float(kappa(g)) for g in space.states()], dtype=np.float64)
-    else:
-        vals = np.asarray(kappa, dtype=np.float64).reshape(-1)
+    vals = np.asarray(kappa, dtype=np.float64).reshape(-1)
     if vals.shape != (space.size,):
         raise ValueError("carrier must cover every state")
     if vals.min() < 0:

@@ -296,8 +296,8 @@ expfam_to_dict = cef_to_dict
 def _spec_from_dict(cls, d: dict):
     return cls(
         space=space_from_dict(d["space"]),
-        kappa=np.array(d["kappa"], dtype=np.float64),
-        tau=np.array(d["tau"], dtype=np.float64),
+        kappa=_json_numbers(d["kappa"], "\"kappa\""),
+        tau=_json_numbers(d["tau"], "\"tau\""),
         eta=eta_from_dict(d["eta"]),
     )
 
@@ -327,8 +327,8 @@ def factorization_from_dict(d: dict):
     return DyadicFactorization(
         n=_json_int(d["n"], "n"),
         t=_json_int(d["t"], "t"),
-        tau_f=None if d.get("tau_f") is None else np.array(d["tau_f"], dtype=np.float64),
-        kappa_f=None if d.get("kappa_f") is None else np.array(d["kappa_f"], dtype=np.float64),
+        tau_f=None if d.get("tau_f") is None else _json_numbers(d["tau_f"], "\"tau_f\""),
+        kappa_f=None if d.get("kappa_f") is None else _json_numbers(d["kappa_f"], "\"kappa_f\""),
     )
 
 
@@ -447,8 +447,9 @@ def read_states_jsonl(path: str):
     Every state line is a JSON object with integer "i" and "state"; "i"
     runs 0, 1, 2, ... in file order, so a reordered, skipped or repeated
     line raises ValueError, as does a state outside the declared space.
-    Blank lines are skipped. Lines are parsed CHUNK at a time: first as the
-    layout write_states_jsonl writes, then as JSON, then line by line.
+    Blank lines are skipped. Lines are read CHUNK at a time: a chunk in the
+    layout write_states_jsonl writes is parsed as one block, any other
+    chunk one line at a time.
     """
     with open(path) as fp:
         header = json.loads(fp.readline())
@@ -459,8 +460,6 @@ def read_states_jsonl(path: str):
         count, lineno = 0, 2
         while chunk := list(islice(fp, CHUNK)):
             states = _parse_canonical(chunk, count, space.size)
-            if states is None:
-                states = _parse_chunk(chunk, count, space.size)
             if states is None:
                 states = _check_lines(path, chunk, lineno, count, space.size)
             parts.append(np.array(states, dtype=np.int64))
@@ -486,40 +485,6 @@ def _parse_canonical(chunk: list, first: int, size: int):
     numbers = np.fromstring(text.translate(_DIGITS_ONLY), dtype=np.int64, sep=" ")
     states = numbers[1::2]
     if _render_lines(first, states) != text or states.max() >= size:
-        return None
-    return states
-
-
-def _parse_chunk(chunk: list, first: int, size: int):
-    """States of one chunk in one json.loads call, or None if any check fails.
-
-    Parsed as one JSON array, a record spanning two lines looks the same as
-    one record per line. So this path also requires exactly one "{" per
-    line, at the start of every line ("\n,{" marks each later line start;
-    only the file's last line can lack its newline, and it ends its chunk),
-    and every record to be an object: each record then opens, and ends,
-    on its own line.
-    """
-    lines = [line for line in chunk if not line.isspace()]
-    text = "[" + ",".join(lines) + "]"
-    if (
-        not lines
-        or text.count("{") != len(lines)
-        or text.count("\n,{") != len(lines) - 1
-        or not text.startswith("[{")
-    ):
-        return None
-    try:
-        records = json.loads(text)
-    except ValueError:
-        return None
-    if len(records) != len(lines) or set(map(type, records)) != {dict}:
-        return None
-    index = [r.get("i") for r in records]
-    states = [r.get("state") for r in records]
-    if index != list(range(first, first + len(records))) or set(map(type, index)) != {int}:
-        return None
-    if set(map(type, states)) != {int} or min(states) < 0 or max(states) >= size:
         return None
     return states
 

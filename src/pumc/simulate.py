@@ -112,6 +112,8 @@ def convergence_report(
                 raise ValueError(
                     f"statistic coordinate {j} is not p-uniform under the family: {triple}"
                 )
+        if x.transitions < 2:
+            raise ValueError("an iid standard error needs at least two transitions")
         stderr = series.std(axis=0, ddof=1) / np.sqrt(x.transitions)
         within = bool(np.all(np.abs(final - target) <= 3 * stderr))
     return ConvergenceReport(

@@ -235,6 +235,19 @@ def test_diagnose_family_none_drops_se(tmp_path, capsys):
     assert report["stderr"] is None and report["within_three_se"] is None
 
 
+def test_diagnose_one_transition_has_no_iid_stderr(tmp_path, capsys):
+    traj_path = str(tmp_path / "x.jsonl")
+    run(capsys, "simulate", "--model", "stability", "--n", "3", "--p", "0.3",
+        "--steps", "1", "--seed", "13", "--out", traj_path)
+    code, out, err = run(capsys, "diagnose", "--traj", traj_path, "--stat", "stability", "--p", "0.3")
+    assert (code, out, err) == (2, "", "error: an iid standard error needs at least two transitions\n")
+    code, out, _ = run(capsys, "diagnose", "--traj", traj_path, "--stat", "stability",
+                       "--p", "0.3", "--family", "none")
+    assert code == 0
+    report = read_json(out)
+    assert report["transitions"] == 1 and report["stderr"] is None
+
+
 def test_diagnose_argument_errors(tmp_path, capsys):
     traj_path = str(tmp_path / "x.jsonl")
     run(capsys, "simulate", "--model", "density", "--n", "3", "--p", "0.3",

@@ -222,6 +222,34 @@ def test_readers_require_integer_size_fields():
                                      space={"kind": "modular", "n": 3.0}))
 
 
+def _with_first_leaf(value, leaf):
+    """A copy of a nested list with its first scalar replaced by leaf."""
+    if type(value) is list:
+        return [_with_first_leaf(value[0], leaf), *value[1:]]
+    return leaf
+
+
+def test_readers_require_number_arrays():
+    """kappa, tau, tau_f and kappa_f take JSON numbers only, never strings or booleans."""
+    cef = json.loads(serialize.dumps(serialize.cef_to_dict(models.gani_cef())))
+    fam = json.loads(serialize.dumps(serialize.expfam_to_dict(models.er_family(3))))
+    fact = json.loads(serialize.dumps(serialize.factorization_to_dict(
+        DyadicFactorization(n=3, t=1, tau_f=np.zeros((3, 2, 1)), kappa_f=np.ones((3, 2))))))
+    cases = [
+        (serialize.cef_from_dict, cef, ("kappa", "tau")),
+        (serialize.expfam_from_dict, fam, ("kappa", "tau")),
+        (serialize.factorization_from_dict, fact, ("tau_f", "kappa_f")),
+    ]
+    for reader, good, keys in cases:
+        reader(good)
+        for key in keys:
+            for bad in ("0.5", True, None):
+                with pytest.raises(ValueError, match=f'"{key}" must be an array of JSON numbers'):
+                    reader(dict(good, **{key: _with_first_leaf(good[key], bad)}))
+            with pytest.raises(ValueError, match=f'"{key}" must be an array of JSON numbers'):
+                reader(dict(good, **{key: "1"}))
+
+
 def test_states_jsonl_round_trip(tmp_path):
     space = build_multigraph_space(3, 1)
     states = np.array([0, 7, 3, 5])
@@ -374,8 +402,8 @@ def test_states_jsonl_rejects_non_integer_fields(tmp_path):
 
 
 def test_states_jsonl_rejects_records_that_straddle_lines(tmp_path):
-    # Joined into one array these lines parse as three sequential records,
-    # but the first record spans two lines and the last line holds two.
+    # Each record must open and close on its own line: here the first record
+    # spans two lines and the last line holds two, though the braces balance.
     space = build_multigraph_space(3, 1)
     header = json.dumps({"kind": "trajectory", "space": serialize.space_to_dict(space)})
     body = ['{"i":0,"x":[{}', '{}],"state":1}', '{"i":1,"state":2},{"i":2,"state":3}']
@@ -420,8 +448,7 @@ def test_states_jsonl_round_trip_on_the_largest_modular_space(tmp_path, monkeypa
     serialize.write_states_jsonl(str(path), space, states)
     body = path.read_text().split("\n", 1)[1]
     assert body == "".join(serialize._STATE_LINE % row for row in enumerate(states))
-    # Canonical bytes never reach the JSON parsers.
-    monkeypatch.setattr(serialize, "_parse_chunk", None)
+    # Canonical bytes never reach the per-line JSON parser.
     monkeypatch.setattr(serialize, "_check_lines", None)
     kind, again, back = serialize.read_states_jsonl(str(path))
     assert again == space and back.tolist() == states
