@@ -152,9 +152,10 @@ def cmd_detect(args) -> int:
 def cmd_transform(args) -> int:
     kind, space, states = serialize.read_states_jsonl(args.traj)
     fam = _resolve_family(space, args.family)
+    want = "trajectory" if args.direction == "chain2iid" else "iid"
+    if kind != want:
+        raise ValueError(f"{args.direction} expects {'a' if want == 'trajectory' else 'an'} {want} stream")
     if args.direction == "chain2iid":
-        if kind != "trajectory":
-            raise ValueError("chain2iid expects a trajectory stream")
         z = chain_to_iid(Trajectory(space=space, states=states), fam)
         serialize.write_states_jsonl(args.out, space, z, kind="iid", expand=args.expand)
         print(f"transform: {states.size} states -> {z.size} iid values", file=sys.stderr)
@@ -440,7 +441,7 @@ def main(argv=None) -> int:
     except (TheoremViolationError, PowerIterationError) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -138,10 +138,6 @@ class StateSpace:
             return int(idx)
         return self.labels[idx]
 
-    def states(self):
-        """Iterate all states in index order."""
-        return (self.decode(i) for i in range(self.size))
-
 
 @lru_cache(maxsize=None)
 def _label_index(labels: tuple[str, ...]) -> dict:
@@ -229,8 +225,7 @@ class Pmf:
         object.__setattr__(self, "p", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("pmf must be a nonempty vector")
-        if not np.isfinite(p).all():
-            raise ValueError("pmf entries must be finite")
+        check_finite(p, "pmf entries")
         if p.min() < 0:
             raise ValueError("pmf entries must be nonnegative")
         if abs(p.sum() - 1.0) > PMF_TOL:
@@ -252,8 +247,7 @@ class StochasticMatrix:
         object.__setattr__(self, "P", P)
         if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] == 0:
             raise ValueError("need a nonempty square matrix")
-        if not np.isfinite(P).all():
-            raise ValueError("entries must be finite")
+        check_finite(P, "entries")
         if P.min() < 0:
             raise ValueError("entries must be nonnegative")
         err = np.abs(P.sum(axis=1) - 1.0).max()

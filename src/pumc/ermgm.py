@@ -22,7 +22,6 @@ from .core import (
     Pmf,
     StateSpace,
     build_multigraph_space,
-    check_finite,
     dyad_count_table,
     num_dyads,
 )
@@ -41,30 +40,25 @@ from .rng import inverse_cdf, stream
 
 @dataclass(frozen=True)
 class ErmgmModel:
-    """Dyadically independent model on G(n, t)."""
+    """Dyadically independent model on G(n, t); a kappa_f of None is the unit carrier."""
 
     n: int
     t: int
-    tau_f: np.ndarray    # (num_dyads, t+1, l)
-    kappa_f: np.ndarray  # (num_dyads, t+1)
+    tau_f: np.ndarray          # (num_dyads, t+1, l)
+    kappa_f: np.ndarray | None  # (num_dyads, t+1)
     eta: ParameterMap
 
     def __post_init__(self):
-        nd = num_dyads(self.n)
-        tau_f = np.ascontiguousarray(self.tau_f, dtype=np.float64)
-        if tau_f.ndim == 2:
-            tau_f = tau_f[:, :, None]
-        kappa_f = np.ascontiguousarray(self.kappa_f, dtype=np.float64)
-        object.__setattr__(self, "tau_f", tau_f)
-        object.__setattr__(self, "kappa_f", kappa_f)
-        if tau_f.shape != (nd, self.t + 1, self.eta.l):
+        fact = DyadicFactorization(n=self.n, t=self.t, tau_f=self.tau_f, kappa_f=self.kappa_f)
+        if fact.tau_f is None:
+            raise ValueError("factorization must carry statistic tables")
+        if fact.tau_f.shape[2:] != (self.eta.l,):
             raise ValueError("tau_f must be (num_dyads, t+1, l)")
-        if kappa_f.shape != (nd, self.t + 1):
-            raise ValueError("kappa_f must be (num_dyads, t+1)")
-        check_finite(tau_f, "tau_f")
-        check_finite(kappa_f, "kappa_f")
-        if kappa_f.min() < 0 or (kappa_f.max(axis=1) == 0).any():
+        kappa_f = np.ones(fact.tau_f.shape[:2]) if fact.kappa_f is None else fact.kappa_f
+        if (kappa_f.max(axis=1) == 0).any():
             raise ValueError("each dyad needs nonnegative, not identically zero carrier")
+        object.__setattr__(self, "tau_f", fact.tau_f)
+        object.__setattr__(self, "kappa_f", kappa_f)
 
     @property
     def num_dyads(self) -> int:
@@ -76,12 +70,7 @@ class ErmgmModel:
 
 def from_factorization(fact: DyadicFactorization, eta: ParameterMap) -> ErmgmModel:
     """Assemble a model from factored tables; missing carrier defaults to 1."""
-    if fact.tau_f is None:
-        raise ValueError("factorization must carry statistic tables")
-    kappa_f = fact.kappa_f
-    if kappa_f is None:
-        kappa_f = np.ones((num_dyads(fact.n), fact.t + 1))
-    return ErmgmModel(n=fact.n, t=fact.t, tau_f=fact.tau_f, kappa_f=kappa_f, eta=eta)
+    return ErmgmModel(n=fact.n, t=fact.t, tau_f=fact.tau_f, kappa_f=fact.kappa_f, eta=eta)
 
 
 def _dyad_log_weights(model: ErmgmModel, theta) -> np.ndarray:

@@ -288,12 +288,27 @@ def cef_transition_matrix(cef: CefSpec, theta, chunk: int = 512) -> StochasticMa
     return StochasticMatrix(P=P)
 
 
-def _psi_survey(cef: CefSpec, probes) -> np.ndarray:
-    """Row log-partitions at every probe, as a (probes, rows) array."""
+def _row0_gaps(cef: CefSpec, probes, raw: bool):
+    """Survey the row normalizers at every probe and compare each row with row 0.
+
+    Returns (v, rel) as (probes, rows) arrays: v is psi(a, theta), or the
+    raw sums exp(psi) when raw, and rel is |v - v0| / max(1, |v0|). Equal
+    values, the same infinity included, are 0 apart, and a gap that would
+    be NaN is infinitely far. Where row 0's raw sum overflows, the gap is
+    the same ratio taken from psi, |expm1(psi - psi0)|.
+    """
     psi = np.empty((len(probes), cef.space.size))
     for i, theta in enumerate(probes):
         psi[i] = row_log_partitions(cef, theta)
-    return psi
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = np.exp(psi) if raw else psi
+        ref = values[:, :1]
+        rel = np.abs(values - ref) / np.maximum(1.0, np.abs(ref))
+        rel[values == ref] = 0.0
+        over = np.isposinf(ref[:, 0]) & np.isfinite(psi[:, 0])
+        rel[over] = np.abs(np.expm1(psi[over] - psi[over, :1]))
+    rel[np.isnan(rel)] = np.inf
+    return values, rel
 
 
 @dataclass(frozen=True)
@@ -316,9 +331,7 @@ def validate_cef(cef: CefSpec, probes=None, rel_tol: float = MEF_REL_TOL) -> Cef
     """
     if probes is None:
         probes = default_probes(cef.eta)
-    raw = np.exp(_psi_survey(cef, probes))
-    ref = raw[:, :1]
-    rel = np.abs(raw - ref) / np.maximum(1.0, np.abs(ref))
+    raw, rel = _row0_gaps(cef, probes, raw=True)
     bad = rel > rel_tol
     return CefValidation(
         probes=tuple(probes),
@@ -341,13 +354,11 @@ def mef_check(cef: CefSpec, probes=None, rel_tol: float = MEF_REL_TOL) -> MefChe
     """Do all row log-partitions agree (relative tolerance) at every probe?"""
     if probes is None:
         probes = default_probes(cef.eta)
-    worst, worst_probe, worst_row = 0.0, None, 0
-    for theta, psi in zip(probes, _psi_survey(cef, probes)):
-        rel = np.abs(psi - psi[0]) / max(1.0, abs(psi[0]))
-        r = int(np.argmax(rel))
-        if rel[r] > worst:
-            worst, worst_probe, worst_row = float(rel[r]), theta, r
-    return MefCheckResult(ok=worst <= rel_tol, worst_rel_dev=worst, probe=worst_probe, row=worst_row)
+    rel = _row0_gaps(cef, probes, raw=False)[1]
+    worst = float(rel.max(initial=0.0))
+    # The first row at the first probe holding the worst gap; none: (None, 0).
+    k, row = divmod(int(np.argmax(rel)), rel.shape[1]) if worst else (None, 0)
+    return MefCheckResult(ok=worst <= rel_tol, worst_rel_dev=worst, probe=None if k is None else probes[k], row=row)
 
 
 def as_mef(cef: CefSpec, probes=None, rel_tol: float = MEF_REL_TOL) -> MefSpec:

@@ -170,6 +170,8 @@ class DyadicFactorization:
     kappa_f: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.n < 1 or self.t < 0:
+            raise ValueError("need n >= 1 and t >= 0")
         nd = num_dyads(self.n)
         if self.tau_f is not None:
             tau_f = np.ascontiguousarray(self.tau_f, dtype=np.float64)
@@ -184,7 +186,7 @@ class DyadicFactorization:
             if kappa_f.shape != (nd, self.t + 1):
                 raise ValueError("kappa_f must be (num_dyads, t+1)")
             check_finite(kappa_f, "kappa_f")
-            if kappa_f.min() < 0:
+            if (kappa_f < 0).any():
                 raise ValueError("kappa_f must be nonnegative")
             object.__setattr__(self, "kappa_f", kappa_f)
 

@@ -142,7 +142,10 @@ def space_from_dict(d: dict) -> StateSpace:
     if kind == MODULAR:
         return build_modular_space(_json_int(d["n"], "n"))
     if kind == GENERIC:
-        return build_generic_space(tuple(d["labels"]))
+        labels = d["labels"]
+        if type(labels) is not list or not all(type(label) is str for label in labels):
+            raise ValueError("\"labels\" must be an array of strings")
+        return build_generic_space(tuple(labels))
     raise ValueError(f"unknown space kind {kind!r}")
 
 
@@ -269,11 +272,13 @@ def eta_from_dict(d: dict) -> ParameterMap:
     if kind == "density_logit":
         return ParameterMap(kind=kind, n=_json_int(d["n"], "n"))
     if kind == "table":
+        thetas = _json_numbers(d["thetas"], "\"thetas\"").tolist()
+        etas = _json_numbers(d["etas"], "\"etas\"").tolist()
         return ParameterMap(
             kind=kind,
             l=_json_int(d.get("l", 1), "l"),
-            thetas=tuple(tuple(t) if isinstance(t, list) else float(t) for t in d["thetas"]),
-            etas=tuple(tuple(e) if isinstance(e, list) else (float(e),) for e in d["etas"]),
+            thetas=tuple(tuple(t) if isinstance(t, list) else t for t in thetas),
+            etas=tuple(tuple(e) if isinstance(e, list) else (e,) for e in etas),
         )
     raise ValueError(f"unknown parameter map kind {kind!r}")
 
@@ -345,10 +350,7 @@ def ermgm_to_dict(model: ErmgmModel) -> dict:
 def ermgm_from_dict(d: dict) -> ErmgmModel:
     n, t = _json_int(_json_object(d, "a dyadic model")["n"], "n"), _json_int(d["t"], "t")
     tau_f = _json_numbers(d["tau_f"], "\"tau_f\"")
-    if "kappa_f" in d and d["kappa_f"] is not None:
-        kappa_f = _json_numbers(d["kappa_f"], "\"kappa_f\"")
-    else:
-        kappa_f = np.ones(tau_f.shape[:2])
+    kappa_f = None if d.get("kappa_f") is None else _json_numbers(d["kappa_f"], "\"kappa_f\"")
     return ErmgmModel(n=n, t=t, tau_f=tau_f, kappa_f=kappa_f, eta=eta_from_dict(d["eta"]))
 
 

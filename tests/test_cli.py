@@ -149,6 +149,19 @@ def test_transform_round_trip_bytes(tmp_path, capsys):
     assert code == 2 and "--x0" in err
 
 
+def test_transform_direction_needs_its_stream_kind(tmp_path, capsys):
+    traj_path, z_path = str(tmp_path / "x.jsonl"), str(tmp_path / "z.jsonl")
+    run(capsys, "simulate", "--model", "stability", "--n", "3", "--p", "0.3",
+        "--steps", "20", "--seed", "9", "--out", traj_path)
+    run(capsys, "transform", "--traj", traj_path, "--direction", "chain2iid", "--family", "stability",
+        "--out", z_path)
+    out_path = str(tmp_path / "out.jsonl")
+    for path, direction, expects in ((traj_path, "iid2chain", "an iid"), (z_path, "chain2iid", "a trajectory")):
+        code, out, err = run(capsys, "transform", "--traj", path, "--direction", direction,
+                             "--family", "stability", "--x0", "0", "--out", out_path)
+        assert (code, out, err) == (2, "", f"error: {direction} expects {expects} stream\n")
+
+
 def test_fit_matches_in_process_estimate(tmp_path, capsys):
     traj_path = str(tmp_path / "x.jsonl")
     run(capsys, "simulate", "--model", "density", "--n", "3", "--p", "0.3",
@@ -628,6 +641,44 @@ def test_non_finite_model_tables_exit_2(tmp_path, capsys):
                      ("sample", "--model", path, "--theta", "0.5", "--seed", "1", "--count", "3")):
             code, out, err = run(capsys, *argv)
             assert (code, out, err) == (2, "", f"error: {name} must be finite\n"), argv
+
+
+def test_dyadic_model_sizes_exit_2(tmp_path, capsys):
+    """n = -3 has "num_dyads" 6 and t = -1 has empty rows; both are refused, not evaluated."""
+    eta = {"kind": "natural", "l": 1}
+    files = {"n": {"n": -3, "t": 1, "eta": eta, "tau_f": [[0.0, 1.0]] * 6},
+             "t": {"n": 3, "t": -1, "eta": eta, "tau_f": [[], [], []]}}
+    for name, doc in files.items():
+        path = str(tmp_path / f"{name}.json")
+        with open(path, "w") as fp:
+            json.dump(doc, fp)
+        for argv in (("partition", "--model", path, "--theta", "0.5"),
+                     ("sample", "--model", path, "--theta", "0.5", "--seed", "1", "--count", "3")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", "error: need n >= 1 and t >= 0\n"), (name, argv)
+
+
+def test_labels_thetas_and_etas_take_their_json_types(tmp_path, capsys):
+    traj = str(tmp_path / "t.jsonl")
+    for labels in (5, [[1], [2]], [1, 2], ["a", None]):
+        with open(traj, "w") as fp:
+            fp.write(json.dumps({"kind": "trajectory", "space": {"kind": "generic", "labels": labels}})
+                     + '\n{"i":0,"state":0}\n{"i":1,"state":1}\n')
+        code, out, err = run(capsys, "fit", "--traj", traj, "--stat", "stability")
+        assert (code, out, err) == (2, "", 'error: "labels" must be an array of strings\n'), labels
+    model = str(tmp_path / "m.json")
+    for key, thetas, etas in (("thetas", [None], [[1.0]]), ("thetas", 5, [[1.0]]),
+                              ("thetas", ["0.5"], [[1.0]]), ("etas", [0.5], [[True]])):
+        with open(model, "w") as fp:
+            json.dump({"n": 3, "t": 1, "tau_f": [[0.0, 1.0]] * 3,
+                       "eta": {"kind": "table", "thetas": thetas, "etas": etas}}, fp)
+        code, out, err = run(capsys, "partition", "--model", model, "--theta", "0.5")
+        assert (code, out, err) == (2, "", f'error: "{key}" must be an array of JSON numbers\n'), thetas
+    with open(model, "w") as fp:
+        json.dump({"n": 3, "t": 1, "tau_f": [[0.0, 1.0]] * 3,
+                   "eta": {"kind": "table", "thetas": [0.5], "etas": [2]}}, fp)
+    code, out, _ = run(capsys, "partition", "--model", model, "--theta", "0.5")
+    assert code == 0 and read_json(out)["log_partition"] == [pytest.approx(3 * np.log1p(np.exp(2.0)))]
 
 
 def test_detect_tol_must_be_finite_and_non_negative(tmp_path, capsys):

@@ -35,7 +35,9 @@ JUNK = st.recursive(
 
 MATRIX = {"matrix": [[0.5, 0.5], [0.25, 0.75]]}
 MODEL = {"n": 3, "t": 1, "tau_f": [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]], "eta": {"kind": "natural"}}
+TABLE_MODEL = dict(MODEL, eta={"kind": "table", "thetas": [0.5, -1.0], "etas": [[0.5], [-1.0]]})
 HEADER = {"kind": "trajectory", "space": {"kind": "multigraph", "n": 3, "t": 1}}
+GENERIC_HEADER = {"kind": "trajectory", "space": {"kind": "generic", "labels": ["a", "b", "c"]}}
 STATES = [{"i": 0, "state": 1}, {"i": 1, "state": 6}, {"i": 2, "state": 3}]
 
 
@@ -78,9 +80,9 @@ def _document(data, base, paths):
 
 
 @given(st.data())
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=140, deadline=None)
 def test_malformed_files_exit_cleanly(data):
-    kind = data.draw(st.sampled_from(["matrix", "model", "trajectory", "family", "pmf", "config"]))
+    kind = data.draw(st.sampled_from(["matrix", "model", "trajectory", "generic_trajectory", "family", "pmf", "config"]))
     with tempfile.TemporaryDirectory() as d:
         out = os.path.join(d, "out.jsonl")
         if kind == "matrix":
@@ -88,10 +90,18 @@ def test_malformed_files_exit_cleanly(data):
             run("detect", "--matrix", path)
             run("simulate", "--model", "custom", "--matrix", path, "--steps", 5, "--seed", 1, "--out", out)
         elif kind == "model":
-            paths = [[], ["n"], ["t"], ["tau_f"], ["tau_f", 1], ["tau_f", 1, 1], ["eta"], ["eta", "kind"], ["kappa_f"]]
-            path = _write(d, "model.json", _document(data, MODEL, paths))
+            base, paths = data.draw(st.sampled_from([
+                (MODEL, [[], ["n"], ["t"], ["tau_f"], ["tau_f", 1], ["tau_f", 1, 1], ["eta"], ["eta", "kind"], ["kappa_f"]]),
+                (TABLE_MODEL, [["eta", "thetas"], ["eta", "thetas", 1], ["eta", "etas"], ["eta", "etas", 1, 0]]),
+            ]))
+            path = _write(d, "model.json", _document(data, base, paths))
             run("partition", "--model", path, "--theta", "0.5,-1", "--brute")
             run("sample", "--model", path, "--theta", 0.5, "--seed", 2, "--count", 3)
+        elif kind == "generic_trajectory":
+            header = _document(data, GENERIC_HEADER, [["space", "labels"], ["space", "labels", 1]])
+            path = _write(d, "t.jsonl", header + '\n{"i":0,"state":1}\n{"i":1,"state":2}\n')
+            run("transform", "--traj", path, "--direction", "chain2iid", "--family", "identity", "--out", out)
+            run("fit", "--traj", path, "--stat", "density")
         elif kind == "trajectory":
             header = _document(data, HEADER, [[], ["kind"], ["space"], ["space", "n"], ["space", "t"], ["space", "kind"]])
             lines = [json.dumps(s) for s in STATES]

@@ -48,6 +48,34 @@ def test_model_validation():
         )
 
 
+def test_sizes_are_checked_before_the_tables():
+    """n >= 1 and t >= 0 on both classes; tables sized by num_dyads(n) and t + 1 pass every other check."""
+    eta = ParameterMap("natural", l=1)
+    for n, t in ((-3, 1), (0, 1), (-1, 2), (3, -1)):
+        nd = n * (n - 1) // 2
+        tau_f, kappa_f = np.zeros((nd, t + 1, 1)), np.ones((nd, t + 1))
+        with pytest.raises(ValueError, match=r"need n >= 1 and t >= 0"):
+            DyadicFactorization(n=n, t=t, tau_f=tau_f, kappa_f=kappa_f)
+        with pytest.raises(ValueError, match=r"need n >= 1 and t >= 0"):
+            ErmgmModel(n=n, t=t, tau_f=tau_f, kappa_f=kappa_f, eta=eta)
+    # One vertex has no dyads: a single state of mass 1.
+    lone = ErmgmModel(n=1, t=2, tau_f=np.zeros((0, 3, 1)), kappa_f=np.ones((0, 3)), eta=eta)
+    assert fast_log_partition(lone, (0.5,)) == 0.0
+
+
+def test_model_tables_are_checked_as_a_factorization():
+    """ErmgmModel adds the eta dimension and the all-zero carrier row to the factorization checks."""
+    eta = ParameterMap("natural", l=1)
+    model = ErmgmModel(n=3, t=1, tau_f=np.zeros((3, 2)), kappa_f=None, eta=eta)
+    assert model.tau_f.shape == (3, 2, 1) and np.array_equal(model.kappa_f, np.ones((3, 2)))
+    with pytest.raises(ValueError, match="kappa_f must be nonnegative"):
+        ErmgmModel(n=3, t=1, tau_f=np.zeros((3, 2)), kappa_f=-np.ones((3, 2)), eta=eta)
+    with pytest.raises(ValueError, match=r"tau_f must be \(num_dyads, t\+1, l\)"):
+        ErmgmModel(n=3, t=1, tau_f=np.zeros((3, 2, 2)), kappa_f=None, eta=eta)
+    with pytest.raises(ValueError, match="factorization must carry statistic tables"):
+        ErmgmModel(n=3, t=1, tau_f=None, kappa_f=None, eta=eta)
+
+
 def test_non_finite_tables_are_rejected():
     space = build_multigraph_space(3, 1)
     eta = ParameterMap("natural", l=1)

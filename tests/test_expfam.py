@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -243,6 +244,48 @@ def test_mef_check_rejects_gani_full():
     assert not res.ok and res.row == 2
     with pytest.raises(NotAnMefError):
         as_mef(models.gani_cef())
+
+
+def _scalar_cef(kappa, tau) -> CefSpec:
+    kappa = np.asarray(kappa, dtype=np.float64)
+    space = build_generic_space(tuple(f"s{i}" for i in range(kappa.shape[0])))
+    return CefSpec(space=space, kappa=kappa, tau=np.asarray(tau, dtype=np.float64), eta=ParameterMap("natural"))
+
+
+def test_dead_row_zero_shares_no_normalizer():
+    """Row 0 with no mass has psi = -inf; every live row is infinitely far from it."""
+    cef = _scalar_cef([[0, 0, 0], [1, 1, 1], [1, 2, 3]], [[0, 1, 2], [0, 1, 2], [5, 1, 0]])
+    res = mef_check(cef)
+    assert res.ok is False and res.worst_rel_dev == float("inf") and res.row == 1
+    assert res.probe == default_probes(cef.eta)[0]
+    with pytest.raises(NotAnMefError, match="row 1 log-partition deviates by inf"):
+        as_mef(cef)
+    report = validate_cef(cef)
+    assert report.mismatched_rows == (1, 2)
+    assert report.shared_normalizer.all() == res.ok
+
+
+def test_normalizers_past_the_float_range_compare_through_psi():
+    """A raw sum that overflows is compared as |expm1(psi - psi0)|, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        apart = _scalar_cef(np.ones((2, 2)), [[1000, 0], [500, 0]])
+        report = validate_cef(apart, probes=(1.0, 2.0))
+        assert report.shared_normalizer.tolist() == [False, False]
+        assert report.mismatched_rows == (1,) and report.worst_rel_spread == 1.0
+        assert report.shared_normalizer.all() == mef_check(apart, probes=(1.0, 2.0)).ok
+        equal = _scalar_cef(np.ones((2, 2)), [[2000, 0], [0, 2000]])
+        report = validate_cef(equal, probes=(1.0,))
+        assert report.shared_normalizer.tolist() == [True] and report.worst_rel_spread == 0.0
+        assert mef_check(equal, probes=(1.0,)).ok
+
+
+def test_mef_check_reports_the_first_worst_probe_as_given():
+    probes = [1.0, 2.0, float("2")]  # the worst gap twice, at two distinct objects
+    res = mef_check(models.gani_cef(), probes)
+    assert type(res.ok) is bool and type(res.worst_rel_dev) is float and type(res.row) is int
+    assert res.probe is probes[1] and res.row == 2
+    assert mef_check(models.gani_cef(), [1.0]) == (True, 0.0, None, 0)
 
 
 def test_two_row_fixture_is_mef():
