@@ -208,10 +208,6 @@ def cmd_partition(args) -> int:
 
 def cmd_sample(args) -> int:
     model = serialize.ermgm_from_dict(_load_json(args.model))
-    if args.count == 1:
-        g = ermgm.sample_multigraph(model, args.theta, args.seed)
-        _emit(args, serialize.multigraph_to_dict(g), f"sample: one draw, seed {args.seed}")
-        return 0
     draws = ermgm.sample_multigraphs(model, args.theta, args.count, args.seed)
     with _output(args.out) as fp:
         serialize.write_multigraph_lines(fp, model.n, model.t, draws)

@@ -29,7 +29,9 @@ from .expfam import (
     DENSITY_LOGIT,
     ExpFamilySpec,
     ParameterMap,
+    _log_weights,
     _logsumexp_rows,
+    _row_max,
     affinely_independent_entries,
     default_probes,
 )
@@ -75,9 +77,7 @@ def from_factorization(fact: DyadicFactorization, eta: ParameterMap) -> ErmgmMod
 
 def _dyad_log_weights(model: ErmgmModel, theta) -> np.ndarray:
     """(num_dyads, t+1) table of log kappa_f(m) + eta . tau_f(m)."""
-    eta = model.eta.evaluate(theta)
-    with np.errstate(divide="ignore"):
-        return model.tau_f @ eta + np.log(model.kappa_f)
+    return _log_weights(model.kappa_f, model.tau_f, model.eta.evaluate(theta))
 
 
 def dyad_pmf(model: ErmgmModel, theta, f: int) -> Pmf:
@@ -90,8 +90,7 @@ def dyad_pmf(model: ErmgmModel, theta, f: int) -> Pmf:
 def _dyad_pmf_table(model: ErmgmModel, theta) -> np.ndarray:
     """(num_dyads, t+1) table of per-dyad multiplicity laws."""
     logw = _dyad_log_weights(model, theta)
-    m = logw.max(axis=1, keepdims=True)
-    w = np.exp(logw - m)
+    w = np.exp(logw - _row_max(logw)[:, None])
     return w / w.sum(axis=1, keepdims=True)
 
 

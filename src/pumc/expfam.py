@@ -24,6 +24,7 @@ ROW_CONSISTENCY_TOL = 1e-10
 AFFINE_RANK_TOL = 1e-10
 FD_STEP = 1e-5
 FD_TOL = 1e-6
+TABLE_ATOL = 1e-12
 
 NATURAL = "natural"
 SCALAR_LOG = "scalar_log"
@@ -37,7 +38,7 @@ class ParameterMap:
 
     Kinds: "natural" (identity on R^l), "scalar_log" (log theta on theta > 0),
     "density_logit" ((n-1) log(p/(1-p)) on 0 < p < 1, needs n), and "table"
-    (finite list of sampled (theta, eta) pairs, exact lookup only).
+    (sampled (theta, eta) pairs, exact lookup: l values per eta, thetas over TABLE_ATOL apart).
     """
 
     kind: str
@@ -58,6 +59,16 @@ class ParameterMap:
         if self.kind == TABLE:
             if len(self.thetas) != len(self.etas) or not self.thetas:
                 raise ValueError("table map needs matching nonempty samples")
+            if any(np.shape(np.atleast_1d(eta)) != (self.l,) for eta in self.etas):
+                raise ValueError(f"each table eta must have l = {self.l} values")
+            thetas = np.array(self.thetas, dtype=np.float64)
+            object.__setattr__(self, "_thetas", thetas.reshape(len(thetas), -1))
+            if any(self._hits(th)[:i].any() for i, th in enumerate(self.thetas)):
+                raise ValueError(f"table thetas must lie more than {TABLE_ATOL:g} apart")
+
+    def _hits(self, theta) -> np.ndarray:
+        """Mask of the table's thetas within TABLE_ATOL of theta in every coordinate."""
+        return np.isclose(self._thetas, np.reshape(theta, -1), rtol=0, atol=TABLE_ATOL).all(axis=1)
 
     def evaluate(self, theta) -> np.ndarray:
         if self.kind == NATURAL:
@@ -68,10 +79,10 @@ class ParameterMap:
                 raise ValueError("natural parameter must be finite")
             return eta
         if self.kind == TABLE:
-            for th, eta in zip(self.thetas, self.etas):
-                if np.allclose(th, theta, rtol=0, atol=1e-12):
-                    return np.atleast_1d(np.asarray(eta, dtype=np.float64))
-            raise ValueError("table map evaluated off its sample points")
+            hits = np.flatnonzero(self._hits(theta))
+            if not hits.size:
+                raise ValueError("table map evaluated off its sample points")
+            return np.atleast_1d(np.asarray(self.etas[hits[0]], dtype=np.float64))
         theta = float(theta)
         if self.kind == SCALAR_LOG:
             if not 0 < theta < np.inf:
@@ -113,34 +124,37 @@ def default_probes(pm: ParameterMap) -> list:
     return probes
 
 
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    """Row maxima of a 2-D array of log weights; +inf or NaN raises."""
+    m = logits.max(axis=1)
+    if not (m < np.inf).all():
+        raise ValueError("the weights overflow the float range at this parameter")
+    return m
+
+
 def _logsumexp_rows(logits: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Row-wise log-sum-exp; rows of all -inf give -inf without warnings.
+    """Row-wise log-sum-exp of a 2-D array, max-shifted; a row of all -inf gives -inf.
 
     With `overwrite`, a float64 `logits` serves as the scratch space and is
-    left holding exp(logits - row max) when every row max is finite.
+    left holding exp(logits - row max), an empty row's max counted as 0.
     """
-    m = logits.max(axis=-1)
-    finite = np.isfinite(m)
-    if finite.all():
-        shifted = np.subtract(logits, m[..., None], out=logits if overwrite else None)
-        sums = np.exp(shifted, out=shifted).sum(axis=-1)
+    m = _row_max(logits)
+    m[m == -np.inf] = 0.0
+    shifted = np.subtract(logits, m[:, None], out=logits if overwrite else None)
+    sums = np.exp(shifted, out=shifted).sum(axis=1)
+    with np.errstate(divide="ignore"):
         return m + np.log(sums, out=sums)
-    out = np.full(m.shape, -np.inf)
-    if np.any(finite):
-        shifted = logits[finite] - m[finite][..., None]
-        out[finite] = m[finite] + np.log(np.exp(shifted).sum(axis=-1))
-    return out
 
 
 def _log_weights(kappa: np.ndarray, tau: np.ndarray, eta: np.ndarray, out=None) -> np.ndarray:
     """log kappa + tau . eta, written into `out` when given.
 
     For l = 1 the product is elementwise, which gives the bits of the
-    (..., 1) @ (1,) matmul at a fraction of its cost.
+    (..., 1) @ (1,) matmul at a fraction of its cost. Overflow is left for _row_max to refuse.
     """
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = np.log(kappa, out=out)
-    out += tau[..., 0] * eta[0] if eta.size == 1 else tau @ eta
+        out += tau[..., 0] * eta[0] if eta.size == 1 else tau @ eta
     return out
 
 
@@ -173,15 +187,12 @@ class ExpFamilySpec:
 
 def log_partition(fam: ExpFamilySpec, theta) -> float:
     """psi(theta) = log sum_b kappa(b) exp(eta . tau(b)), max-shifted."""
-    eta = fam.eta.evaluate(theta)
-    return float(_logsumexp_rows(_log_weights(fam.kappa, fam.tau, eta)[None, :])[0])
+    return float(_logsumexp_rows(_log_weights(fam.kappa, fam.tau, fam.eta.evaluate(theta))[None, :])[0])
 
 
 def pmf(fam: ExpFamilySpec, theta) -> Pmf:
-    eta = fam.eta.evaluate(theta)
-    logits = _log_weights(fam.kappa, fam.tau, eta)
-    psi = _logsumexp_rows(logits[None, :])[0]
-    return Pmf(np.exp(logits - psi))
+    logits = _log_weights(fam.kappa, fam.tau, fam.eta.evaluate(theta))
+    return Pmf(np.exp(logits - _logsumexp_rows(logits[None, :])[0]))
 
 
 def mean_statistic(fam: ExpFamilySpec, theta) -> np.ndarray:
@@ -242,17 +253,17 @@ class MefSpec(CefSpec):
 BLOCK_ENTRIES = 2 ** 19  # entries per row block: 4 MiB of float64
 
 
-def _row_blocks(cef: CefSpec, theta, chunk: int, out: np.ndarray | None = None):
+def _row_blocks(cef: CefSpec, theta, out: np.ndarray | None = None):
     """Yield (start, stop, logits) over blocks of rows of the CEF's logits.
 
-    A block has at most `chunk` rows and, rows allowing, BLOCK_ENTRIES
-    entries. The block's logits are written into out[start:stop] when
-    `out` is given, otherwise into one buffer reused for every block, which
-    the caller may overwrite before asking for the next block.
+    A block has BLOCK_ENTRIES entries in whole rows (at least one row). Its
+    logits are written into out[start:stop] when `out` is given, otherwise
+    into one buffer reused for every block, which the caller may overwrite
+    before asking for the next block.
     """
     eta = cef.eta.evaluate(theta)
     size = cef.space.size
-    rows = max(1, min(chunk, BLOCK_ENTRIES // size, size))
+    rows = max(1, min(BLOCK_ENTRIES // size, size))
     buf = np.empty((rows, size)) if out is None else None
     for start in range(0, size, rows):
         stop = min(start + rows, size)
@@ -260,7 +271,7 @@ def _row_blocks(cef: CefSpec, theta, chunk: int, out: np.ndarray | None = None):
         yield start, stop, _log_weights(cef.kappa[start:stop], cef.tau[start:stop], eta, logits)
 
 
-def row_log_partitions(cef: CefSpec, theta, chunk: int = 512) -> np.ndarray:
+def row_log_partitions(cef: CefSpec, theta) -> np.ndarray:
     """psi(a, theta) for every row a, computed one row block at a time.
 
     Each block's logits are formed, max-shifted and exponentiated in place
@@ -268,71 +279,67 @@ def row_log_partitions(cef: CefSpec, theta, chunk: int = 512) -> np.ndarray:
     however many rows the CEF has.
     """
     out = np.empty(cef.space.size)
-    for start, stop, logits in _row_blocks(cef, theta, chunk):
+    for start, stop, logits in _row_blocks(cef, theta):
         out[start:stop] = _logsumexp_rows(logits, overwrite=True)
     return out
 
 
-def cef_transition_matrix(cef: CefSpec, theta, chunk: int = 512) -> StochasticMatrix:
+def cef_transition_matrix(cef: CefSpec, theta) -> StochasticMatrix:
     """Realize the transition matrix P_theta(a, b) by row-wise normalization."""
     size = cef.space.size
     check_dense_budget(size, "the transition matrix")
     P = np.empty((size, size))
-    for start, stop, logits in _row_blocks(cef, theta, chunk, out=P):
+    for start, stop, logits in _row_blocks(cef, theta, out=P):
         psi = _logsumexp_rows(logits)
-        if not np.all(np.isfinite(psi)):
-            bad = start + int(np.argmin(np.isfinite(psi)))
-            raise ValueError(f"row {bad} has no mass (kappa identically zero)")
+        if np.isneginf(psi).any():
+            raise ValueError(f"row {start + int(np.argmax(np.isneginf(psi)))} has no mass (kappa identically zero)")
         logits -= psi[:, None]
         np.exp(logits, out=logits)
     return StochasticMatrix(P=P)
 
 
-def _row0_gaps(cef: CefSpec, probes, raw: bool):
-    """Survey the row normalizers at every probe and compare each row with row 0.
+def _row0_gaps(cef: CefSpec, probes):
+    """psi(a, theta) at every probe and each row's gap from row 0, as (probes, rows) arrays.
 
-    Returns (v, rel) as (probes, rows) arrays: v is psi(a, theta), or the
-    raw sums exp(psi) when raw, and rel is |v - v0| / max(1, |v0|). Equal
-    values, the same infinity included, are 0 apart, and a gap that would
-    be NaN is infinitely far. Where row 0's raw sum overflows, the gap is
-    the same ratio taken from psi, |expm1(psi - psi0)|.
+    The gap is |psi - psi0| / max(1, |psi0|). Equal values, both -inf for rows
+    without mass included, are 0 apart; a gap that would be NaN is infinitely far.
     """
     psi = np.empty((len(probes), cef.space.size))
     for i, theta in enumerate(probes):
         psi[i] = row_log_partitions(cef, theta)
-    with np.errstate(invalid="ignore", over="ignore"):
-        values = np.exp(psi) if raw else psi
-        ref = values[:, :1]
-        rel = np.abs(values - ref) / np.maximum(1.0, np.abs(ref))
-        rel[values == ref] = 0.0
-        over = np.isposinf(ref[:, 0]) & np.isfinite(psi[:, 0])
-        rel[over] = np.abs(np.expm1(psi[over] - psi[over, :1]))
+    ref = psi[:, :1]
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(psi - ref) / np.maximum(1.0, np.abs(ref))
+    rel[psi == ref] = 0.0
     rel[np.isnan(rel)] = np.inf
-    return values, rel
+    return psi, rel
 
 
 @dataclass(frozen=True)
 class CefValidation:
-    """Raw per-row normalizer survey across parameter probes."""
+    """Per-row normalizer survey across parameter probes."""
 
     probes: tuple
-    raw_sums: np.ndarray            # (num_probes, size), exp(psi(a, theta))
+    raw_sums: np.ndarray            # (num_probes, size), exp(psi(a, theta)); reported only
     zero_rows: np.ndarray           # rows whose kappa vanishes identically
     shared_normalizer: np.ndarray   # per probe: rows agree within rel tol
-    worst_rel_spread: float
+    worst_rel_spread: float         # mef_check's worst_rel_dev
     mismatched_rows: tuple          # rows deviating from row 0 at some probe
 
 
 def validate_cef(cef: CefSpec, probes=None, rel_tol: float = MEF_REL_TOL) -> CefValidation:
     """Survey row normalizers; flags rows that break the shared-psi property.
 
-    Rows with identically zero kappa are reported rather than raised, since
-    a CEF stays well defined on the remaining rows.
+    Rows are compared through psi by mef_check's rule. Rows with identically
+    zero kappa are reported rather than raised, since a CEF stays well
+    defined on the remaining rows.
     """
     if probes is None:
         probes = default_probes(cef.eta)
-    raw, rel = _row0_gaps(cef, probes, raw=True)
+    psi, rel = _row0_gaps(cef, probes)
     bad = rel > rel_tol
+    with np.errstate(over="ignore"):
+        raw = np.exp(psi)
     return CefValidation(
         probes=tuple(probes),
         raw_sums=raw,
@@ -354,7 +361,7 @@ def mef_check(cef: CefSpec, probes=None, rel_tol: float = MEF_REL_TOL) -> MefChe
     """Do all row log-partitions agree (relative tolerance) at every probe?"""
     if probes is None:
         probes = default_probes(cef.eta)
-    rel = _row0_gaps(cef, probes, raw=False)[1]
+    rel = _row0_gaps(cef, probes)[1]
     worst = float(rel.max(initial=0.0))
     # The first row at the first probe holding the worst gap; none: (None, 0).
     k, row = divmod(int(np.argmax(rel)), rel.shape[1]) if worst else (None, 0)

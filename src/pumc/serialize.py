@@ -517,16 +517,13 @@ def _check_lines(path: str, chunk: list, first_line: int, first: int, size: int)
 def write_multigraph_lines(fp: IO, n: int, t: int, counts):
     """One multigraph_to_dict record per row of a (draws, num_dyads) array.
 
-    Rows are joined by newlines and the text ends with one; with no rows
-    that leaves a single newline.
+    Every record ends with a newline; with no rows nothing is written.
     """
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 2 or counts.shape[1] != num_dyads(n):
         raise ValueError("need one multiplicity per dyad in every row")
     if counts.size and (counts.min() < 0 or counts.max() > t):
         raise ValueError("multiplicities must lie in 0..t")
-    if not len(counts):
-        fp.write("\n")
     line = f'{{"n":{n},"t":{t},"dyads":{_dyads_template(n)}}}\n'
     for start in range(0, len(counts), CHUNK):
         fp.write("".join(map(line.__mod__, map(tuple, counts[start:start + CHUNK].tolist()))))

@@ -162,6 +162,33 @@ def test_transform_direction_needs_its_stream_kind(tmp_path, capsys):
         assert (code, out, err) == (2, "", f"error: {direction} expects {expects} stream\n")
 
 
+def test_transform_family_file_matches_the_builtin(tmp_path, capsys):
+    """The stability family on G(3, 1) from literal numpy: sigma_a(b) = ~(a ^ b)."""
+    idx = np.arange(8)
+    fam_path, small_path = str(tmp_path / "fam.json"), str(tmp_path / "fam4.json")
+    with open(fam_path, "w") as fp:
+        json.dump({"sigma": ((idx[:, None] ^ idx) ^ 7).tolist()}, fp)
+    with open(small_path, "w") as fp:
+        json.dump({"sigma": [[0, 1, 2, 3]] * 4}, fp)
+    traj_path, z_path, back = (str(tmp_path / f) for f in ("x.jsonl", "z.jsonl", "back.jsonl"))
+    run(capsys, "simulate", "--model", "stability", "--n", "3", "--p", "0.3",
+        "--steps", "40", "--seed", "9", "--x0", "2", "--out", traj_path)
+    written = {}
+    for family in ("stability", fam_path):
+        codes = (
+            run(capsys, "transform", "--traj", traj_path, "--direction", "chain2iid",
+                "--family", family, "--out", z_path)[0],
+            run(capsys, "transform", "--traj", z_path, "--direction", "iid2chain",
+                "--family", family, "--x0", "2", "--out", back)[0],
+        )
+        written[family] = (codes, open(z_path, "rb").read(), open(back, "rb").read())
+    assert written[fam_path] == written["stability"]
+    assert written[fam_path][0] == (0, 0) and written[fam_path][2] == open(traj_path, "rb").read()
+    code, out, err = run(capsys, "transform", "--traj", traj_path, "--direction", "chain2iid",
+                         "--family", small_path, "--out", z_path)
+    assert (code, out, err) == (2, "", "error: family file does not match the space\n")
+
+
 def test_fit_matches_in_process_estimate(tmp_path, capsys):
     traj_path = str(tmp_path / "x.jsonl")
     run(capsys, "simulate", "--model", "density", "--n", "3", "--p", "0.3",
@@ -214,10 +241,41 @@ def test_sample_single_and_batch(tmp_path, capsys):
     code, _, _ = run(capsys, "sample", "--model", mpath, "--theta", "0.5",
                      "--seed", "4", "--count", "5", "--out", batch)
     assert code == 0
-    lines = open(batch).read().splitlines()
+    lines = open(batch).read().splitlines(keepends=True)
     assert len(lines) == 5
-    first = serialize.multigraph_from_dict(json.loads(lines[0]))
-    assert first == g  # single draw is the head of the stream
+    assert out == lines[0]  # one draw is the head of the stream, in the same JSONL shape
+    assert serialize.multigraph_from_dict(json.loads(lines[0])) == g
+
+
+def _write_two_edge_model(tmp_path, eta=None):
+    """G(3, 2) with tau_f(m) = m; literal JSON."""
+    path = str(tmp_path / "g32.json")
+    with open(path, "w") as fp:
+        json.dump({"n": 3, "t": 2, "eta": eta or {"kind": "natural", "l": 1},
+                   "tau_f": [[[0.0], [1.0], [2.0]]] * 3,
+                   "kappa_f": [[1.0, 2.0, 1.0], [1.0, 1.5, 0.5], [2.0, 1.0, 1.0]]}, fp)
+    return path
+
+
+def test_weights_past_the_float_range_exit_2(tmp_path, capsys):
+    path = _write_two_edge_model(tmp_path)
+    for argv in (("partition", "--model", path, "--theta=1e308"),
+                 ("sample", "--model", path, "--theta=1e308", "--seed", "1", "--count", "2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: the weights overflow the float range at this parameter"]
+
+
+def test_table_maps_are_checked_when_read(tmp_path, capsys):
+    for thetas, etas, message in (([0.5], [[0.5, 1.0]], "each table eta must have l = 1 values"),
+                                  ([0.5, 0.5], [[0.5], [1.0]], "table thetas must lie more than 1e-12 apart"),
+                                  ([0.5, 0.5 + 5e-13], [[0.5], [1.0]], "table thetas must lie more than 1e-12 apart")):
+        path = _write_two_edge_model(tmp_path, {"kind": "table", "thetas": thetas, "etas": etas})
+        code, out, err = run(capsys, "partition", "--model", path, "--theta", "0.5")
+        assert (code, out, err) == (2, "", f"error: {message}\n"), thetas
+    path = _write_two_edge_model(tmp_path, {"kind": "table", "thetas": [0.5, 0.5 + 3e-12], "etas": [[0.5], [1.0]]})
+    code, out, _ = run(capsys, "partition", "--model", path, "--theta", "0.5")
+    assert code == 0
 
 
 def test_diagnose_stability_with_p(tmp_path, capsys):
@@ -317,6 +375,17 @@ def test_exchangeability_model_needs_n_and_p(capsys):
     assert code == 2 and err == "error: --model modular needs --n\n"
 
 
+def test_exchangeability_custom_needs_a_matching_pmf(tmp_path, capsys):
+    mu_path = str(tmp_path / "mu.json")
+    with open(mu_path, "w") as fp:
+        json.dump({"p": [0.25] * 4}, fp)
+    for flags, message in ((("--n", "3"), "--model custom needs --n and --mu"),
+                           (("--mu", mu_path), "--model custom needs --n and --mu"),
+                           (("--n", "3", "--mu", mu_path), "pmf file does not match the space")):
+        code, out, err = run(capsys, "exchangeability", "--model", "custom", *flags)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), flags
+
+
 def test_detect_non_finite_matrix_exits_2(tmp_path, capsys):
     path = str(tmp_path / "nan.json")
     with open(path, "w") as fp:
@@ -373,12 +442,12 @@ def _first_difference(text, expected):
 
 def _plain_sample_lines(model, draws):
     dyads = [(u + 1, v + 1) for u in range(1, model.n) for v in range(u)]
-    return "\n".join(
+    return "".join(
         json.dumps({"n": model.n, "t": model.t,
                     "dyads": [[u, v, int(m)] for (u, v), m in zip(dyads, row)]},
-                   separators=(",", ":"))
+                   separators=(",", ":")) + "\n"
         for row in draws
-    ) + "\n"
+    )
 
 
 def test_sample_past_one_chunk_matches_plain_json(tmp_path, capsys):

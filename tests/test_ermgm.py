@@ -7,6 +7,7 @@ from pumc import models, oracle
 from pumc.core import Multigraph, build_multigraph_space, edge_total_table, num_dyads
 from pumc.ermgm import (
     ErmgmModel,
+    _dyad_log_weights,
     dyad_pmf,
     eta_density,
     fast_log_partition,
@@ -101,6 +102,20 @@ def test_non_finite_tables_are_rejected():
             CefSpec(space=space, kappa=np.broadcast_to(1.0, (8, 8)), tau=np.full((8, 8), bad), eta=eta)
         with pytest.raises(ValueError, match="kappa must be finite"):
             CefSpec(space=space, kappa=np.broadcast_to(abs(bad), (8, 8)), tau=np.zeros((8, 8)), eta=eta)
+
+
+def test_dyad_log_weights_keep_the_matmul_bits():
+    """The shared log-weights formula gives the bits of tau_f @ eta + log kappa_f."""
+    gen = np.random.default_rng(3)
+    for l in (1, 2, 3):
+        tau_f = gen.normal(size=(3, 4, l)) * 3.0
+        kappa_f = gen.random((3, 4)) * (gen.random((3, 4)) > 0.3)
+        kappa_f[:, 0] = 0.5
+        model = ErmgmModel(n=3, t=3, tau_f=tau_f, kappa_f=kappa_f, eta=ParameterMap("natural", l=l))
+        theta = gen.normal(size=l)
+        with np.errstate(divide="ignore"):
+            plain = tau_f @ theta + np.log(kappa_f)
+        assert np.array_equal(_dyad_log_weights(model, theta), plain)
 
 
 def test_dyad_pmf_bernoulli_closed_form():

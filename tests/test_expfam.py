@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from pumc import models, oracle
+from pumc import expfam, models, oracle
 from pumc.core import (
     Pmf,
     StochasticMatrix,
@@ -20,10 +22,12 @@ from pumc.core import (
 from pumc.errors import NotAnMefError, SpaceTooLargeError, TheoremViolationError
 from pumc.expfam import (
     BLOCK_ENTRIES,
+    MEF_REL_TOL,
     CefSpec,
     ExpFamilySpec,
     MefSpec,
     ParameterMap,
+    _logsumexp_rows,
     affinely_independent_entries,
     as_mef,
     cef_transition_matrix,
@@ -159,6 +163,17 @@ def test_zero_carrier_states_get_zero_mass():
         )
 
 
+def test_table_map_checks_its_samples():
+    with pytest.raises(ValueError, match="each table eta must have l = 2 values"):
+        ParameterMap("table", l=2, thetas=(0.5,), etas=((1.0,),))
+    with pytest.raises(ValueError):  # thetas of two shapes
+        ParameterMap("table", thetas=(0.5, (0.5, 1.0)), etas=(1.0, 2.0))
+    with pytest.raises(ValueError, match="more than 1e-12 apart"):
+        ParameterMap("table", thetas=((0.5, 1.0), (0.5, 1.0 + 5e-13)), etas=(1.0, 2.0))
+    tab = ParameterMap("table", thetas=((0.5, 1.0), (0.5, 2.0)), etas=(1.0, 2.0))
+    assert tab.evaluate((0.5, 2.0 + 5e-13)).tolist() == [2.0]
+
+
 # ---------------------------------------------------------------- CEF checks
 
 # shared-normalizer values of the three-state fixture:
@@ -266,18 +281,87 @@ def test_dead_row_zero_shares_no_normalizer():
 
 
 def test_normalizers_past_the_float_range_compare_through_psi():
-    """A raw sum that overflows is compared as |expm1(psi - psi0)|, with no warning."""
+    """Raw sums that overflow leave the psi comparison |psi - psi0| / |psi0| intact, with no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         apart = _scalar_cef(np.ones((2, 2)), [[1000, 0], [500, 0]])
         report = validate_cef(apart, probes=(1.0, 2.0))
         assert report.shared_normalizer.tolist() == [False, False]
-        assert report.mismatched_rows == (1,) and report.worst_rel_spread == 1.0
+        assert report.mismatched_rows == (1,) and report.worst_rel_spread == 0.5
         assert report.shared_normalizer.all() == mef_check(apart, probes=(1.0, 2.0)).ok
         equal = _scalar_cef(np.ones((2, 2)), [[2000, 0], [0, 2000]])
         report = validate_cef(equal, probes=(1.0,))
         assert report.shared_normalizer.tolist() == [True] and report.worst_rel_spread == 0.0
         assert mef_check(equal, probes=(1.0,)).ok
+
+
+def test_small_carriers_are_judged_through_psi():
+    """Rows whose sums differ by a factor 2 differ by log 2 in psi, however small the sums."""
+    cef = _scalar_cef([[1e-30, 1e-30], [2e-30, 2e-30]], np.zeros((2, 2)))
+    report, res = validate_cef(cef), mef_check(cef)
+    assert report.shared_normalizer.tolist() == [False] * 5 and report.mismatched_rows == (1,)
+    assert (res.ok, res.probe, res.row) == (False, -2.0, 1)
+    assert report.worst_rel_spread == res.worst_rel_dev
+    assert res.worst_rel_dev == pytest.approx(np.log(2.0) / -np.log(2e-30), rel=1e-12)
+
+
+def test_psi_within_tolerance_passes_both_checks():
+    """Raw sums 1e-8 apart relative, psi 5e-10 apart: both checks pass."""
+    cef = _scalar_cef(np.ones((2, 2)), [[20, 0], [20 + 1e-8, 0]])
+    report, res = validate_cef(cef, probes=(1.0,)), mef_check(cef, probes=(1.0,))
+    assert report.shared_normalizer.tolist() == [True] and report.mismatched_rows == ()
+    assert res.ok and report.worst_rel_spread == res.worst_rel_dev
+    assert res.worst_rel_dev == pytest.approx(5e-10, rel=1e-6)
+
+
+def test_logsumexp_rows_refuses_a_row_past_the_float_range():
+    assert _logsumexp_rows(np.array([[-np.inf, -np.inf], [0.0, 0.0]])).tolist() == [-np.inf, np.log(2.0)]
+    for bad in ([[np.inf, 0.0], [0.0, 0.0]], [[0.0, 0.0], [np.nan, 0.0]]):
+        with pytest.raises(ValueError, match="overflow the float range"):
+            _logsumexp_rows(np.array(bad))
+    cef = _scalar_cef(np.ones((2, 2)), [[1e300, 0.0], [0.0, 1e300]])
+    with pytest.raises(ValueError, match="overflow the float range"):
+        validate_cef(cef, probes=(1e10,))
+
+
+def _gap(v: float, ref: float) -> float:
+    """Reference relative gap of psi values, one pair at a time."""
+    if v == ref:
+        return 0.0
+    if math.isinf(v) or math.isinf(ref):
+        return math.inf
+    return abs(v - ref) / max(1.0, abs(ref))
+
+
+@st.composite
+def _cefs(draw):
+    """CEFs with carriers down to 1e-300, some empty rows and |tau| up to 1e3; half are MEFs."""
+    size, l = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    carrier = st.one_of(st.just(0.0), st.floats(1e-300, 1e3))
+    kappa = draw(hnp.arrays(np.float64, (size, size), elements=carrier))
+    tau = draw(hnp.arrays(np.float64, (size, size, l), elements=st.floats(-1e3, 1e3)))
+    if draw(st.booleans()):  # each row a permutation of row 0: one shared psi
+        perms = [draw(st.permutations(range(size))) for _ in range(size)]
+        kappa, tau = kappa[0][perms], tau[0][perms]
+    for row in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+        kappa[row] = 0.0
+    space = build_generic_space(tuple(f"s{i}" for i in range(size)))
+    return CefSpec(space=space, kappa=kappa, tau=tau, eta=ParameterMap("natural", l=l))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cef=_cefs())
+def test_validate_cef_and_mef_check_give_one_verdict(cef):
+    probes = default_probes(cef.eta)
+    report, res = validate_cef(cef), mef_check(cef)
+    assert report.shared_normalizer.all() == res.ok
+    assert report.worst_rel_spread == res.worst_rel_dev
+    psi = np.array([row_log_partitions(cef, theta) for theta in probes])
+    gaps = np.array([[_gap(v, row[0]) for v in row] for row in psi.tolist()])
+    assert report.mismatched_rows == tuple(np.flatnonzero((gaps > MEF_REL_TOL).any(axis=0)).tolist())
+    assert report.worst_rel_spread == gaps.max()
+    with np.errstate(over="ignore"):
+        assert np.array_equal(report.raw_sums, np.exp(psi))
 
 
 def test_mef_check_reports_the_first_worst_probe_as_given():
@@ -314,10 +398,11 @@ def test_cef_transition_matrix_normalizes_all_rows():
     assert np.abs(P.P[2] - literal).max() > 0.01
 
 
-def test_row_log_partitions_chunking_invariant():
+def test_row_log_partitions_chunking_invariant(monkeypatch):
     cef = models.density_mef(3)
-    full = row_log_partitions(cef, 0.3, chunk=1024)
-    small = row_log_partitions(cef, 0.3, chunk=3)
+    full = row_log_partitions(cef, 0.3)
+    monkeypatch.setattr(expfam, "BLOCK_ENTRIES", 3 * cef.space.size)
+    small = row_log_partitions(cef, 0.3)
     assert np.array_equal(full, small)
 
 
@@ -337,7 +422,7 @@ def test_reciprocity_build_and_survey_memory():
         tracemalloc.stop()
     size = cef.space.size
     table = size * size * 8
-    block = min(512, BLOCK_ENTRIES // size) * size * 8
+    block = BLOCK_ENTRIES // size * size * 8
     slack = 8 * 2**20
     assert build_peak <= table + slack, f"build peak {build_peak / 2**20:.1f} MiB"
     assert survey_peak <= block + slack, f"survey added {survey_peak / 2**20:.1f} MiB"

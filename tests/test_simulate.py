@@ -141,6 +141,14 @@ def test_stationary_swap_is_unique_and_max_iter_is_checked():
         stationary_distribution(swap, max_iter=0)
 
 
+def test_stationary_walk_escapes_a_transient_argmax():
+    """Converged at iteration 1 with its argmax on transient state 1; the walk must reach state 2."""
+    P = StochasticMatrix(np.array([[1 - 1e-13, 1e-13, 0.0], [0.0, 1 - 1e-14, 1e-14], [0.0, 0.0, 1.0]]))
+    res = stationary_distribution(P)
+    assert res.iterations == 1 and int(np.argmax(res.pi.p)) == 1
+    assert res.unique_hint
+
+
 def _one_closed_class(P: np.ndarray) -> bool:
     """Reference: closed classes read off the reachability matrix (I + A)^n > 0."""
     n = P.shape[0]

@@ -2,7 +2,7 @@
 
 The sha256 of every survey output over eight CEFs must match the recorded
 value: the raw sums, mismatched rows and worst spread of validate_cef, the
-mef_check verdict, row_log_partitions at several chunk sizes, the realized
+mef_check verdict, row_log_partitions at several row-block sizes, the realized
 transition matrices and mean_parameter. Arrays hash as their float64 bytes
 and floats as their hex form, so any change in the last bit shows.
 Re-record only for an intended numerical change: print `_digests()` and
@@ -10,9 +10,11 @@ paste the dict.
 """
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 
+from pumc import expfam
 from pumc.core import build_generic_space
 from pumc.errors import TheoremViolationError
 from pumc.expfam import (
@@ -30,7 +32,7 @@ from pumc.expfam import (
 )
 from pumc.models import gani_cef, reciprocity_cef, stability_mef, transitivity_cef
 
-CHUNKS = (1, 3, 64, None)
+BLOCK_ROWS = (1, 3, 64, None)  # rows per survey block; None is the default BLOCK_ENTRIES
 
 
 def _random_cef(size: int, l: int, seed: int, zero_rows: int) -> CefSpec:
@@ -101,10 +103,11 @@ def _digests() -> dict:
         )
         res = mef_check(cef, probes)
         out[f"{name}:mef_check"] = _sha((res.ok, res.worst_rel_dev, res.probe, res.row))
-        for chunk in CHUNKS:
-            kw = {} if chunk is None else {"chunk": chunk}
-            psi = [row_log_partitions(cef, theta, **kw) for theta in probes]
-            out[f"{name}:psi:{chunk}"] = _sha(psi)
+        for rows in BLOCK_ROWS:
+            entries = expfam.BLOCK_ENTRIES if rows is None else rows * cef.space.size
+            with mock.patch.object(expfam, "BLOCK_ENTRIES", entries):
+                psi = [row_log_partitions(cef, theta) for theta in probes]
+            out[f"{name}:psi:{rows}"] = _sha(psi)
         mats = [_outcome(lambda: cef_transition_matrix(cef, theta).P) for theta in probes]
         out[f"{name}:matrix"] = _sha(mats)
         # Promote without checking so non-MEFs reach the row-spread test.
@@ -114,7 +117,7 @@ def _digests() -> dict:
 
 
 GOLDEN = {
-    "reciprocity3:validate": "4890e7f3e5dbfd46441de7386c42735289ae08457d3fdd0398b1878df5a5efb6",
+    "reciprocity3:validate": "06f57c9ad78ebbd009c5d2b696785829bed474fcc96279fe693810e1985ebfbd",
     "reciprocity3:mef_check": "c2dacd8b3a61169e6910d93954545054e143e011beeae128790898a7691477bc",
     "reciprocity3:psi:1": "3d1de162f551f49a3799dfb0a1196f5d5db887b69e660cfd3c085da87c593968",
     "reciprocity3:psi:3": "3d1de162f551f49a3799dfb0a1196f5d5db887b69e660cfd3c085da87c593968",
@@ -122,7 +125,7 @@ GOLDEN = {
     "reciprocity3:psi:None": "3d1de162f551f49a3799dfb0a1196f5d5db887b69e660cfd3c085da87c593968",
     "reciprocity3:matrix": "6b8d4498519588d7fd860f3837d29d7cc46c3123dd4384511215f3ce14cdfa13",
     "reciprocity3:mean": "33af2976c39342e090c80de66239e18c3d170bc22cd0ecaa98443e23c8ef8266",
-    "transitivity4:validate": "83f4e442380cd633d7acaa3930d7bc4db049935c7b46b1e02452b98190c300f6",
+    "transitivity4:validate": "44ec3de040fd16700267bf61ce9b788b3a9fc2d218933b024bb2e2d47d6356ab",
     "transitivity4:mef_check": "e098e03ef342cad54f60efcbfa4a2cabf8da26cd237928fd0869fd0d8bc23bdc",
     "transitivity4:psi:1": "2fe76656a923eeae03e876cb68c8316fc776f53da5876c9eb69acc524d115657",
     "transitivity4:psi:3": "2fe76656a923eeae03e876cb68c8316fc776f53da5876c9eb69acc524d115657",
@@ -138,7 +141,7 @@ GOLDEN = {
     "stability_mef4:psi:None": "d661d160d35f766573ef696a59f11f6fb0967243ef6cb45cecf859a968ac2b9f",
     "stability_mef4:matrix": "9b5c8245e7ba5de0b0a496f4e6f37caf8c118130848c3d1ed59087284dd346aa",
     "stability_mef4:mean": "993544ae4b3760b8d30fe295b792fe89a1ff7fc76a2e98c506fb6b7a8cef05e7",
-    "gani:validate": "32a0259de8b18af30c3239977c2cab485f01ce301672efe4952e4e1c74a88544",
+    "gani:validate": "e9a0be308cdd6d06f06a877187f3f7491ab3f0832cbe927357b62f5a998cbce5",
     "gani:mef_check": "a8cfed93f360648316820799735506340ea70acbe344af2b0a17f29460044837",
     "gani:psi:1": "140dbb3b0c26d608f1358a276b25ec6dbd0286f2e9a747ae48a8a274a6b717f7",
     "gani:psi:3": "140dbb3b0c26d608f1358a276b25ec6dbd0286f2e9a747ae48a8a274a6b717f7",
@@ -146,7 +149,7 @@ GOLDEN = {
     "gani:psi:None": "140dbb3b0c26d608f1358a276b25ec6dbd0286f2e9a747ae48a8a274a6b717f7",
     "gani:matrix": "50a503786cbff7d646f48c9aec7d0824ba182d3363ab879aa9fb25e60a6204a1",
     "gani:mean": "643840db53042df373fc936e455940db73af02b344ad8a81162a2c586d1429e2",
-    "random_l2_zero_rows:validate": "22a36982ce7a207ed7eecec377d5b0cc7f2a91301355ed280e6dc64094fd86fc",
+    "random_l2_zero_rows:validate": "1f1151a7df8fa10acf80e89fec965ba62e2815c6a29dc1458bd28ab97328b319",
     "random_l2_zero_rows:mef_check": "c4022664173ec8560f4dc55f4ac50db3235812cbfe18ae12317f79fbf798c135",
     "random_l2_zero_rows:psi:1": "77897efc51383c15d7ca7e1d2908aa25a03698bedf598f85fe5934b9d15dc077",
     "random_l2_zero_rows:psi:3": "77897efc51383c15d7ca7e1d2908aa25a03698bedf598f85fe5934b9d15dc077",
@@ -154,7 +157,7 @@ GOLDEN = {
     "random_l2_zero_rows:psi:None": "77897efc51383c15d7ca7e1d2908aa25a03698bedf598f85fe5934b9d15dc077",
     "random_l2_zero_rows:matrix": "20845126d976f6b2e71bd11936b3a08a010608cfe0d8694f2ef6c282de539a22",
     "random_l2_zero_rows:mean": "20845126d976f6b2e71bd11936b3a08a010608cfe0d8694f2ef6c282de539a22",
-    "random_l3:validate": "4504d4b74015a591b80e58c61b6e3b2b9524a966033fa79aba1ad78cd018c01f",
+    "random_l3:validate": "3a15513f3b78d9fb87c654053802a9062c4652934a6dcd9c58b4822867c23b62",
     "random_l3:mef_check": "7b23be3eeb631090103bd801af508efb3c9adc6b243c1a20b333ac80926daaee",
     "random_l3:psi:1": "9ff449541637d136971d3d5e9495da155efd3ace439c3c43c87a751701dca167",
     "random_l3:psi:3": "9ff449541637d136971d3d5e9495da155efd3ace439c3c43c87a751701dca167",
@@ -162,7 +165,7 @@ GOLDEN = {
     "random_l3:psi:None": "9ff449541637d136971d3d5e9495da155efd3ace439c3c43c87a751701dca167",
     "random_l3:matrix": "e18ed6cc9878b6f0c9ec455aeb35c1f15f3396e7d7daebe01f43faf558b18583",
     "random_l3:mean": "c7553f4f5c698cc45a62f771256d5f2b5102171252e8c644d420457affa5a4d4",
-    "random_l5:validate": "0c560015e8ee21fbdf8e867c07c3a6a821949a404285c238c9ad7c3fd1948c7f",
+    "random_l5:validate": "17829433ede0e9da4821e47b86dc5fffb12f6ceafe134f75329f8efa043a8cb6",
     "random_l5:mef_check": "a53cd9bf3853cfb963251f638792b738b61848fb34f41db68a461d3bbbbfe66b",
     "random_l5:psi:1": "21ae9e7374286c453c69a718b2b2d81329b2550c0cb60e68d6b631dffdce3ac0",
     "random_l5:psi:3": "21ae9e7374286c453c69a718b2b2d81329b2550c0cb60e68d6b631dffdce3ac0",
@@ -170,7 +173,7 @@ GOLDEN = {
     "random_l5:psi:None": "21ae9e7374286c453c69a718b2b2d81329b2550c0cb60e68d6b631dffdce3ac0",
     "random_l5:matrix": "69a879cf6c11b1121ccb5a6a9d75f130949295d89d9996992db1a2a89267a81f",
     "random_l5:mean": "69a879cf6c11b1121ccb5a6a9d75f130949295d89d9996992db1a2a89267a81f",
-    "random_l1_wide:validate": "e3c790bd60d22dad39317f1441a2587b280ef5a566bf9e038203d5b5db6d1583",
+    "random_l1_wide:validate": "19c9a08981d1d66217156f19ef99aced29cb45f801f5f09002d1f63739177f92",
     "random_l1_wide:mef_check": "1d546eb09f7e9b4eea30898151fbac690bc6b96af1c54555a9b18f0a467d96f6",
     "random_l1_wide:psi:1": "19f47e277f576dae835f566f239ce20abddbb2ec9c8f496c7805aba216c6ecda",
     "random_l1_wide:psi:3": "19f47e277f576dae835f566f239ce20abddbb2ec9c8f496c7805aba216c6ecda",
