@@ -26,11 +26,6 @@ BUILTIN_FAMILIES = ("identity", "symdiff", "stability", "modular")
 PARTITION_REL_TOL = 1e-10
 
 
-def _load_json(path: str):
-    with open(path) as fp:
-        return json.load(fp)
-
-
 @contextmanager
 def _output(path: str | None):
     """The --out file opened for writing, or stdout when there is none."""
@@ -51,7 +46,7 @@ def _emit(args, payload, summary: str):
 def _resolve_family(space, name_or_path: str):
     if name_or_path in BUILTIN_FAMILIES:
         return builtin_family(space, name_or_path)
-    fam = serialize.family_from_dict(_load_json(name_or_path))
+    fam = serialize.family_from_dict(serialize.load_json(name_or_path))
     if fam.size != space.size:
         raise ValueError("family file does not match the space")
     return fam
@@ -183,7 +178,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    model = serialize.ermgm_from_dict(_load_json(args.model))
+    model = serialize.ermgm_from_dict(serialize.load_json(args.model))
     probes = [float(x) for x in args.theta.split(",")]
     values, terms = [], 0
     for th in probes:
@@ -207,7 +202,7 @@ def cmd_partition(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    model = serialize.ermgm_from_dict(_load_json(args.model))
+    model = serialize.ermgm_from_dict(serialize.load_json(args.model))
     draws = ermgm.sample_multigraphs(model, args.theta, args.count, args.seed)
     with _output(args.out) as fp:
         serialize.write_multigraph_lines(fp, model.n, model.t, draws)
@@ -408,7 +403,7 @@ def _apply_config(parser: argparse.ArgumentParser, args):
     Values are held to the flag's type and choices; integers are accepted
     for float flags, booleans only for switches.
     """
-    overrides = _load_json(args.config)
+    overrides = serialize.load_json(args.config)
     if not isinstance(overrides, dict):
         raise ValueError("config must be a JSON object")
     subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -76,8 +76,15 @@ def from_factorization(fact: DyadicFactorization, eta: ParameterMap) -> ErmgmMod
 
 
 def _dyad_log_weights(model: ErmgmModel, theta) -> np.ndarray:
-    """(num_dyads, t+1) table of log kappa_f(m) + eta . tau_f(m)."""
-    return _log_weights(model.kappa_f, model.tau_f, model.eta.evaluate(theta))
+    """(num_dyads, t+1) table of log kappa_f(m) + eta . tau_f(m).
+
+    Every dyad has a positive carrier entry, so a dyad whose weights are all
+    -inf can only have overflowed; it raises as _row_max does for +inf.
+    """
+    logw = _log_weights(model.kappa_f, model.tau_f, model.eta.evaluate(theta))
+    if (logw.max(axis=1) == -np.inf).any():
+        raise ValueError("the weights overflow the float range at this parameter")
+    return logw
 
 
 def dyad_pmf(model: ErmgmModel, theta, f: int) -> Pmf:

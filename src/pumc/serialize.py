@@ -62,7 +62,10 @@ def _emit(obj, out: list, indent, depth):
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))
     elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out, indent, depth)
+        if obj.ndim == 2 and obj.dtype.kind in "iu":
+            out.append(_int_table(obj, indent, depth))
+        else:
+            _emit(obj.tolist(), out, indent, depth)
     elif isinstance(obj, dict):
         _emit_items(
             ((json.dumps(str(k)) + (": " if indent else ":")) for k in obj),
@@ -107,9 +110,86 @@ def _padding(indent, depth) -> tuple[str, str]:
     return "\n" + " " * (indent * (depth + 1)), "\n" + " " * (indent * depth)
 
 
+def _int_table(table: np.ndarray, indent, depth) -> str:
+    """A 2-D integer array as _emit writes its tolist(), rendered as one uint8 block.
+
+    Each block row is a table row: ",<pad>[", then per item its pad, sign,
+    zero-padded digits and ",", then "<closing>]". One boolean mask drops
+    the first row's comma, each row's last item comma, unused signs and the
+    zero padding.
+    """
+    rows, cols = table.shape
+    if not rows:
+        return "[]"
+    row_pad, row_close = _padding(indent, depth)
+    pad, close = _padding(indent, depth + 1)
+    negative = table < 0
+    magnitude = table.astype(np.uint64)  # |int64 min| fits only unsigned
+    np.negative(magnitude, out=magnitude, where=negative)
+    top = int(magnitude.max(initial=0))
+    # Digit arithmetic in the narrowest type that holds them: uint16 is ~6x faster than uint64.
+    magnitude = magnitude.astype(np.min_scalar_type(top))
+    sign = "-" if negative.any() else ""
+    width = len(str(top))
+    cell = pad + sign + "0" * width + ","
+    template = ("," + row_pad + "[" + cell * cols + (close if cols else "") + "]").encode()
+    block = np.empty((rows, len(template)), dtype=np.uint8)
+    block[:] = np.frombuffer(template, dtype=np.uint8)
+    keep = np.ones(block.shape, dtype=bool)
+    keep[0, 0] = False
+    # Splitting a row into (item, byte) axes gives views, never copies.
+    start = len(row_pad) + 2
+    items = block[:, start:start + cols * len(cell)].reshape(rows, cols, len(cell))
+    marks = keep[:, start:start + cols * len(cell)].reshape(rows, cols, len(cell))
+    if sign:
+        marks[..., len(pad)] = negative
+    _put_digits(items, marks, len(pad) + len(sign), width, magnitude)
+    if cols:
+        marks[:, -1, -1] = False
+    return "[" + block[keep].tobytes().decode("ascii") + row_close + "]"
+
+
 def dump(obj, fp: IO, indent: int | None = 2):
     fp.write(dumps(obj, indent=indent))
     fp.write("\n")
+
+
+class _MemoFull(Exception):
+    """More distinct float texts than the memo's budget; not a ValueError,
+    so no conversion error is mistaken for it."""
+
+
+class _FloatMemo(dict):
+    """Float text -> float(text), each distinct text converted once."""
+
+    def __init__(self, budget: int):
+        super().__init__()
+        self.budget = budget
+
+    def __missing__(self, text: str) -> float:
+        if len(self) >= self.budget:
+            raise _MemoFull
+        value = self[text] = float(text)
+        return value
+
+
+def load_json(path: str):
+    """The value of a JSON file, exactly as json.load gives it.
+
+    Each distinct float text is converted once. Every row of a p-uniform
+    matrix is a permutation of one pmf, so it has no more distinct numbers
+    than "[" characters; that count is the memo's budget. A file past it is
+    parsed again by plain json.loads, at the cost of about budget extra
+    conversions. Integers keep json's own conversion, which is faster than
+    a memo lookup.
+    """
+    with open(path) as fp:
+        text = fp.read()
+    memo = _FloatMemo(text.count("["))
+    try:
+        return json.loads(text, parse_float=memo.__getitem__)
+    except _MemoFull:
+        return json.loads(text)
 
 
 # ---------------------------------------------------------------- spaces
@@ -188,10 +268,15 @@ def family_to_dict(fam: PermutationFamily) -> dict:
 
 def family_from_dict(d: dict) -> PermutationFamily:
     sigma = _json_object(d, "a family")["sigma"]
-    if type(sigma) is not list or not all(
-        type(row) is list and all(type(x) is int and 0 <= x < len(sigma) for x in row)
-        for row in sigma
-    ):
+    flat = (
+        list(chain.from_iterable(sigma))
+        if type(sigma) is list and set(map(type, sigma)) <= {list}
+        else [None]
+    )
+    # An int past int64 makes np.array an object or float64 array; either
+    # still compares out of range.
+    values = np.array(flat) if set(map(type, flat)) <= {int} else None
+    if values is None or values.size and not (values.min() >= 0 and values.max() < len(sigma)):
         raise ValueError("\"sigma\" must be a 2-D array of integer state indices")
     return PermutationFamily(sigma=np.array(sigma, dtype=np.int64), tag=d.get("tag", ""))
 
@@ -223,16 +308,14 @@ def load_matrix(path: str) -> StochasticMatrix:
             warnings.simplefilter("ignore")
             data = np.loadtxt(path, delimiter=",", ndmin=2)
     else:
-        with open(path) as fp:
-            obj = json.load(fp)
+        obj = load_json(path)
         data = _json_numbers(obj["matrix"] if isinstance(obj, dict) else obj, "\"matrix\"")
     return StochasticMatrix(P=data)
 
 
 def load_pmf(path: str) -> Pmf:
     """A pmf from a JSON file {"p": [masses]}."""
-    with open(path) as fp:
-        obj = json.load(fp)
+    obj = load_json(path)
     if not isinstance(obj, dict):
         raise ValueError("a pmf file holds a JSON object with \"p\"")
     return Pmf(_json_numbers(obj["p"], "\"p\""))
@@ -371,15 +454,16 @@ _DIGITS_ONLY = bytes(c if 48 <= c < 58 else 32 for c in range(256))
 def _put_digits(block, keep, at: int, width: int, values):
     """Write values (>= 0) right-aligned into columns at..at+width-1 of block.
 
+    The columns are block's last axis; values has the shape of the others.
     keep marks each number's own digits; the zero padding to its left is
     left unmarked, except the last column, so 0 renders as "0".
     """
     for col in range(at + width - 1, at - 1, -1):
         quotient = values // 10  # a scalar divisor; an array of powers is ~5x slower
-        block[:, col] = values - quotient * 10 + 48
-        keep[:, col] = values != 0
+        block[..., col] = values - quotient * 10 + 48
+        keep[..., col] = values != 0
         values = quotient
-    keep[:, at + width - 1] = True
+    keep[..., at + width - 1] = True
 
 
 def _render_lines(first: int, states) -> bytes:

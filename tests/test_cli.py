@@ -266,6 +266,19 @@ def test_weights_past_the_float_range_exit_2(tmp_path, capsys):
         assert err.splitlines() == ["error: the weights overflow the float range at this parameter"]
 
 
+def test_weights_below_the_float_range_exit_2(tmp_path, capsys):
+    """Every weight of a dyad at -inf is an overflow too: each dyad has a positive carrier."""
+    path = str(tmp_path / "g32.json")
+    with open(path, "w") as fp:
+        json.dump({"n": 3, "t": 2, "eta": {"kind": "natural", "l": 1},
+                   "tau_f": [[[2.0], [3.0], [4.0]]] * 3}, fp)
+    for argv in (("partition", "--model", path, "--theta=-1e308"),
+                 ("sample", "--model", path, "--theta=-1e308", "--seed", "1", "--count", "2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: the weights overflow the float range at this parameter"]
+
+
 def test_table_maps_are_checked_when_read(tmp_path, capsys):
     for thetas, etas, message in (([0.5], [[0.5, 1.0]], "each table eta must have l = 1 values"),
                                   ([0.5, 0.5], [[0.5], [1.0]], "table thetas must lie more than 1e-12 apart"),

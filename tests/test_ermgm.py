@@ -118,6 +118,18 @@ def test_dyad_log_weights_keep_the_matmul_bits():
         assert np.array_equal(_dyad_log_weights(model, theta), plain)
 
 
+def test_a_dyad_with_every_weight_at_minus_inf_is_an_overflow():
+    """Each dyad has a positive carrier entry, so all of its weights at -inf is an overflow."""
+    model = ErmgmModel(n=3, t=2, tau_f=np.tile([[2.0], [3.0], [4.0]], (3, 1, 1)), kappa_f=None,
+                       eta=ParameterMap("natural", l=1))
+    zero = Multigraph(n=3, t=2, counts=np.zeros(3, dtype=np.int64))
+    for call in (lambda th: fast_log_partition(model, th), lambda th: sample_multigraphs(model, th, 2, 1),
+                 lambda th: multigraph_log_pmf(model, th, zero)):
+        with pytest.raises(ValueError, match="overflow the float range"):
+            call(-1e308)
+        assert np.all(np.isfinite(call(-1e3)))
+
+
 def test_dyad_pmf_bernoulli_closed_form():
     model = er_model(3)
     for gamma in (-1.0, 0.0, 2.0):

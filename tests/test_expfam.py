@@ -27,6 +27,7 @@ from pumc.expfam import (
     ExpFamilySpec,
     MefSpec,
     ParameterMap,
+    _log_weights,
     _logsumexp_rows,
     affinely_independent_entries,
     as_mef,
@@ -426,6 +427,22 @@ def test_reciprocity_build_and_survey_memory():
     slack = 8 * 2**20
     assert build_peak <= table + slack, f"build peak {build_peak / 2**20:.1f} MiB"
     assert survey_peak <= block + slack, f"survey added {survey_peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_broadcast_carrier_log_weights_keep_the_bits(l):
+    """A stride-0 carrier gives the bits of the same carrier materialized, zero entries included."""
+    gen = np.random.default_rng(l)
+    tau, eta = gen.normal(size=(5, 6, l)) * 3.0, gen.normal(size=l)
+    row, col = gen.random(6) * (gen.random(6) > 0.3), gen.random((5, 1))
+    row[0], col[2] = 0.0, 0.0
+    carriers = [np.broadcast_to(row, (5, 6)), np.broadcast_to(col, (5, 6)),
+                np.broadcast_to(0.0, (5, 6)), np.broadcast_to(1.0, (5, 6))]
+    for kappa, tau_k in [(k, tau) for k in carriers] + [(np.broadcast_to(2.5, (6,)), tau[0])]:
+        want = _log_weights(np.array(kappa), tau_k, eta).tobytes()
+        assert _log_weights(kappa, tau_k, eta).tobytes() == want
+        out = np.empty(kappa.shape)
+        assert _log_weights(kappa, tau_k, eta, out) is out and out.tobytes() == want
 
 
 def test_reciprocity_table_refuses_n5_before_the_labels():

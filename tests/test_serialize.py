@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pumc import models, serialize
 from pumc.core import (
@@ -495,3 +496,124 @@ def test_edited_state_files_read_as_the_per_line_checks_do(tmp_path_factory, sta
         except ValueError as exc:
             got = str(exc)
     assert got == expected
+
+
+# ------------------------------------------------ load_json's number memo
+
+_NUMBER_TEXTS = st.one_of(
+    st.integers().map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0", "-0.0", "0.0", "1e400", "-1e400", "1E-400", "2.5E+3",
+                     "NaN", "Infinity", "-Infinity", "9" * 4300, "9" * 4301]),
+)
+_JSON_TEXTS = st.recursive(
+    _NUMBER_TEXTS | st.sampled_from(["true", "false", "null"]) | st.text(max_size=3).map(json.dumps),
+    lambda inner: (
+        st.lists(inner, max_size=5).map(lambda xs: "[" + ",".join(xs) + "]")
+        | st.dictionaries(st.text(max_size=3), inner, max_size=3).map(
+            lambda d: "{" + ",".join(json.dumps(k) + ": " + v for k, v in d.items()) + "}")
+    ),
+    max_leaves=40,
+)
+
+
+def _loaded(load, arg):
+    """repr of what load(arg) returns (repr tells 1 from 1.0 and -0.0 from 0.0), or its exception."""
+    try:
+        return "value", repr(load(arg))
+    except Exception as exc:  # the type and text are what is compared
+        return type(exc), str(exc)
+
+
+def _assert_loads_alike(path, text):
+    with open(path, "w") as fp:
+        fp.write(text)
+    assert _loaded(serialize.load_json, path) == _loaded(json.loads, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_JSON_TEXTS, cut=st.none() | st.integers(0, 60))
+def test_load_json_returns_what_json_loads_returns(tmp_path_factory, text, cut):
+    """Nested values, repeated numbers, ints past 4300 digits and, cut short, malformed text."""
+    _assert_loads_alike(tmp_path_factory.mktemp("j") / "v.json", text if cut is None else text[:cut])
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_load_json_memo_budget_boundary(tmp_path, monkeypatch, extra):
+    """A 4-row table has 5 "["; 5 distinct float texts parse in one pass, 6 fall back
+    to a second. Integers keep json's own conversion and do not count."""
+    floats = ["0.5", "-0.0", "1e400", "0.50", "1.0", "1E-3"][:5 + extra]
+    cells = (floats + ["1", "-0", "100000000000000000000"]) * 3
+    text = "{\"matrix\": [" + ",".join("[" + ",".join(cells[r::4]) + "]" for r in range(4)) + "]}"
+    calls = []
+    plain = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(k) or plain(*a, **k))
+    _assert_loads_alike(tmp_path / "t.json", text)
+    assert len(calls) == 1 + 1 + extra  # the reference parse, then load_json's one or two
+
+
+def test_load_json_all_distinct_matrix_falls_back(tmp_path, monkeypatch):
+    P = np.random.default_rng(2).random((8, 8))
+    P /= P.sum(axis=1, keepdims=True)
+    path = str(tmp_path / "r.json")
+    with open(path, "w") as fp:
+        json.dump({"matrix": P.tolist()}, fp)
+    calls = []
+    plain = json.loads
+    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(k) or plain(*a, **k))
+    assert np.array_equal(serialize.load_matrix(path).P, P)
+    assert [sorted(k) for k in calls] == [["parse_float"], []]
+
+
+# ------------------------------------------- 2-D integer arrays as a block
+
+def _nested(value, depth):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+_INT_TABLES = [
+    np.array([[9, 10], [99, 100]]),
+    np.array([[0]]),
+    np.array([[-1, 5], [-100, 99], [0, -10]]),
+    np.arange(-3, 4).reshape(1, 7),
+    np.arange(999, 1004).reshape(5, 1),
+    np.zeros((0, 3), dtype=np.int64),
+    np.zeros((3, 0), dtype=np.int64),
+    np.zeros((0, 0), dtype=np.int64),
+    np.array([[-128, 127], [0, -1]], dtype=np.int8),
+    np.array([[65535, 0], [9, 10]], dtype=np.uint16),
+    np.array([[-2**63, 2**63 - 1]], dtype=np.int64),
+    np.array([[2**64 - 1, 0]], dtype=np.uint64),
+]
+
+
+@pytest.mark.parametrize("table", _INT_TABLES, ids=lambda t: f"{t.dtype}{t.shape}")
+def test_int_tables_render_as_their_tolist(table):
+    for indent in (None, 2):
+        for depth in range(4):
+            block = serialize.dumps(_nested(table, depth), indent=indent)
+            assert block == serialize.dumps(_nested(table.tolist(), depth), indent=indent)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table=hnp.arrays(
+        dtype=st.sampled_from([np.int8, np.uint16, np.int64, np.uint64]),
+        shape=hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+    ),
+    indent=st.sampled_from([None, 0, 2]),
+    depth=st.integers(0, 3),
+)
+def test_int_tables_render_as_their_tolist_for_any_values(table, indent, depth):
+    payload = {"sigma": _nested(table, depth)}
+    assert serialize.dumps(payload, indent=indent) == serialize.dumps(
+        {"sigma": _nested(table.tolist(), depth)}, indent=indent)
+
+
+def test_family_sigma_past_int64_is_out_of_range():
+    good = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    for row0 in ([0, 1, -2**63 - 1], [-1, 1, 2**63], [0, 1, 2**63], [0, 2**64, 1]):
+        with pytest.raises(ValueError, match='"sigma" must be a 2-D array of integer state indices'):
+            serialize.family_from_dict({"sigma": [row0] + good[1:]})
