@@ -150,20 +150,17 @@ def _log_weights(kappa: np.ndarray, tau: np.ndarray, eta: np.ndarray, out=None) 
     """log kappa + tau . eta, written into `out` when given.
 
     For l = 1 the product is elementwise, which gives the bits of the
-    (..., 1) @ (1,) matmul at a fraction of its cost. A broadcast carrier
-    (a stride-0 axis, as the unit carrier has) takes the log of its distinct
-    entries only, added to the product in `out`; IEEE addition commutes, so
-    the bits are those of log kappa + product. Overflow is left for
-    _row_max to refuse.
+    (..., 1) @ (1,) matmul at a fraction of its cost. The log is taken of
+    the carrier's distinct entries only: a stride-0 axis (as the unit
+    carrier has) is sliced to length 1 and broadcast back by the addition,
+    which leaves a full carrier as it is. IEEE addition commutes, so the
+    bits are those of log kappa + product. Overflow is left for _row_max
+    to refuse.
     """
+    distinct = kappa[tuple(slice(None, 1) if step == 0 else slice(None) for step in kappa.strides)]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if 0 in kappa.strides:
-            distinct = kappa[tuple(slice(None, 1) if step == 0 else slice(None) for step in kappa.strides)]
-            out = np.multiply(tau[..., 0], eta[0], out=out) if eta.size == 1 else np.matmul(tau, eta, out=out)
-            out += np.log(distinct)
-        else:
-            out = np.log(kappa, out=out)
-            out += tau[..., 0] * eta[0] if eta.size == 1 else tau @ eta
+        out = np.multiply(tau[..., 0], eta[0], out=out) if eta.size == 1 else np.matmul(tau, eta, out=out)
+        out += np.log(distinct)
     return out
 
 

@@ -274,11 +274,11 @@ def family_from_dict(d: dict) -> PermutationFamily:
         else [None]
     )
     # An int past int64 makes np.array an object or float64 array; either
-    # still compares out of range.
-    values = np.array(flat) if set(map(type, flat)) <= {int} else None
-    if values is None or values.size and not (values.min() >= 0 and values.max() < len(sigma)):
+    # still compares out of range. Ragged rows raise in np.array.
+    table = np.array(sigma) if set(map(type, flat)) <= {int} else None
+    if table is None or table.size and not (table.min() >= 0 and table.max() < len(sigma)):
         raise ValueError("\"sigma\" must be a 2-D array of integer state indices")
-    return PermutationFamily(sigma=np.array(sigma, dtype=np.int64), tag=d.get("tag", ""))
+    return PermutationFamily(sigma=table.astype(np.int64, copy=False), tag=d.get("tag", ""))
 
 
 # --------------------------------------------------------------- matrices

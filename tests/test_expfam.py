@@ -431,15 +431,17 @@ def test_reciprocity_build_and_survey_memory():
 
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_broadcast_carrier_log_weights_keep_the_bits(l):
-    """A stride-0 carrier gives the bits of the same carrier materialized, zero entries included."""
+    """Broadcast and full carriers give the bits of log kappa + tau @ eta, zero entries included."""
     gen = np.random.default_rng(l)
     tau, eta = gen.normal(size=(5, 6, l)) * 3.0, gen.normal(size=l)
     row, col = gen.random(6) * (gen.random(6) > 0.3), gen.random((5, 1))
     row[0], col[2] = 0.0, 0.0
     carriers = [np.broadcast_to(row, (5, 6)), np.broadcast_to(col, (5, 6)),
                 np.broadcast_to(0.0, (5, 6)), np.broadcast_to(1.0, (5, 6))]
-    for kappa, tau_k in [(k, tau) for k in carriers] + [(np.broadcast_to(2.5, (6,)), tau[0])]:
-        want = _log_weights(np.array(kappa), tau_k, eta).tobytes()
+    cases = [(k, tau) for k in carriers] + [(np.array(carriers[0]), tau), (np.broadcast_to(2.5, (6,)), tau[0])]
+    for kappa, tau_k in cases:
+        with np.errstate(divide="ignore"):
+            want = (np.log(np.array(kappa)) + tau_k @ eta).tobytes()
         assert _log_weights(kappa, tau_k, eta).tobytes() == want
         out = np.empty(kappa.shape)
         assert _log_weights(kappa, tau_k, eta, out) is out and out.tobytes() == want
