@@ -220,7 +220,8 @@ def _diagnose_table(args, space):
     if args.stat == "stability":
         return netstat.stability_stat_table(space), "stability"
     if args.stat == "degseq":
-        rows = netstat.sorted_degree_table(space)
+        # float64 before the broadcast, so convergence_report's cast copies (size, n), not size x size x n.
+        rows = netstat.sorted_degree_table(space).astype(np.float64)
         return np.broadcast_to(rows[None, :, :], (space.size, space.size, space.n)), "identity"
     if args.stat == "transitivity":
         return models.transitivity_table(space.n), None

@@ -37,12 +37,19 @@ def check_dense_budget(size: int, what: str):
         )
 
 
+def distinct_entries(table: np.ndarray) -> np.ndarray:
+    """table with each stride-0 axis sliced to length 1: the entries of a
+    broadcast view (a unit carrier) once each; a full table as it is."""
+    return table[tuple(slice(None, 1) if step == 0 else slice(None) for step in table.strides)]
+
+
 def check_finite(table: np.ndarray, what: str):
     """Raise ValueError when a table holds NaN or an infinity.
 
-    min() and max() carry either through in two passes, with no bool
-    temporary the size of the table and no copy of a broadcast view.
+    min() and max() carry either through in two passes over the distinct
+    entries, with no bool temporary the size of the table.
     """
+    table = distinct_entries(table)
     if table.size and not (np.isfinite(table.min()) and np.isfinite(table.max())):
         raise ValueError(f"{what} must be finite")
 

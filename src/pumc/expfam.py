@@ -15,7 +15,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Pmf, PermutationFamily, StateSpace, StochasticMatrix, check_dense_budget, check_finite
+from .core import (
+    Pmf,
+    PermutationFamily,
+    StateSpace,
+    StochasticMatrix,
+    check_dense_budget,
+    check_finite,
+    distinct_entries,
+)
 from .errors import NotAnMefError, TheoremViolationError
 from .puniform import Trajectory, check_puniform
 
@@ -151,16 +159,13 @@ def _log_weights(kappa: np.ndarray, tau: np.ndarray, eta: np.ndarray, out=None) 
 
     For l = 1 the product is elementwise, which gives the bits of the
     (..., 1) @ (1,) matmul at a fraction of its cost. The log is taken of
-    the carrier's distinct entries only: a stride-0 axis (as the unit
-    carrier has) is sliced to length 1 and broadcast back by the addition,
-    which leaves a full carrier as it is. IEEE addition commutes, so the
-    bits are those of log kappa + product. Overflow is left for _row_max
-    to refuse.
+    the carrier's distinct entries only, which the addition broadcasts
+    back. IEEE addition commutes, so the bits are those of log kappa +
+    product. Overflow is left for _row_max to refuse.
     """
-    distinct = kappa[tuple(slice(None, 1) if step == 0 else slice(None) for step in kappa.strides)]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = np.multiply(tau[..., 0], eta[0], out=out) if eta.size == 1 else np.matmul(tau, eta, out=out)
-        out += np.log(distinct)
+        out += np.log(distinct_entries(kappa))
     return out
 
 
@@ -242,7 +247,7 @@ class CefSpec:
         if kappa.shape != (size, size):
             raise ValueError("kappa must be a (size, size) table")
         check_finite(kappa, "kappa")
-        if kappa.min() < 0:
+        if distinct_entries(kappa).min() < 0:
             raise ValueError("kappa must be nonnegative")
         if tau.shape != (size, size, self.eta.l):
             raise ValueError("tau must be (size, size, l)")
@@ -343,13 +348,14 @@ def validate_cef(cef: CefSpec, probes=None, rel_tol: float = MEF_REL_TOL) -> Cef
     if probes is None:
         probes = default_probes(cef.eta)
     psi, rel = _row0_gaps(cef, probes)
+    row_max = distinct_entries(cef.kappa).max(axis=1)  # one per row once broadcast back
     bad = rel > rel_tol
     with np.errstate(over="ignore"):
         raw = np.exp(psi)
     return CefValidation(
         probes=tuple(probes),
         raw_sums=raw,
-        zero_rows=np.where(cef.kappa.max(axis=1) == 0)[0],
+        zero_rows=np.flatnonzero(np.broadcast_to(row_max, cef.space.size) == 0),
         shared_normalizer=~bad.any(axis=1),
         worst_rel_spread=float(rel.max(initial=0.0)),
         mismatched_rows=tuple(int(b) for b in np.flatnonzero(bad.any(axis=0))),
@@ -585,7 +591,7 @@ def kappa_tau_puniformity(cef: CefSpec, perm: PermutationFamily, probes=None) ->
         kappa_puniform=kappa_ok,
         tau_puniform=tau_ok,
         matrix_puniform=matrix_ok,
-        kappa_positive=bool(cef.kappa.min() > 0),
+        kappa_positive=bool(distinct_entries(cef.kappa).min() > 0),
         eta_affinely_independent=affinely_independent_entries(eta_samples),
         kappa_violation=kappa_bad,
     )

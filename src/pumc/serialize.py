@@ -30,7 +30,7 @@ from .core import (
     dyad_index,
     num_dyads,
 )
-from .expfam import CefSpec, ExpFamilySpec, ParameterMap
+from .expfam import ParameterMap
 from .ermgm import ErmgmModel
 from .puniform import Trajectory
 
@@ -62,8 +62,8 @@ def _emit(obj, out: list, indent, depth):
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))
     elif isinstance(obj, np.ndarray):
-        if obj.ndim == 2 and obj.dtype.kind in "iu":
-            out.append(_int_table(obj, indent, depth))
+        if obj.ndim == 2 and obj.dtype.kind in "iu" and not (obj.size and obj.min() < 0):
+            _int_table(obj, out, indent, depth)
         else:
             _emit(obj.tolist(), out, indent, depth)
     elif isinstance(obj, dict):
@@ -110,43 +110,19 @@ def _padding(indent, depth) -> tuple[str, str]:
     return "\n" + " " * (indent * (depth + 1)), "\n" + " " * (indent * depth)
 
 
-def _int_table(table: np.ndarray, indent, depth) -> str:
-    """A 2-D integer array as _emit writes its tolist(), rendered as one uint8 block.
+def _int_table(table: np.ndarray, out: list, indent, depth):
+    """A 2-D array of integers >= 0 as _emit writes its tolist(), in one _render_rows call.
 
-    Each block row is a table row: ",<pad>[", then per item its pad, sign,
-    zero-padded digits and ",", then "<closing>]". One boolean mask drops
-    the first row's comma, each row's last item comma, unused signs and the
-    zero padding.
+    Every table row renders as ",<pad>[" and its items; the first comma is dropped.
     """
-    rows, cols = table.shape
-    if not rows:
-        return "[]"
+    if not len(table):
+        out.append("[]")
+        return
     row_pad, row_close = _padding(indent, depth)
     pad, close = _padding(indent, depth + 1)
-    negative = table < 0
-    magnitude = table.astype(np.uint64)  # |int64 min| fits only unsigned
-    np.negative(magnitude, out=magnitude, where=negative)
-    top = int(magnitude.max(initial=0))
-    # Digit arithmetic in the narrowest type that holds them: uint16 is ~6x faster than uint64.
-    magnitude = magnitude.astype(np.min_scalar_type(top))
-    sign = "-" if negative.any() else ""
-    width = len(str(top))
-    cell = pad + sign + "0" * width + ","
-    template = ("," + row_pad + "[" + cell * cols + (close if cols else "") + "]").encode()
-    block = np.empty((rows, len(template)), dtype=np.uint8)
-    block[:] = np.frombuffer(template, dtype=np.uint8)
-    keep = np.ones(block.shape, dtype=bool)
-    keep[0, 0] = False
-    # Splitting a row into (item, byte) axes gives views, never copies.
-    start = len(row_pad) + 2
-    items = block[:, start:start + cols * len(cell)].reshape(rows, cols, len(cell))
-    marks = keep[:, start:start + cols * len(cell)].reshape(rows, cols, len(cell))
-    if sign:
-        marks[..., len(pad)] = negative
-    _put_digits(items, marks, len(pad) + len(sign), width, magnitude)
-    if cols:
-        marks[:, -1, -1] = False
-    return "[" + block[keep].tobytes().decode("ascii") + row_close + "]"
+    cols = table.shape[1]
+    template = "," + row_pad + "[" + ",".join([pad + "%d"] * cols) + (close if cols else "") + "]"
+    out += "[", str(memoryview(_render_rows(template, table))[1:], "ascii"), row_close + "]"
 
 
 def dump(obj, fp: IO, indent: int | None = 2):
@@ -366,59 +342,7 @@ def eta_from_dict(d: dict) -> ParameterMap:
     raise ValueError(f"unknown parameter map kind {kind!r}")
 
 
-# ------------------------------------------------------------ CEF specs
-
-def cef_to_dict(spec: CefSpec | ExpFamilySpec) -> dict:
-    """A CefSpec or an ExpFamilySpec as JSON; both use this one layout."""
-    return {
-        "space": space_to_dict(spec.space),
-        "eta": eta_to_dict(spec.eta),
-        "kappa": spec.kappa,
-        "tau": spec.tau,
-    }
-
-
-expfam_to_dict = cef_to_dict
-
-
-def _spec_from_dict(cls, d: dict):
-    return cls(
-        space=space_from_dict(d["space"]),
-        kappa=_json_numbers(d["kappa"], "\"kappa\""),
-        tau=_json_numbers(d["tau"], "\"tau\""),
-        eta=eta_from_dict(d["eta"]),
-    )
-
-
-def cef_from_dict(d: dict) -> CefSpec:
-    return _spec_from_dict(CefSpec, d)
-
-
-def expfam_from_dict(d: dict) -> ExpFamilySpec:
-    return _spec_from_dict(ExpFamilySpec, d)
-
-
 # ----------------------------------------------------------- dyadic models
-
-def factorization_to_dict(fact) -> dict:
-    return {
-        "n": fact.n,
-        "t": fact.t,
-        "tau_f": fact.tau_f,
-        "kappa_f": fact.kappa_f,
-    }
-
-
-def factorization_from_dict(d: dict):
-    from .netstat import DyadicFactorization
-
-    return DyadicFactorization(
-        n=_json_int(d["n"], "n"),
-        t=_json_int(d["t"], "t"),
-        tau_f=None if d.get("tau_f") is None else _json_numbers(d["tau_f"], "\"tau_f\""),
-        kappa_f=None if d.get("kappa_f") is None else _json_numbers(d["kappa_f"], "\"kappa_f\""),
-    )
-
 
 def ermgm_to_dict(model: ErmgmModel) -> dict:
     return {
@@ -443,50 +367,61 @@ def ermgm_from_dict(d: dict) -> ErmgmModel:
 CHUNK = 8192
 
 _STATE_LINE = '{"i":%d,"state":%d}\n'
-_EXPANDED_LINE = '{"i":%d,"state":%d,"dyads":%s}\n'
-_LINE_HEAD, _LINE_MID, _LINE_TAIL = (
-    np.frombuffer(piece, dtype=np.uint8) for piece in _STATE_LINE.encode().split(b"%d")
-)
 # bytes.translate table: ASCII digits stay, every other byte becomes a space.
 _DIGITS_ONLY = bytes(c if 48 <= c < 58 else 32 for c in range(256))
 
 
-def _put_digits(block, keep, at: int, width: int, values):
-    """Write values (>= 0) right-aligned into columns at..at+width-1 of block.
+def _render_rows(template: str, values) -> bytes:
+    """template % row for every row of a (rows, k) integer array, as bytes.
 
-    The columns are block's last axis; values has the shape of the others.
-    keep marks each number's own digits; the zero padding to its left is
-    left unmarked, except the last column, so 0 renders as "0".
+    template holds k "%d" slots and no other % directive; every value is
+    >= 0. Each rendered row is one row of a uint8 block with every number
+    zero-padded, and one boolean mask drops the padding. Consecutive slots
+    whose following pieces have equal length form a run, written through one
+    (rows, run, width + piece) view with digits as wide as the run's largest
+    value.
     """
-    for col in range(at + width - 1, at - 1, -1):
-        quotient = values // 10  # a scalar divisor; an array of powers is ~5x slower
-        block[..., col] = values - quotient * 10 + 48
-        keep[..., col] = values != 0
-        values = quotient
-    keep[..., at + width - 1] = True
+    values = np.asarray(values)
+    if not len(values):
+        return b""
+    pieces = template.encode().split(b"%d")
+    runs = []  # [first slot, end slot]
+    for slot in range(len(pieces) - 1):
+        if runs and len(pieces[slot + 1]) == len(pieces[slot]):
+            runs[-1][1] = slot + 1
+        else:
+            runs.append([slot, slot + 1])
+    tops = [int(values[:, a:b].max()) for a, b in runs]
+    widths = [len(str(top)) for top in tops]
+    line = pieces[0] + b"".join(
+        b"0" * width + pieces[slot + 1] for (a, b), width in zip(runs, widths) for slot in range(a, b)
+    )
+    block = np.empty((len(values), len(line)), dtype=np.uint8)
+    block[:] = np.frombuffer(line, dtype=np.uint8)
+    keep = np.ones(block.shape, dtype=bool)
+    at = len(pieces[0])
+    for (a, b), width, top in zip(runs, widths, tops):
+        cell = width + len(pieces[a + 1])
+        end = at + (b - a) * cell
+        # Splitting a row into (slot, byte) axes gives views, never copies.
+        digits = block[:, at:end].reshape(-1, b - a, cell)
+        marks = keep[:, at:end].reshape(-1, b - a, cell)
+        # Digit arithmetic in the narrowest type that holds them: uint16 is ~6x faster than uint64.
+        rest = values[:, a:b].astype(np.min_scalar_type(top))
+        for col in range(width - 1, -1, -1):
+            quotient = rest // 10  # a scalar divisor; an array of powers is ~5x slower
+            digits[..., col] = rest - quotient * 10 + 48
+            marks[..., col] = rest != 0
+            rest = quotient
+        marks[..., width - 1] = True  # 0 renders as "0"
+        at = end
+    return block[keep].tobytes()
 
 
 def _render_lines(first: int, states) -> bytes:
-    """_STATE_LINE for i = first, first + 1, ... and states (all >= 0), as bytes.
-
-    Each line is one row of a uint8 block with every number zero-padded to
-    the chunk's widest; one boolean mask then drops the padding.
-    """
+    """_STATE_LINE for i = first, first + 1, ... and states (all >= 0), as bytes."""
     states = np.asarray(states, dtype=np.int64)
-    n = states.size
-    if not n:
-        return b""
-    wide_i, wide_s = len(str(first + n - 1)), len(str(int(states.max())))
-    mid = _LINE_HEAD.size + wide_i
-    end = mid + _LINE_MID.size + wide_s
-    block = np.empty((n, end + _LINE_TAIL.size), dtype=np.uint8)
-    keep = np.ones(block.shape, dtype=bool)
-    block[:, :_LINE_HEAD.size] = _LINE_HEAD
-    block[:, mid:mid + _LINE_MID.size] = _LINE_MID
-    block[:, end:] = _LINE_TAIL
-    _put_digits(block, keep, _LINE_HEAD.size, wide_i, np.arange(first, first + n, dtype=np.int64))
-    _put_digits(block, keep, mid + _LINE_MID.size, wide_s, states)
-    return block[keep].tobytes()
+    return _render_rows(_STATE_LINE, np.column_stack((np.arange(first, first + states.size), states)))
 
 
 def _dyads_template(n: int) -> str:
@@ -503,28 +438,23 @@ def write_states_jsonl(
     dyad multiplicities as [u, v, m] triples, 1-based vertices.
     """
     states = np.asarray(states, dtype=np.int64)
-    if states.size and states.min() < 0:  # _render_lines writes digits only
+    if states.size and states.min() < 0:  # _render_rows writes digits only
         raise ValueError("state index out of range")
-    dyads = None
+    line = _STATE_LINE
     if expand:
         if space.kind != MULTIGRAPH:
             raise ValueError("dyad expansion needs a multigraph space")
-        distinct = np.unique(states)
-        if distinct.size and distinct[-1] >= space.size:
+        if states.size and states.max() >= space.size:
             raise ValueError("state index out of range")
-        counts = dyad_counts(space, distinct).tolist()
-        template = _dyads_template(space.n)
-        dyads = {s: template % tuple(row) for s, row in zip(distinct.tolist(), counts)}
+        line = '{"i":%d,"state":%d,"dyads":' + _dyads_template(space.n) + "}\n"
     with open(path, "wb") as fp:
         fp.write((dumps({"kind": kind, "space": space_to_dict(space)}) + "\n").encode())
         for start in range(0, states.size, CHUNK):
             chunk = states[start:start + CHUNK]
-            if dyads is None:
-                fp.write(_render_lines(start, chunk))
-                continue
-            chunk = chunk.tolist()
-            rows = zip(range(start, start + len(chunk)), chunk, map(dyads.__getitem__, chunk))
-            fp.write("".join(map(_EXPANDED_LINE.__mod__, rows)).encode())
+            columns = [np.arange(start, start + chunk.size), chunk]
+            if expand:
+                columns.append(dyad_counts(space, chunk))
+            fp.write(_render_rows(line, np.column_stack(columns)))
 
 
 def read_states_jsonl(path: str):
@@ -610,7 +540,7 @@ def write_multigraph_lines(fp: IO, n: int, t: int, counts):
         raise ValueError("multiplicities must lie in 0..t")
     line = f'{{"n":{n},"t":{t},"dyads":{_dyads_template(n)}}}\n'
     for start in range(0, len(counts), CHUNK):
-        fp.write("".join(map(line.__mod__, map(tuple, counts[start:start + CHUNK].tolist()))))
+        fp.write(_render_rows(line, counts[start:start + CHUNK]).decode("ascii"))
 
 
 def write_running_means_csv(path: str, running_mean):

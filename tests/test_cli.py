@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import tracemalloc
 
@@ -8,9 +9,9 @@ import pytest
 import pumc.core
 from pumc import models, serialize
 from pumc.cli import _diagnose_table, main
-from pumc.core import build_multigraph_space, edge_total_table
+from pumc.core import build_multigraph_space, edge_total_table, num_dyads
 from pumc.errors import SpaceTooLargeError
-from pumc.ermgm import from_factorization, mle_density_stability, sample_multigraphs
+from pumc.ermgm import ErmgmModel, from_factorization, mle_density_stability, sample_multigraphs
 from pumc.expfam import ParameterMap
 from pumc.netstat import factor_dyadditive
 from pumc.puniform import Trajectory
@@ -471,6 +472,28 @@ def test_sample_past_one_chunk_matches_plain_json(tmp_path, capsys):
         assert code == 0
         draws = sample_multigraphs(model, 0.3, count, 6)
         assert _first_difference(out, _plain_sample_lines(model, draws)) is None
+
+
+def test_sample_on_one_and_on_two_digit_vertices_matches_plain_json(tmp_path, capsys):
+    """n = 12 mixes one- and two-digit vertices (several piece lengths) and
+    multiplicities up to 10; n = 1 has no dyads, so every record holds "dyads":[]."""
+    gen = np.random.default_rng(8)
+    models_by_n = {n: ErmgmModel(n=n, t=t, tau_f=gen.normal(size=(num_dyads(n), t + 1, 1)) * 2.0,
+                                 kappa_f=None, eta=ParameterMap("natural", l=1))
+                   for n, t in ((1, 2), (12, 10))}
+    mpath = str(tmp_path / "model.json")
+    with open(mpath, "w") as fp:
+        fp.write(serialize.dumps(serialize.ermgm_to_dict(models_by_n[12])))
+    code, out, _ = run(capsys, "sample", "--model", mpath, "--theta", "0.5", "--seed", "3", "--count", "40")
+    assert code == 0
+    draws = sample_multigraphs(models_by_n[12], 0.5, 40, 3)
+    assert _first_difference(out, _plain_sample_lines(models_by_n[12], draws)) is None
+    # A one-vertex model file does not read back (its empty tau_f is []), so
+    # its records are written in process, as cmd_sample writes them.
+    draws = sample_multigraphs(models_by_n[1], 0.5, 40, 3)
+    text = io.StringIO()
+    serialize.write_multigraph_lines(text, 1, 2, draws)
+    assert draws.shape == (40, 0) and text.getvalue() == _plain_sample_lines(models_by_n[1], draws)
 
 
 def test_diagnose_csv_past_one_chunk_matches_plain_format(tmp_path, capsys):

@@ -447,6 +447,21 @@ def test_broadcast_carrier_log_weights_keep_the_bits(l):
         assert _log_weights(kappa, tau_k, eta, out) is out and out.tobytes() == want
 
 
+def test_broadcast_carriers_are_checked_through_their_distinct_entries():
+    """A broadcast carrier's NaN or negative entry still raises, and zero_rows
+    still lists every row whose broadcast carrier vanishes."""
+    space, tau, eta = build_generic_space(("a", "b", "c")), np.zeros((3, 3)), ParameterMap("natural", l=1)
+    for bad, message in ((np.nan, "finite"), (-np.inf, "finite"), (-1.0, "nonnegative")):
+        for kappa in (np.broadcast_to(bad, (3, 3)), np.broadcast_to([1.0, bad, 1.0], (3, 3)),
+                      np.broadcast_to([[1.0], [1.0], [bad]], (3, 3))):
+            with pytest.raises(ValueError, match=f"kappa must be {message}"):
+                CefSpec(space=space, kappa=kappa, tau=tau, eta=eta)
+    for kappa in (np.broadcast_to([[1.0], [0.0], [2.0]], (3, 3)), np.broadcast_to([0.0, 1.0, 1.0], (3, 3)),
+                  np.broadcast_to(0.0, (3, 3)), np.broadcast_to(1.0, (3, 3))):
+        zero_rows = validate_cef(CefSpec(space=space, kappa=kappa, tau=tau, eta=eta), [0.5]).zero_rows
+        assert zero_rows.tolist() == np.flatnonzero(np.array(kappa).max(axis=1) == 0).tolist()
+
+
 def test_reciprocity_table_refuses_n5_before_the_labels():
     """2^20 directed graphs on 5 vertices: the budget refuses before any label is formatted."""
     tracemalloc.start()

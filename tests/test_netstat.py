@@ -11,6 +11,7 @@ from pumc.core import (
     PermutationFamily,
     Pmf,
     StochasticMatrix,
+    build_generic_space,
     build_multigraph_space,
     builtin_family,
     canonical_dyads,
@@ -18,11 +19,13 @@ from pumc.core import (
     dyad_index,
     edge_total_table,
     identity_family,
+    invert_family,
     num_dyads,
 )
 from pumc.errors import TheoremViolationError
 from pumc.netstat import (
     DyadicFactorization,
+    IsoClasses,
     degree_sequence,
     density_stat_table,
     exchangeability_transfer,
@@ -368,6 +371,38 @@ def test_relation_invariance_matches_loop_reference():
     assert verdicts == [_ref_is_relation_invariant(fam, cls) for fam in families]
     assert verdicts[0] == verdicts[2] == (True, None) and not verdicts[1][0]
     assert sum(ok for ok, _ in verdicts) < len(families) - 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_family_preserves_classes_iff_its_inverse_does(data):
+    """Each sigma_a is a bijection of a finite set: mapping classes into classes,
+    it induces an onto, hence one-to-one, map on classes, so sigma_a^-1
+    preserves them too. Rows are class-preserving by construction or arbitrary."""
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    size, starts = sum(sizes), np.cumsum([0] + sizes[:-1])
+    relabel = np.array(data.draw(st.permutations(range(size))))  # state -> position
+    place = np.argsort(relabel)                                  # position -> state
+    class_id = np.repeat(np.arange(len(sizes)), sizes)[relabel]
+    members = tuple(np.flatnonzero(class_id == c) for c in range(len(sizes)))
+    classes = IsoClasses(space=build_generic_space(tuple(map(str, range(size)))), class_id=class_id,
+                         representatives=np.array([m[0] for m in members]), classes=members)
+    arbitrary = data.draw(st.sets(st.integers(0, size - 1), max_size=2))
+    sigma = np.empty((size, size), dtype=np.int64)
+    for a in range(size):
+        if a in arbitrary:
+            sigma[a] = data.draw(st.permutations(range(size)))
+            continue
+        target = np.empty(size, dtype=np.int64)  # position -> position, class onto class
+        for width in set(sizes):
+            same = [c for c, m in enumerate(sizes) if m == width]
+            for c, d in zip(same, data.draw(st.permutations(same))):
+                target[starts[c]:starts[c] + width] = starts[d] + np.array(data.draw(st.permutations(range(width))))
+        sigma[a] = place[target[relabel]]
+    fam = PermutationFamily(sigma=sigma)
+    forward = is_relation_invariant(fam, classes)[0]
+    assert forward == is_relation_invariant(invert_family(fam), classes)[0]
+    assert forward or arbitrary
 
 
 def test_exchangeability_matches_loop_reference_with_ties_and_nan():

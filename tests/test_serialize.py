@@ -21,7 +21,7 @@ from pumc.core import (
 )
 from pumc.ermgm import from_factorization
 from pumc.expfam import ParameterMap
-from pumc.netstat import DyadicFactorization, factor_dyadditive
+from pumc.netstat import factor_dyadditive
 from pumc.puniform import Trajectory
 
 
@@ -148,33 +148,6 @@ def test_eta_round_trip_all_kinds():
         serialize.eta_from_dict({"kind": "mystery"})
 
 
-def test_cef_and_expfam_round_trip():
-    cef = models.gani_cef()
-    again = serialize.cef_from_dict(serialize.cef_to_dict(cef))
-    assert again.space == cef.space
-    assert np.array_equal(again.tau, cef.tau)
-    assert np.array_equal(again.kappa, cef.kappa)
-
-    fam = models.er_family(3)
-    back = serialize.expfam_from_dict(serialize.expfam_to_dict(fam))
-    assert back.space == fam.space
-    assert np.array_equal(back.tau, fam.tau)
-    assert back.eta.kind == "density_logit"
-
-
-def test_factorization_round_trip():
-    space = build_multigraph_space(3, 1)
-    fact = factor_dyadditive(space, edge_total_table(space).astype(float)[:, None]).factorization
-    d = serialize.factorization_to_dict(fact)
-    again = serialize.factorization_from_dict(d)
-    assert again.n == fact.n and again.t == fact.t
-    assert np.allclose(again.tau_f, fact.tau_f)
-
-    kappa_only = DyadicFactorization(n=3, t=1, kappa_f=np.ones((3, 2)))
-    back = serialize.factorization_from_dict(serialize.factorization_to_dict(kappa_only))
-    assert back.tau_f is None and np.allclose(back.kappa_f, 1.0)
-
-
 def test_ermgm_round_trip_with_default_kappa():
     space = build_multigraph_space(3, 1)
     fact = factor_dyadditive(space, edge_total_table(space).astype(float)[:, None]).factorization
@@ -192,7 +165,6 @@ def test_ermgm_round_trip_with_default_kappa():
 def test_readers_require_integer_size_fields():
     """Every *_from_dict reader takes n, t, l and dyad fields as JSON integers only."""
     graph = serialize.multigraph_to_dict(build_multigraph_space(3, 1).decode(5))
-    fact = serialize.factorization_to_dict(DyadicFactorization(n=3, t=1, kappa_f=np.ones((3, 2))))
     cases = [
         (serialize.space_from_dict, {"kind": "multigraph", "n": 3, "t": 1}, ("n", "t")),
         (serialize.space_from_dict, {"kind": "modular", "n": 4}, ("n",)),
@@ -201,7 +173,6 @@ def test_readers_require_integer_size_fields():
         (serialize.eta_from_dict, {"kind": "density_logit", "n": 3}, ("n",)),
         (serialize.eta_from_dict,
          {"kind": "table", "l": 1, "thetas": [0.5], "etas": [0.1]}, ("l",)),
-        (serialize.factorization_from_dict, fact, ("n", "t")),
         (serialize.ermgm_from_dict,
          {"n": 3, "t": 1, "eta": {"kind": "natural", "l": 1}, "tau_f": [[[0.0], [1.0]]] * 3},
          ("n", "t")),
@@ -218,9 +189,6 @@ def test_readers_require_integer_size_fields():
             dyads[0][k] = bad
             with pytest.raises(ValueError, match=f'"{name}" must be an integer'):
                 serialize.multigraph_from_dict(dict(graph, dyads=dyads))
-    with pytest.raises(ValueError, match='"n" must be an integer'):
-        serialize.cef_from_dict(dict(serialize.cef_to_dict(models.gani_cef()),
-                                     space={"kind": "modular", "n": 3.0}))
 
 
 def _with_first_leaf(value, leaf):
@@ -231,15 +199,13 @@ def _with_first_leaf(value, leaf):
 
 
 def test_readers_require_number_arrays():
-    """kappa, tau, tau_f and kappa_f take JSON numbers only, never strings or booleans."""
-    cef = json.loads(serialize.dumps(serialize.cef_to_dict(models.gani_cef())))
-    fam = json.loads(serialize.dumps(serialize.expfam_to_dict(models.er_family(3))))
-    fact = json.loads(serialize.dumps(serialize.factorization_to_dict(
-        DyadicFactorization(n=3, t=1, tau_f=np.zeros((3, 2, 1)), kappa_f=np.ones((3, 2))))))
+    """tau_f, kappa_f, thetas and etas take JSON numbers only, never strings or booleans."""
+    model = {"n": 3, "t": 1, "eta": {"kind": "natural", "l": 1},
+             "tau_f": [[[0.0], [1.0]]] * 3, "kappa_f": [[1.0, 1.0]] * 3}
     cases = [
-        (serialize.cef_from_dict, cef, ("kappa", "tau")),
-        (serialize.expfam_from_dict, fam, ("kappa", "tau")),
-        (serialize.factorization_from_dict, fact, ("tau_f", "kappa_f")),
+        (serialize.ermgm_from_dict, model, ("tau_f", "kappa_f")),
+        (serialize.eta_from_dict, {"kind": "table", "l": 1, "thetas": [0.5], "etas": [[0.1]]},
+         ("thetas", "etas")),
     ]
     for reader, good, keys in cases:
         reader(good)
@@ -440,6 +406,34 @@ def test_states_jsonl_reader_memory_stays_bounded(tmp_path):
 def test_render_lines_matches_the_template(first, states):
     expected = "".join(serialize._STATE_LINE % row for row in zip(range(first, first + len(states)), states))
     assert serialize._render_lines(first, np.array(states, dtype=np.int64)) == expected.encode()
+
+
+# Pieces between slots; equal-length but different pieces join one run.
+_PIECES = st.sampled_from(["", ",", "\n  ", "],[9,8,", "],[10,1,", "],[3,1,", "]]}\n", '{"i":'])
+_VALUES = st.sampled_from([0, 9, 10, 99, 100, 2**63 - 1, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pieces=st.lists(_PIECES, min_size=1, max_size=7), data=st.data())
+def test_render_rows_matches_percent_formatting(pieces, data):
+    template, k = "%d".join(pieces), len(pieces) - 1
+    rows = data.draw(st.lists(st.lists(_VALUES, min_size=k, max_size=k), max_size=5))
+    expected = "".join(template % tuple(row) for row in rows).encode()
+    values = np.array(rows, dtype=np.uint64).reshape(len(rows), k)
+    assert serialize._render_rows(template, values) == expected
+    if values.size and values.max() < 2**63:
+        assert serialize._render_rows(template, values.astype(np.int64)) == expected
+
+
+def test_expand_lines_on_one_vertex_match_plain_json(tmp_path):
+    """G(1, t) has one state and no dyads: every line carries "dyads":[]."""
+    for t in (1, 3):
+        space = build_multigraph_space(1, t)
+        path = tmp_path / f"one{t}.jsonl"
+        serialize.write_states_jsonl(str(path), space, [0] * 12, expand=True)
+        lines = path.read_text().splitlines(keepends=True)[1:]
+        assert lines == _reference_state_lines(space, [0] * 12, True)
+        assert serialize.read_states_jsonl(str(path))[2].tolist() == [0] * 12
 
 
 def test_states_jsonl_round_trip_on_the_largest_modular_space(tmp_path, monkeypatch):
