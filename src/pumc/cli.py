@@ -77,9 +77,8 @@ def _replicate_path(path: str, replicate: int, total: int) -> str:
     return f"{stem}.r{replicate}{ext}"
 
 
-def _simulate_range(payload: dict, start: int, stop: int) -> list[str]:
+def _simulate_range(args, start: int, stop: int) -> list[str]:
     """Sample and write replicates start..stop-1, building the chain once."""
-    args = argparse.Namespace(**payload)
     if args.model == "custom":
         P = serialize.load_matrix(args.matrix)
         space = build_generic_space(tuple(str(i) for i in range(P.size)))
@@ -99,17 +98,12 @@ def cmd_simulate(args) -> int:
         raise ValueError("--replicates and --jobs must be at least 1")
     if args.model == "custom" and not args.matrix:
         raise ValueError("--model custom needs --matrix")
-    if args.replicates > 1 and not args.out:
-        raise ValueError("--replicates > 1 needs --out")
     if not args.out:
         raise ValueError("simulate writes JSONL; pass --out")
-    payload = {k: getattr(args, k) for k in (
-        "model", "n", "p", "mu", "matrix", "steps", "x0", "seed", "out", "expand", "replicates"
-    )}
     # One contiguous range of replicates per worker; serial is the one-range case.
     workers = min(args.jobs, args.replicates, os.cpu_count() or 1)
     bounds = [args.replicates * k // workers for k in range(workers + 1)]
-    tasks = ([payload] * workers, bounds[:-1], bounds[1:])
+    tasks = ([args] * workers, bounds[:-1], bounds[1:])
     if workers == 1:
         ranges = list(map(_simulate_range, *tasks))
     else:
@@ -215,14 +209,13 @@ def _diagnose_table(args, space):
     graph_space = space.kind == "multigraph" and space.t == 1
     if args.stat in ("density", "stability", "transitivity", "degseq") and not graph_space:
         raise ValueError(f"--stat {args.stat} needs a simple-graph trajectory")
-    if args.stat == "density":
-        return netstat.density_stat_table(space), "identity"
-    if args.stat == "stability":
-        return netstat.stability_stat_table(space), "stability"
+    if args.stat in netstat.EDGE_STAT_FAMILY:
+        table = netstat.density_stat_table if args.stat == "density" else netstat.stability_stat_table
+        return table(space), netstat.EDGE_STAT_FAMILY[args.stat]
     if args.stat == "degseq":
-        # float64 before the broadcast, so convergence_report's cast copies (size, n), not size x size x n.
+        # float64 before the spread, so convergence_report's cast copies (size, n), not size x size x n.
         rows = netstat.sorted_degree_table(space).astype(np.float64)
-        return np.broadcast_to(rows[None, :, :], (space.size, space.size, space.n)), "identity"
+        return builtin_family(space, "identity").spread(rows, "the statistic table"), "identity"
     if args.stat == "transitivity":
         return models.transitivity_table(space.n), None
     if args.n is None:

@@ -134,6 +134,8 @@ class StateSpace:
             if not 0 <= idx < self.size:
                 raise ValueError("residue out of range")
             return idx
+        if state not in _label_index(self.labels):
+            raise ValueError("state does not belong to this space")
         return _label_index(self.labels)[state]
 
     def decode(self, idx: int):
@@ -272,8 +274,8 @@ class PermutationFamily:
     This class holds sigma as a (size, size) index matrix whose rows are
     checked to be permutations; family files and detected families are
     tables. The builtin families are formulas (see builtin_family) and
-    build sigma only when it is read. Outside this module families are used
-    through apply, unapply and walk, which broadcast over index arrays.
+    build sigma only when it is read. Elsewhere families are used through
+    spread (size x size tables) and apply, unapply, walk (over index arrays).
     """
 
     def __init__(self, sigma, tag: str = ""):
@@ -292,6 +294,12 @@ class PermutationFamily:
     def sigma(self) -> np.ndarray:
         """The (size, size) table sigma[a, b] = sigma_a(b)."""
         return self._sigma
+
+    def spread(self, values, what: str) -> np.ndarray:
+        """values[sigma_a(b)] for every (a, b): the p-uniform table of a state-indexed
+        array, trailing axes kept. Refuses with check_dense_budget(size, what) first."""
+        check_dense_budget(self.size, what)
+        return values[self._sigma]
 
     def apply(self, a, b):
         """sigma_a(b) over broadcastable index arrays."""
@@ -330,9 +338,15 @@ class _GroupFamily(PermutationFamily):
 
     @property
     def sigma(self) -> np.ndarray:
-        check_dense_budget(self.size, f"the {self.tag} family table")
+        return np.ascontiguousarray(self.spread(np.arange(self.size, dtype=np.int64), f"the {self.tag} family table"))
+
+    def spread(self, values, what: str) -> np.ndarray:
+        check_dense_budget(self.size, what)
+        if self._op == "identity":
+            # Every row is values itself: a read-only view, not a size^2 copy.
+            return np.broadcast_to(values, (self.size,) + values.shape)
         idx = np.arange(self.size, dtype=np.int64)
-        return np.ascontiguousarray(self.apply(idx[:, None], idx))
+        return values[self.apply(idx[:, None], idx)]
 
     def apply(self, a, b):
         if self._op == "identity":

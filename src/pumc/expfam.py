@@ -419,6 +419,7 @@ def gani_row_value_sets(cef: CefSpec, tol: float = MEF_REL_TOL):
 def transition_counts(x: Trajectory) -> np.ndarray:
     """Matrix N with N[a, b] = number of a -> b steps in the path."""
     size = x.space.size
+    check_dense_budget(size, "the transition count matrix")
     N = np.zeros((size, size), dtype=np.int64)
     np.add.at(N, (x.states[:-1], x.states[1:]), 1)
     return N
@@ -533,10 +534,7 @@ def expfam_to_mef(fam: ExpFamilySpec, perm: PermutationFamily) -> MefSpec:
     """
     if perm.size != fam.space.size:
         raise ValueError("permutation family does not match the state space")
-    idx = np.arange(perm.size)
-    sigma = perm.apply(idx[:, None], idx)
-    kappa = fam.kappa[sigma]
-    tau = fam.tau[sigma]
+    kappa, tau = (perm.spread(table, "the MEF tables") for table in (fam.kappa, fam.tau))
     return as_mef(CefSpec(space=fam.space, kappa=kappa, tau=tau, eta=fam.eta))
 
 

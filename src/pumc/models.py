@@ -46,7 +46,6 @@ from .expfam import (
     as_mef,
     expfam_to_mef,
 )
-from .puniform import puniform_matrix
 
 GANI_TAU = np.array([[1.0, 1.0, 3.0], [3.0, 3.0, 1.0], [1.0, 3.0, 3.0]])
 GANI_KAPPA = np.array([[2.0, 1.0, 1.0], [1.0 / 3.0, 2.0 / 3.0, 3.0], [2.75, 1.0, 0.25]])
@@ -118,7 +117,7 @@ class ChainModel:
     mu: Pmf
 
     def matrix(self) -> StochasticMatrix:
-        return StochasticMatrix(P=puniform_matrix(self.family, self.mu))
+        return StochasticMatrix(P=self.family.spread(self.mu.p, "the transition matrix"))
 
 
 def density_chain(n: int, p: float) -> ChainModel:

@@ -21,8 +21,8 @@ from .core import (
     Pmf,
     StateSpace,
     StochasticMatrix,
+    builtin_family,
     canonical_dyads,
-    check_dense_budget,
     check_finite,
     dyad_count_table,
     dyad_counts,
@@ -127,36 +127,41 @@ def sorted_degree_table(space: StateSpace) -> np.ndarray:
     return np.sort(dyad_count_table(space) @ _dyad_incidence(space.n), axis=1)
 
 
-def edge_stat_counts(space: StateSpace, kind: str, source, target) -> np.ndarray:
-    """Dyad counts behind the density and stability statistics.
+# Both statistics count the edges of sigma_a(b): of b under the identity, of
+# complement(a xor b), the dyads where b agrees with a, under stability.
+EDGE_STAT_FAMILY = {"density": "identity", "stability": "stability"}
 
-    Density counts the target's edges; stability counts the dyads where the
-    target agrees with the source, N - |a xor b|. `source` and `target` are
-    broadcastable arrays of state indices; the statistic is the count over
-    n - 1.
-    """
+
+def _edge_stat_family(space: StateSpace, kind: str) -> PermutationFamily:
     if space.kind != MULTIGRAPH or space.t != 1 or space.n < 2:
         raise ValueError(f"{kind} needs a simple-graph space with n >= 2")
-    edges = edge_total_table(space)
-    if kind == "density":
-        return np.broadcast_to(edges[target], np.broadcast_shapes(np.shape(source), np.shape(target)))
-    if kind == "stability":
-        return num_dyads(space.n) - edges[source ^ target]
-    raise ValueError("kind must be 'density' or 'stability'")
+    if kind not in EDGE_STAT_FAMILY:
+        raise ValueError("kind must be 'density' or 'stability'")
+    return builtin_family(space, EDGE_STAT_FAMILY[kind])
+
+
+def edge_stat_counts(space: StateSpace, kind: str, source, target) -> np.ndarray:
+    """Edge counts of sigma_a(b) behind the density and stability statistics.
+
+    `source` and `target` are broadcastable arrays of state indices; the
+    statistic is the count over n - 1.
+    """
+    return edge_total_table(space)[_edge_stat_family(space, kind).apply(source, target)]
+
+
+def _edge_stat_table(space: StateSpace, kind: str) -> np.ndarray:
+    counts = _edge_stat_family(space, kind).spread(edge_total_table(space), f"the {kind} statistic table")
+    return counts / (space.n - 1)
 
 
 def density_stat_table(space: StateSpace) -> np.ndarray:
     """Transition table of the density statistic: rows constant in the source."""
-    check_dense_budget(space.size, "the density statistic table")
-    idx = np.arange(space.size, dtype=np.int64)
-    return edge_stat_counts(space, "density", idx[:, None], idx) / (space.n - 1)
+    return _edge_stat_table(space, "density")
 
 
 def stability_stat_table(space: StateSpace) -> np.ndarray:
     """Transition table of the stability statistic: dyads outside a xor b."""
-    check_dense_budget(space.size, "the stability statistic table")
-    idx = np.arange(space.size, dtype=np.int64)
-    return edge_stat_counts(space, "stability", idx[:, None], idx) / (space.n - 1)
+    return _edge_stat_table(space, "stability")
 
 
 @dataclass(frozen=True)
@@ -384,8 +389,7 @@ def is_relation_invariant(perm: PermutationFamily, classes: IsoClasses):
         raise ValueError("family and classes must share a space")
     cid = classes.class_id
     first = _first_members(classes)
-    idx = np.arange(perm.size)
-    mapped = cid[perm.apply(idx[:, None], idx)]
+    mapped = perm.spread(cid, "the class map")
     split = mapped != mapped[:, first]
     rows = np.flatnonzero(split.any(axis=1))
     if rows.size == 0:

@@ -47,18 +47,11 @@ class Trajectory:
         return self.states.size - 1
 
 
-def puniform_matrix(fam: PermutationFamily, mu: Pmf) -> np.ndarray:
-    """Entries P(a, b) = mu(sigma_a(b)) of the matrix a (family, mu) pair defines."""
-    check_dense_budget(fam.size, "the transition matrix")
-    idx = np.arange(fam.size)
-    return mu.p[fam.apply(idx[:, None], idx)]
-
-
 def check_triple(P: StochasticMatrix, fam: PermutationFamily, mu: Pmf, tol: float = WITNESS_TOL):
     """Raise ValueError unless P(a, b) = mu(sigma_a(b)) entrywise within tol."""
     if fam.size != P.size or mu.size != P.size:
         raise ValueError("(P, family, mu) must share one state space size")
-    err = np.abs(P.P - puniform_matrix(fam, mu)).max()
+    err = np.abs(P.P - fam.spread(mu.p, "the transition matrix")).max()
     if err > tol:
         raise ValueError(f"(P, family, mu) is not a p-uniform triple, error {err:.3e}")
 
@@ -180,6 +173,7 @@ def induced_function(fam: PermutationFamily, z: int) -> np.ndarray:
     """
     if not 0 <= z < fam.size:
         raise ValueError("z out of range")
+    check_dense_budget(fam.size, "the induced maps")
     idx = np.arange(fam.size)
     full = fam.unapply(idx, idx[:, None])  # full[z, b] = sigma_b^-1(z)
     if np.unique(full, axis=0).shape[0] != fam.size:

@@ -358,7 +358,11 @@ def ermgm_from_dict(d: dict) -> ErmgmModel:
     n, t = _json_int(_json_object(d, "a dyadic model")["n"], "n"), _json_int(d["t"], "t")
     tau_f = _json_numbers(d["tau_f"], "\"tau_f\"")
     kappa_f = None if d.get("kappa_f") is None else _json_numbers(d["kappa_f"], "\"kappa_f\"")
-    return ErmgmModel(n=n, t=t, tau_f=tau_f, kappa_f=kappa_f, eta=eta_from_dict(d["eta"]))
+    eta = eta_from_dict(d["eta"])
+    if not num_dyads(n) and t >= 0:  # G(1, t) has no dyads, and a JSON [] carries no shape
+        tau_f = tau_f if tau_f.size else np.empty((0, t + 1, eta.l))
+        kappa_f = kappa_f if kappa_f is None or kappa_f.size else np.empty((0, t + 1))
+    return ErmgmModel(n=n, t=t, tau_f=tau_f, kappa_f=kappa_f, eta=eta)
 
 
 # ------------------------------------------------------------- JSONL paths

@@ -1,16 +1,16 @@
 import argparse
-import io
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pumc.core
-from pumc import models, serialize
+from pumc import models, netstat, serialize
 from pumc.cli import _diagnose_table, main
 from pumc.core import build_multigraph_space, edge_total_table, num_dyads
-from pumc.errors import SpaceTooLargeError
+from pumc.errors import PowerIterationError, SpaceTooLargeError, TheoremViolationError
 from pumc.ermgm import ErmgmModel, from_factorization, mle_density_stability, sample_multigraphs
 from pumc.expfam import ParameterMap
 from pumc.netstat import factor_dyadditive
@@ -48,12 +48,12 @@ def test_simulate_writes_jsonl_and_is_deterministic(tmp_path, capsys):
     code, _, err = run(capsys, *argv)
     assert code == 0
     assert "simulate:" in err
-    first = open(out, "rb").read()
+    first = Path(out).read_bytes()
     assert len(first.splitlines()) == 52  # header + 51 states
 
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    assert open(out, "rb").read() == first
+    assert Path(out).read_bytes() == first
 
 
 def test_simulate_argument_validation(tmp_path, capsys):
@@ -81,13 +81,13 @@ def test_simulate_replicates_and_jobs_agree(tmp_path, capsys):
     out1 = str(tmp_path / "a.jsonl")
     code, _, _ = run(capsys, *base, "--out", out1)
     assert code == 0
-    seq = open(str(tmp_path / "a.r0.jsonl"), "rb").read(), open(str(tmp_path / "a.r1.jsonl"), "rb").read()
+    seq = (tmp_path / "a.r0.jsonl").read_bytes(), (tmp_path / "a.r1.jsonl").read_bytes()
     assert seq[0] != seq[1]  # replicate lanes differ
 
     out2 = str(tmp_path / "b.jsonl")
     code, _, _ = run(capsys, *base, "--out", out2, "--jobs", "2")
     assert code == 0
-    par = open(str(tmp_path / "b.r0.jsonl"), "rb").read(), open(str(tmp_path / "b.r1.jsonl"), "rb").read()
+    par = (tmp_path / "b.r0.jsonl").read_bytes(), (tmp_path / "b.r1.jsonl").read_bytes()
     assert par == seq  # fan-out does not change the draws
 
 
@@ -143,7 +143,7 @@ def test_transform_round_trip_bytes(tmp_path, capsys):
     code, _, _ = run(capsys, "transform", "--traj", z_path, "--direction",
                      "iid2chain", "--family", "stability", "--x0", "2", "--out", back)
     assert code == 0
-    assert open(back, "rb").read() == open(traj_path, "rb").read()
+    assert Path(back).read_bytes() == Path(traj_path).read_bytes()
 
     code, _, err = run(capsys, "transform", "--traj", z_path, "--direction",
                        "iid2chain", "--family", "stability", "--out", back)
@@ -182,9 +182,9 @@ def test_transform_family_file_matches_the_builtin(tmp_path, capsys):
             run(capsys, "transform", "--traj", z_path, "--direction", "iid2chain",
                 "--family", family, "--x0", "2", "--out", back)[0],
         )
-        written[family] = (codes, open(z_path, "rb").read(), open(back, "rb").read())
+        written[family] = (codes, Path(z_path).read_bytes(), Path(back).read_bytes())
     assert written[fam_path] == written["stability"]
-    assert written[fam_path][0] == (0, 0) and written[fam_path][2] == open(traj_path, "rb").read()
+    assert written[fam_path][0] == (0, 0) and written[fam_path][2] == Path(traj_path).read_bytes()
     code, out, err = run(capsys, "transform", "--traj", traj_path, "--direction", "chain2iid",
                          "--family", small_path, "--out", z_path)
     assert (code, out, err) == (2, "", "error: family file does not match the space\n")
@@ -242,7 +242,7 @@ def test_sample_single_and_batch(tmp_path, capsys):
     code, _, _ = run(capsys, "sample", "--model", mpath, "--theta", "0.5",
                      "--seed", "4", "--count", "5", "--out", batch)
     assert code == 0
-    lines = open(batch).read().splitlines(keepends=True)
+    lines = Path(batch).read_text().splitlines(keepends=True)
     assert len(lines) == 5
     assert out == lines[0]  # one draw is the head of the stream, in the same JSONL shape
     assert serialize.multigraph_from_dict(json.loads(lines[0])) == g
@@ -304,7 +304,7 @@ def test_diagnose_stability_with_p(tmp_path, capsys):
     assert report["target"] == [pytest.approx(0.45)]
     assert report["stderr"] is not None
     assert max(report["abs_error"]) < 0.1
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0] == "step,running_mean"
     assert len(lines) == 2001
 
@@ -389,6 +389,17 @@ def test_exchangeability_model_needs_n_and_p(capsys):
     assert code == 2 and err == "error: --model modular needs --n\n"
 
 
+@pytest.mark.parametrize("error", [TheoremViolationError("rows disagree"),
+                                   PowerIterationError("no convergence", None, 10)])
+def test_a_failed_numerical_check_exits_3(capsys, monkeypatch, error):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(netstat, "exchangeability_transfer", fail)
+    code, out, err = run(capsys, "exchangeability", "--model", "density", "--n", "3", "--p", "0.3")
+    assert (code, out, err) == (3, "", f"numerical check failed: {error}\n")
+
+
 def test_exchangeability_custom_needs_a_matching_pmf(tmp_path, capsys):
     mu_path = str(tmp_path / "mu.json")
     with open(mu_path, "w") as fp:
@@ -413,7 +424,7 @@ def test_non_integer_index_or_state_exits_2(tmp_path, capsys):
     traj_path = str(tmp_path / "x.jsonl")
     run(capsys, "simulate", "--model", "stability", "--n", "3", "--p", "0.3",
         "--steps", "10", "--seed", "9", "--out", traj_path)
-    header, *records = open(traj_path).read().splitlines()
+    header, *records = Path(traj_path).read_text().splitlines()
     for bad_record in ('{"i":3,"state":2.7}', '{"i":true,"state":2}'):
         bad = str(tmp_path / "bad.jsonl")
         with open(bad, "w") as fp:
@@ -481,19 +492,29 @@ def test_sample_on_one_and_on_two_digit_vertices_matches_plain_json(tmp_path, ca
     models_by_n = {n: ErmgmModel(n=n, t=t, tau_f=gen.normal(size=(num_dyads(n), t + 1, 1)) * 2.0,
                                  kappa_f=None, eta=ParameterMap("natural", l=1))
                    for n, t in ((1, 2), (12, 10))}
-    mpath = str(tmp_path / "model.json")
+    for n, model in models_by_n.items():
+        mpath = str(tmp_path / f"model{n}.json")
+        with open(mpath, "w") as fp:
+            fp.write(serialize.dumps(serialize.ermgm_to_dict(model)))
+        code, out, _ = run(capsys, "sample", "--model", mpath, "--theta", "0.5", "--seed", "3", "--count", "40")
+        assert code == 0
+        draws = sample_multigraphs(model, 0.5, 40, 3)
+        assert draws.shape == (40, num_dyads(n))
+        assert _first_difference(out, _plain_sample_lines(model, draws)) is None
+
+
+def test_one_vertex_model_file_reads_back_for_partition(tmp_path, capsys):
+    """G(1, 2) has one state, the empty graph, so psi = log 1 = 0 at every theta;
+    its tau_f and kappa_f are written as [], which carries no shape."""
+    model = ErmgmModel(n=1, t=2, tau_f=np.zeros((0, 3, 1)), kappa_f=None, eta=ParameterMap("natural", l=1))
+    mpath = str(tmp_path / "model1.json")
     with open(mpath, "w") as fp:
-        fp.write(serialize.dumps(serialize.ermgm_to_dict(models_by_n[12])))
-    code, out, _ = run(capsys, "sample", "--model", mpath, "--theta", "0.5", "--seed", "3", "--count", "40")
+        fp.write(serialize.dumps(serialize.ermgm_to_dict(model)))
+    assert '"tau_f":[],"kappa_f":[]' in Path(mpath).read_text()
+    code, out, _ = run(capsys, "partition", "--model", mpath, "--theta=0.5,-1", "--brute")
     assert code == 0
-    draws = sample_multigraphs(models_by_n[12], 0.5, 40, 3)
-    assert _first_difference(out, _plain_sample_lines(models_by_n[12], draws)) is None
-    # A one-vertex model file does not read back (its empty tau_f is []), so
-    # its records are written in process, as cmd_sample writes them.
-    draws = sample_multigraphs(models_by_n[1], 0.5, 40, 3)
-    text = io.StringIO()
-    serialize.write_multigraph_lines(text, 1, 2, draws)
-    assert draws.shape == (40, 0) and text.getvalue() == _plain_sample_lines(models_by_n[1], draws)
+    report = read_json(out)
+    assert report["log_partition"] == [0.0, 0.0] and report["brute"] == [0.0, 0.0]
 
 
 def test_diagnose_csv_past_one_chunk_matches_plain_format(tmp_path, capsys):
@@ -507,13 +528,13 @@ def test_diagnose_csv_past_one_chunk_matches_plain_format(tmp_path, capsys):
     assert code == 0
 
     # stability statistic on G(3, 1): dyads outside a xor b, over n - 1
-    x = [json.loads(line)["state"] for line in open(traj_path).read().splitlines()[1:]]
+    x = [json.loads(line)["state"] for line in Path(traj_path).read_text().splitlines()[1:]]
     series = np.array([(3 - bin(a ^ b).count("1")) / 2 for a, b in zip(x, x[1:])])
     running = np.cumsum(series) / np.arange(1, steps + 1)
     expected = "step,running_mean\n" + "".join(
         f"{k},{format(v, '.17g')}\n" for k, v in enumerate(running.tolist(), 1)
     )
-    assert _first_difference(open(csv_path).read(), expected) is None
+    assert _first_difference(Path(csv_path).read_text(), expected) is None
 
 
 def test_config_overrides_flags(tmp_path, capsys):
@@ -586,7 +607,7 @@ def test_reordered_or_gapped_trajectory_exits_2(tmp_path, capsys):
     traj_path = str(tmp_path / "x.jsonl")
     run(capsys, "simulate", "--model", "stability", "--n", "3", "--p", "0.3",
         "--steps", "10", "--seed", "9", "--out", traj_path)
-    header, *records = open(traj_path).read().splitlines()
+    header, *records = Path(traj_path).read_text().splitlines()
     swapped = str(tmp_path / "swapped.jsonl")
     with open(swapped, "w") as fp:
         fp.write("\n".join([header, records[0], records[2], records[1], *records[3:]]) + "\n")
@@ -667,7 +688,7 @@ def test_out_flag_writes_file_not_stdout(tmp_path, capsys):
                          "--out", result)
     assert code == 0
     assert out == ""
-    report = json.load(open(result))
+    report = json.loads(Path(result).read_text())
     assert report["log_partition"][0] == pytest.approx(3 * np.log(2), rel=1e-14)
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pumc import core, models
 from pumc.core import (
     DENSE_ENTRY_CAP,
     ENUMERATION_CAP,
@@ -27,7 +28,9 @@ from pumc.core import (
     num_dyads,
 )
 from pumc.errors import SpaceTooLargeError
-from pumc.puniform import Trajectory, chain_to_iid
+from pumc.expfam import transition_counts
+from pumc.netstat import is_relation_invariant, iso_classes
+from pumc.puniform import Trajectory, chain_to_iid, induced_function
 
 
 def test_num_dyads_small_values():
@@ -106,6 +109,12 @@ def test_modular_and_generic_spaces():
     assert mod.size == 5 and mod.kind == "modular"
     gen = build_generic_space(("a", "b", "c"))
     assert gen.size == 3 and gen.labels == ("a", "b", "c")
+    for space in (mod, gen):
+        assert [space.encode(space.decode(i)) for i in range(space.size)] == list(range(space.size))
+    with pytest.raises(ValueError, match="state does not belong to this space"):
+        gen.encode("w")
+    with pytest.raises(ValueError, match="residue out of range"):
+        mod.encode(5)
 
 
 def test_pmf_validation():
@@ -279,6 +288,47 @@ def test_invert_family_of_a_formula_is_its_inverse_table():
     idx = np.arange(6)
     assert inv.tag == "modular^-1"
     assert np.array_equal(inv.sigma, fam.unapply(idx[:, None], idx))
+
+
+def _families():
+    graph = build_multigraph_space(3, 1)
+    yield from (builtin_family(graph, name) for name in ("identity", "symdiff", "stability"))
+    yield builtin_family(build_modular_space(5), "modular")
+    yield PermutationFamily(np.random.default_rng(4).permuted(np.tile(np.arange(6), (6, 1)), axis=1))
+
+
+def test_spread_reads_values_through_sigma():
+    for fam in _families():
+        values = np.random.default_rng(fam.size).normal(size=(fam.size, 2))
+        table = fam.spread(values, "the test table")
+        assert table.shape == (fam.size, fam.size, 2)
+        assert np.array_equal(table, values[fam.sigma])
+        assert np.array_equal(fam.spread(values[:, 0], "the test table"), values[fam.sigma, 0])
+    # Every identity row is values itself, so the table is a read-only view.
+    view = identity_family(4).spread(np.arange(4.0), "the test table")
+    assert not view.flags.writeable and view.strides[0] == 0
+
+
+def test_spread_checks_the_budget_first(monkeypatch):
+    monkeypatch.setattr(core, "DENSE_ENTRY_CAP", 24)
+    for fam in _families():
+        with pytest.raises(SpaceTooLargeError, match=f"the test table would hold {fam.size} x {fam.size}"):
+            fam.spread(np.zeros(fam.size), "the test table")
+
+
+def test_size_squared_tables_refuse_past_the_budget(monkeypatch):
+    """Each of these would build a size x size array; on G(6, 1) that is 8 GiB."""
+    space = build_multigraph_space(3, 1)
+    fam = builtin_family(space, "stability")
+    classes = iso_classes(space)
+    monkeypatch.setattr(core, "DENSE_ENTRY_CAP", 63)
+    for what, call in (("the induced maps", lambda: induced_function(fam, 0)),
+                       ("the transition count matrix", lambda: transition_counts(Trajectory(space, np.arange(8)))),
+                       ("the MEF tables", lambda: models.stability_mef(3)),
+                       ("the MEF tables", lambda: models.density_mef(3)),
+                       ("the class map", lambda: is_relation_invariant(fam, classes))):
+        with pytest.raises(SpaceTooLargeError, match=f"{what} would hold 8 x 8 entries, past the cap of 63"):
+            call()
 
 
 def test_dense_budget_bounds():

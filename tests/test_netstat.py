@@ -28,6 +28,7 @@ from pumc.netstat import (
     IsoClasses,
     degree_sequence,
     density_stat_table,
+    edge_stat_counts,
     exchangeability_transfer,
     factor_dyadditive,
     factor_dyadically_multiplicative,
@@ -118,6 +119,20 @@ def test_stat_tables_match_pairwise_functions():
             a, b = space.decode(i), space.decode(j)
             assert dens[i, j] == stat_density(a, b)
             assert stab[i, j] == stat_stability(a, b)
+
+
+def test_edge_stat_counts_are_the_edges_of_sigma():
+    """Density counts the edges of b; stability the dyads where b agrees with
+    a, N - |a xor b|. The statistic tables are those counts over n - 1."""
+    for n in (2, 3, 4):
+        space = build_multigraph_space(n, 1)
+        a, b = np.divmod(np.arange(space.size ** 2), space.size)
+        edges = np.array([bin(i).count("1") for i in range(space.size)])
+        agree = num_dyads(n) - np.array([bin(i).count("1") for i in a ^ b])
+        for kind, counts, table in (("density", edges[b], density_stat_table(space)),
+                                    ("stability", agree, stability_stat_table(space))):
+            assert np.array_equal(edge_stat_counts(space, kind, a, b), counts), (n, kind)
+            assert np.array_equal(table.reshape(-1), counts / (n - 1)), (n, kind)
 
 
 def _directed_adjacency(n, state):

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,7 +227,7 @@ def test_states_jsonl_round_trip(tmp_path):
     assert kind == "trajectory" and space2 == space
     assert np.array_equal(back, states)
 
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert json.loads(lines[0])["kind"] == "trajectory"
     assert [json.loads(l)["i"] for l in lines[1:]] == [0, 1, 2, 3]
 
@@ -235,7 +236,7 @@ def test_states_jsonl_expand_dyads(tmp_path):
     space = build_multigraph_space(3, 2)
     path = str(tmp_path / "e.jsonl")
     serialize.write_states_jsonl(path, space, [11], expand=True)
-    rec = json.loads(open(path).read().splitlines()[1])
+    rec = json.loads(Path(path).read_text().splitlines()[1])
     g = space.decode(11)
     assert serialize.multigraph_from_dict({"n": 3, "t": 2, "dyads": rec["dyads"]}) == g
 
@@ -260,7 +261,7 @@ def test_states_jsonl_rejects_swapped_and_gapped_lines(tmp_path):
     space = build_multigraph_space(3, 1)
     path = str(tmp_path / "ok.jsonl")
     serialize.write_states_jsonl(path, space, [0, 7, 3, 5])
-    header, *records = open(path).read().splitlines()
+    header, *records = Path(path).read_text().splitlines()
     swapped = [records[0], records[2], records[1], records[3]]
     gapped = [records[0], records[1], records[3]]
     for name, body in (("swapped", swapped), ("gapped", gapped)):
@@ -316,7 +317,7 @@ def test_states_jsonl_round_trip_across_chunks(tmp_path_factory, length, expand,
     states = np.random.default_rng(seed).integers(0, space.size, length)
     path = str(tmp_path_factory.mktemp("chunks") / "t.jsonl")
     serialize.write_states_jsonl(path, space, states, expand=expand)
-    header, *lines = open(path).read().splitlines(keepends=True)
+    header, *lines = Path(path).read_text().splitlines(keepends=True)
     reference = _reference_state_lines(space, states, expand)
     assert len(lines) == len(reference)
     assert next((k for k, (a, b) in enumerate(zip(lines, reference)) if a != b), None) is None
@@ -334,7 +335,7 @@ def test_states_jsonl_bad_record_in_second_chunk_reports_its_line(tmp_path):
     space = build_multigraph_space(3, 1)
     path = str(tmp_path / "t.jsonl")
     serialize.write_states_jsonl(path, space, np.zeros(serialize.CHUNK + 50, dtype=int))
-    header, *lines = open(path).read().splitlines(keepends=True)
+    header, *lines = Path(path).read_text().splitlines(keepends=True)
     lines[3:3] = ["\n", "\n"]  # blank lines in the first chunk still count
     bad = serialize.CHUNK + 20  # index into lines: second chunk
     lines[bad] = lines[bad].replace('"state":0', '"state":8')
