@@ -43,10 +43,19 @@ def _emit(args, payload, summary: str):
     print(summary, file=sys.stderr)
 
 
-def _resolve_family(space, name_or_path: str):
-    if name_or_path in BUILTIN_FAMILIES:
-        return builtin_family(space, name_or_path)
-    fam = serialize.family_from_dict(serialize.load_json(name_or_path))
+def _resolve_family(space, value: str, words: dict):
+    """The family a --family value names, or None: `words` maps the command's own 'auto'/'none'
+    to a builtin name or None; any other value is a builtin name or a family file, checked
+    against the space. A model that fixes its own family passes no space."""
+    if value not in words and (value in ("auto", "none") or space is None):
+        takes = [*words] if space is None else [*words, "a builtin name or a family file"]
+        raise ValueError(f"--family {value} is not accepted here; use {', '.join(takes)}")
+    value = words.get(value, value)
+    if value is None:
+        return None
+    if value in BUILTIN_FAMILIES:
+        return builtin_family(space, value)
+    fam = serialize.family_from_dict(serialize.load_json(value))
     if fam.size != space.size:
         raise ValueError("family file does not match the space")
     return fam
@@ -140,7 +149,7 @@ def cmd_detect(args) -> int:
 
 def cmd_transform(args) -> int:
     kind, space, states = serialize.read_states_jsonl(args.traj)
-    fam = _resolve_family(space, args.family)
+    fam = _resolve_family(space, args.family, {})
     want = "trajectory" if args.direction == "chain2iid" else "iid"
     if kind != want:
         raise ValueError(f"{args.direction} expects {'a' if want == 'trajectory' else 'an'} {want} stream")
@@ -247,11 +256,7 @@ def cmd_diagnose(args) -> int:
     if args.target is None:
         # A finite --p near the float maximum can still overflow here.
         target = _finite_target(args.p * num_dyads(space.n) / (space.n - 1))
-    fam = None
-    if args.family != "none":
-        name = fam_name if args.family == "auto" else args.family
-        if name is not None:
-            fam = builtin_family(space, name)
+    fam = _resolve_family(space, args.family, {"auto": fam_name, "none": None})
     report = simulate.convergence_report(traj, table, target, fam)
     payload = {
         "stat": args.stat,
@@ -276,9 +281,10 @@ def cmd_exchangeability(args) -> int:
         mu = serialize.load_pmf(args.mu)
         if mu.size != space.size:
             raise ValueError("pmf file does not match the space")
-        fam = _resolve_family(space, args.family if args.family != "auto" else "identity")
+        fam = _resolve_family(space, args.family, {"auto": "identity"})
         cm = models.ChainModel(space=space, family=fam, mu=mu)
     else:
+        _resolve_family(None, args.family, {"auto": None})
         cm = _chain_model(args)
     # The dense matrix below must fit; refuse before the isomorphism pass.
     check_dense_budget(cm.space.size, "the transition matrix")
@@ -374,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", help="target value(s), comma-separated")
     p.add_argument("--p", type=float)
     p.add_argument("--n", type=int, help="vertex count, needed for --stat reciprocity")
-    p.add_argument("--family", default="auto", help="'auto', 'none', or a builtin name")
+    p.add_argument("--family", default="auto", help="'auto', 'none' (no stderr), a builtin name or a family file")
     p.add_argument("--csv", help="write running means here")
     _add_common(p)
     p.set_defaults(func=cmd_diagnose)
@@ -384,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=float)
     p.add_argument("--mu", help="pmf JSON file for the custom model")
-    p.add_argument("--family", default="auto")
+    p.add_argument("--family", default="auto", help="'auto'; a custom model also takes a builtin name or a file")
     _add_common(p)
     p.set_defaults(func=cmd_exchangeability)
 

@@ -130,10 +130,11 @@ class StateSpace:
                 raise ValueError("state does not belong to this space")
             return int(state.counts @ place_values(self))
         if self.kind == MODULAR:
-            idx = int(state)
-            if not 0 <= idx < self.size:
+            if not isinstance(state, (int, np.integer)) or isinstance(state, bool):
+                raise ValueError("state does not belong to this space")
+            if not 0 <= state < self.size:
                 raise ValueError("residue out of range")
-            return idx
+            return int(state)
         if state not in _label_index(self.labels):
             raise ValueError("state does not belong to this space")
         return _label_index(self.labels)[state]

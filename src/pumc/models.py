@@ -202,10 +202,6 @@ def directed_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def directed_pair_index(n: int) -> dict:
-    return {pair: f for f, pair in enumerate(directed_pairs(n))}
-
-
 def _directed_size(n: int) -> int:
     """2^(n(n-1)), the number of loop-free directed graphs, held to the state cap."""
     m = n * (n - 1)
@@ -236,7 +232,7 @@ def reciprocity_table(n: int) -> np.ndarray:
     check_dense_budget(size, "the reciprocity table")
     pairs = directed_pairs(n)
     m = len(pairs)
-    lookup = directed_pair_index(n)
+    lookup = {pair: f for f, pair in enumerate(pairs)}
     tp = np.array([lookup[(j, i)] for (i, j) in pairs], dtype=np.int64)
     idx = np.arange(size, dtype=np.int64)
     bits = np.empty((size, m), dtype=np.float64)

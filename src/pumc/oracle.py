@@ -201,26 +201,3 @@ def brute_union_law(model: ErmgmModel, theta, t: int) -> ExactLaw:
         masses[u] = fsum(mass.tolist())
     return ExactLaw(outcomes=outcomes, mass=masses)
 
-
-def sum_product_identity_check(tables, rel_tol: float = 1e-10):
-    """Compare prod_i sum_b f_i(b) against sum over tuples of prod_i f_i(y_i).
-
-    Returns (ok, lhs, rhs). The exchange underlies every product-form
-    partition function here, so this is the smallest version of the claim.
-    """
-    tables = [np.asarray(tab, dtype=np.float64).reshape(-1) for tab in tables]
-    if not tables:
-        raise ValueError("need at least one table")
-    count = 1
-    for tab in tables:
-        count *= tab.size
-    _check_cap(count)
-    lhs = 1.0
-    for tab in tables:
-        lhs *= fsum(tab.tolist())
-    rhs = fsum(
-        float(np.prod([tab[y] for tab, y in zip(tables, tup)]))
-        for tup in itertools.product(*[range(tab.size) for tab in tables])
-    )
-    scale = max(1.0, abs(lhs), abs(rhs))
-    return abs(lhs - rhs) <= rel_tol * scale, lhs, rhs

@@ -72,20 +72,7 @@ def _emit(obj, out: list, indent, depth):
             obj.values(), "{}", out, indent, depth,
         )
     elif isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))
-        if obj and kinds <= {int, float}:
-            # Flat numeric list (an ndarray row): one join, same bytes as
-            # the per-item path below.
-            if kinds == {int}:
-                items = map(str, obj)
-            elif kinds == {float}:
-                items = map(_format_float, obj)
-            else:
-                items = (str(x) if type(x) is int else _format_float(x) for x in obj)
-            pad, closing = _padding(indent, depth)
-            out.append("[" + pad + ("," + pad).join(items) + closing + "]")
-        else:
-            _emit_items(("" for _ in obj), obj, "[]", out, indent, depth)
+        _emit_items(("" for _ in obj), obj, "[]", out, indent, depth)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

@@ -9,7 +9,6 @@ import itertools
 import time
 
 import numpy as np
-import pytest
 
 from pumc import models, oracle
 from pumc.core import (

@@ -14,7 +14,6 @@ from pumc.errors import PowerIterationError, SpaceTooLargeError, TheoremViolatio
 from pumc.ermgm import ErmgmModel, from_factorization, mle_density_stability, sample_multigraphs
 from pumc.expfam import ParameterMap
 from pumc.netstat import factor_dyadditive
-from pumc.puniform import Trajectory
 from pumc.simulate import sample_puniform_chain
 
 
@@ -164,7 +163,10 @@ def test_transform_direction_needs_its_stream_kind(tmp_path, capsys):
 
 
 def test_transform_family_file_matches_the_builtin(tmp_path, capsys):
-    """The stability family on G(3, 1) from literal numpy: sigma_a(b) = ~(a ^ b)."""
+    """The stability family on G(3, 1) from literal numpy: sigma_a(b) = ~(a ^ b).
+
+    transform and diagnose read it as they read the builtin name.
+    """
     idx = np.arange(8)
     fam_path, small_path = str(tmp_path / "fam.json"), str(tmp_path / "fam4.json")
     with open(fam_path, "w") as fp:
@@ -187,6 +189,20 @@ def test_transform_family_file_matches_the_builtin(tmp_path, capsys):
     assert written[fam_path][0] == (0, 0) and written[fam_path][2] == Path(traj_path).read_bytes()
     code, out, err = run(capsys, "transform", "--traj", traj_path, "--direction", "chain2iid",
                          "--family", small_path, "--out", z_path)
+    assert (code, out, err) == (2, "", "error: family file does not match the space\n")
+
+    report_path, csv_path = str(tmp_path / "report.json"), str(tmp_path / "run.csv")
+    diagnosed = {}
+    for family in ("stability", fam_path):
+        argv = ("diagnose", "--traj", traj_path, "--stat", "stability", "--p", "0.3", "--csv", csv_path,
+                "--family", family)
+        printed = run(capsys, *argv)
+        written = run(capsys, *argv, "--out", report_path)
+        diagnosed[family] = (printed, written, Path(report_path).read_bytes(), Path(csv_path).read_bytes())
+    assert diagnosed[fam_path] == diagnosed["stability"]
+    assert diagnosed[fam_path][0][0] == 0 and read_json(diagnosed[fam_path][0][1])["stderr"] is not None
+    code, out, err = run(capsys, "diagnose", "--traj", traj_path, "--stat", "stability", "--p", "0.3",
+                         "--family", small_path)
     assert (code, out, err) == (2, "", "error: family file does not match the space\n")
 
 
@@ -378,6 +394,45 @@ def test_exchangeability_density_and_custom(tmp_path, capsys):
     assert report["mu_exchangeable"] is False
     assert report["mu_witness"] is not None
     assert report["equivalence_holds"] is True
+
+
+def test_family_words_each_command_refuses(tmp_path, capsys):
+    traj_path, mu_path = str(tmp_path / "x.jsonl"), str(tmp_path / "mu.json")
+    run(capsys, "simulate", "--model", "density", "--n", "3", "--p", "0.3", "--steps", "10", "--seed", "3",
+        "--out", traj_path)
+    with open(mu_path, "w") as fp:
+        json.dump({"p": [0.125] * 8}, fp)
+    cases = [
+        (("transform", "--traj", traj_path, "--direction", "chain2iid", "--out", str(tmp_path / "z.jsonl"),
+          "--family", word), f"{word} is not accepted here; use a builtin name or a family file")
+        for word in ("auto", "none")
+    ] + [
+        (("exchangeability", "--model", "custom", "--n", "3", "--mu", mu_path, "--family", "none"),
+         "none is not accepted here; use auto, a builtin name or a family file"),
+        (("exchangeability", "--model", "density", "--n", "3", "--p", "0.3", "--family", "stability"),
+         "stability is not accepted here; use auto"),
+        (("exchangeability", "--model", "modular", "--n", "3", "--family", "none"),
+         "none is not accepted here; use auto"),
+    ]
+    for argv, message in cases:
+        assert run(capsys, *argv) == (2, "", f"error: --family {message}\n"), argv
+    assert not (tmp_path / "z.jsonl").exists()
+
+
+def test_diagnose_family_takes_any_builtin_name_or_a_file(tmp_path, capsys):
+    traj_path = str(tmp_path / "x.jsonl")
+    run(capsys, "simulate", "--model", "stability", "--n", "3", "--p", "0.3", "--steps", "50", "--seed", "3",
+        "--out", traj_path)
+    code, out, _ = run(capsys, "diagnose", "--traj", traj_path, "--stat", "density", "--p", "0.3",
+                       "--family", "identity")
+    assert code == 0 and read_json(out)["stderr"] is not None
+    code, out, err = run(capsys, "diagnose", "--traj", traj_path, "--stat", "density", "--p", "0.3",
+                         "--family", "stability")
+    assert (code, out) == (2, "") and err.startswith("error: statistic coordinate 0 is not p-uniform")
+    missing = str(tmp_path / "nope.json")
+    code, out, err = run(capsys, "diagnose", "--traj", traj_path, "--stat", "density", "--p", "0.3",
+                         "--family", missing)
+    assert (code, out, err) == (2, "", f"error: [Errno 2] No such file or directory: {missing!r}\n")
 
 
 def test_exchangeability_model_needs_n_and_p(capsys):

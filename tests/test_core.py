@@ -10,7 +10,6 @@ from pumc.core import (
     Multigraph,
     PermutationFamily,
     Pmf,
-    StateSpace,
     StochasticMatrix,
     build_generic_space,
     build_modular_space,
@@ -115,6 +114,16 @@ def test_modular_and_generic_spaces():
         gen.encode("w")
     with pytest.raises(ValueError, match="residue out of range"):
         mod.encode(5)
+
+
+def test_modular_encode_takes_only_integers():
+    mod = build_modular_space(5)
+    assert mod.encode(np.int64(3)) == 3 and type(mod.encode(np.uint8(3))) is int
+    for state in (2.7, 3.0, True, np.bool_(True), "3", None):
+        with pytest.raises(ValueError, match="state does not belong to this space"):
+            mod.encode(state)
+    with pytest.raises(ValueError, match="residue out of range"):
+        mod.encode(np.int64(-1))
 
 
 def test_pmf_validation():

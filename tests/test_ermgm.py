@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pumc import models, oracle
-from pumc.core import Multigraph, build_multigraph_space, edge_total_table, num_dyads
+from pumc.core import Multigraph, build_multigraph_space, edge_total_table
 from pumc.ermgm import (
     ErmgmModel,
     _dyad_log_weights,

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from pumc import expfam, models, oracle
 from pumc.core import (
-    Pmf,
     StochasticMatrix,
     build_generic_space,
     build_multigraph_space,
@@ -19,7 +18,7 @@ from pumc.core import (
     identity_family,
     num_dyads,
 )
-from pumc.errors import NotAnMefError, SpaceTooLargeError, TheoremViolationError
+from pumc.errors import NotAnMefError, SpaceTooLargeError
 from pumc.expfam import (
     BLOCK_ENTRIES,
     MEF_REL_TOL,

@@ -1,19 +1,23 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from pumc import models, oracle
+from pumc import ermgm, models, oracle, simulate
 from pumc.core import (
     Pmf,
     StochasticMatrix,
+    build_generic_space,
     build_modular_space,
     build_multigraph_space,
     builtin_family,
     edge_total_table,
 )
 from pumc.errors import EnumerationCapError
-from pumc.ermgm import from_factorization, union_log_probability
+from pumc.ermgm import ErmgmModel, from_factorization, union_log_probability
 from pumc.expfam import ParameterMap, log_partition
 from pumc.netstat import factor_dyadditive
+from pumc.puniform import chain_to_iid
 
 
 def er_edge_model(n):
@@ -145,11 +149,82 @@ def test_brute_union_law_matches_closed_form():
             assert got == 0.0
 
 
-def test_sum_product_identity():
-    ok, lhs, rhs = oracle.sum_product_identity_check(
-        [np.array([1.0, 2.0]), np.array([0.5, 0.25, 0.25]), np.array([3.0, 4.0])]
-    )
-    assert ok
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-    with pytest.raises(ValueError):
-        oracle.sum_product_identity_check([])
+# Exact sampler checks. A sampler fed the centred uniforms (j + 0.5) / N in
+# place of its random stream hits a cell of mass p between N p - 1 and N p + 1
+# times, so each frequency is fixed and within 1 / N of the exact law: a
+# bound, not a statistical test.
+
+
+class _CentredDraws:
+    """Stands in for rng.stream: each lane's k draws are the centred points (j + 0.5) / k."""
+
+    def __init__(self, seed, *lanes):
+        pass
+
+    def random(self, k):
+        return (np.arange(k) + 0.5) / k
+
+
+def _centred_grid(m):
+    """Stands in for rng.stream: lane r draws the r-th point, row-major, of the centred grid of
+    m points per axis over [0, 1)^k, for k draws."""
+
+    def stream(seed, lane):
+        return SimpleNamespace(random=lambda k: (np.array(np.unravel_index(lane, (m,) * k)) + 0.5) / m)
+
+    return stream
+
+
+def _distinct_rows(size, seed):
+    return np.random.default_rng(seed).dirichlet(np.ones(size), size=size)
+
+
+def test_sample_puniform_chain_iid_coordinates_follow_mu_exactly(monkeypatch):
+    monkeypatch.setattr(simulate, "stream", _CentredDraws)
+    space = build_multigraph_space(3, 1)
+    mu, fam = Pmf(_distinct_rows(8, 1)[0]), builtin_family(space, "stability")
+    N = 997
+    z = chain_to_iid(simulate.sample_puniform_chain(space, mu, fam, 5, N, seed=1), fam)
+    freq = np.bincount(z, minlength=8) / N
+    law = oracle.product_law(mu, 1)
+    assert law.outcomes == tuple((k,) for k in range(8))
+    assert np.abs(freq - law.mass).max() <= 1 / N
+
+
+def test_sample_chain_one_step_follows_its_row_exactly(monkeypatch):
+    N = 500
+    monkeypatch.setattr(simulate, "stream", _centred_grid(N))
+    P = StochasticMatrix(_distinct_rows(4, 2))
+    space = build_generic_space(tuple("abcd"))
+    for x0 in range(4):
+        hits = [simulate.sample_chain(space, P, x0, 1, seed=1, replicate=r).states[1] for r in range(N)]
+        assert np.abs(np.bincount(hits, minlength=4) / N - P.P[x0]).max() <= 1 / N
+
+
+def test_sample_chain_two_step_law_matches_the_enumeration(monkeypatch):
+    """m x m replicates, one centred grid point each: each step resolves its cell to one of m
+    points, so a path x0 -> a -> b is hit (m P[x0, a] + e1)(m P[a, b] + e2) times, |e1|, |e2| < 1."""
+    m = 60
+    monkeypatch.setattr(simulate, "stream", _centred_grid(m))
+    P = StochasticMatrix(_distinct_rows(4, 3))
+    space = build_generic_space(tuple("abcd"))
+    x0 = 2
+    counts = np.zeros((4, 4))
+    for r in range(m * m):
+        counts[tuple(simulate.sample_chain(space, P, x0, 2, seed=1, replicate=r).states[1:])] += 1
+    law = oracle.enumerate_trajectory_law(P, x0, 2)
+    for (a, b), mass in zip(law.outcomes, law.mass):
+        bound = (P.P[x0, a] + P.P[a, b]) / m + 1 / m**2
+        assert abs(counts[a, b] / m**2 - mass) <= bound, (a, b)
+
+
+def test_sample_multigraphs_follow_each_dyad_pmf_exactly(monkeypatch):
+    monkeypatch.setattr(ermgm, "stream", _CentredDraws)
+    rng = np.random.default_rng(4)
+    model = ErmgmModel(n=3, t=3, tau_f=rng.normal(size=(3, 4, 1)), kappa_f=rng.uniform(0.5, 2, size=(3, 4)),
+                       eta=ParameterMap("natural", l=1))
+    N = 1009
+    draws = ermgm.sample_multigraphs(model, (0.7,), N, seed=1)
+    for f in range(model.num_dyads):
+        freq = np.bincount(draws[:, f], minlength=model.t + 1) / N
+        assert np.abs(freq - ermgm.dyad_pmf(model, (0.7,), f).p).max() <= 1 / N, f

@@ -14,7 +14,6 @@ from pumc.core import (
     identity_family,
     invert_family,
 )
-from pumc.errors import TheoremViolationError
 from pumc.puniform import (
     PuniformWitness,
     Trajectory,

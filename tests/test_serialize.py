@@ -11,8 +11,6 @@ from hypothesis.extra import numpy as hnp
 
 from pumc import models, serialize
 from pumc.core import (
-    Multigraph,
-    StochasticMatrix,
     build_generic_space,
     build_modular_space,
     build_multigraph_space,
@@ -51,7 +49,7 @@ def test_dumps_special_tokens_and_types():
     indent=st.sampled_from([None, 2]),
 )
 def test_dumps_flat_numeric_lists_match_per_item_path(values, indent):
-    # numpy scalars are not plain int/float, so this list takes the per-item path
+    # Plain ints and floats must write the same bytes as their numpy scalars.
     slow = [np.int64(v) if type(v) is int else np.float64(v) for v in values]
     for obj, ref in ((values, slow), ([values, {"k": values}], [slow, {"k": slow}])):
         assert serialize.dumps(obj, indent=indent) == serialize.dumps(ref, indent=indent)

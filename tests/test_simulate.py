@@ -4,17 +4,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pumc import models
-from pumc.core import (
-    Pmf,
-    StochasticMatrix,
-    build_modular_space,
-    build_multigraph_space,
-    builtin_family,
-    identity_family,
-    num_dyads,
-)
+from pumc.core import StochasticMatrix, build_multigraph_space, identity_family, num_dyads
 from pumc.errors import PowerIterationError
-from pumc.netstat import density_stat_table, stability_stat_table
+from pumc.netstat import density_stat_table
 from pumc.puniform import Trajectory, chain_to_iid
 from pumc.simulate import (
     convergence_report,
