@@ -10,7 +10,7 @@ is the edge bitmask and symmetric-difference families reduce to integer XOR.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -135,9 +135,10 @@ class StateSpace:
             if not 0 <= state < self.size:
                 raise ValueError("residue out of range")
             return int(state)
-        if state not in _label_index(self.labels):
+        idx = self._label_index.get(state)
+        if idx is None:
             raise ValueError("state does not belong to this space")
-        return _label_index(self.labels)[state]
+        return idx
 
     def decode(self, idx: int):
         if not 0 <= idx < self.size:
@@ -148,10 +149,10 @@ class StateSpace:
             return int(idx)
         return self.labels[idx]
 
-
-@lru_cache(maxsize=None)
-def _label_index(labels: tuple[str, ...]) -> dict:
-    return {lab: i for i, lab in enumerate(labels)}
+    @cached_property
+    def _label_index(self) -> dict:
+        """Position of every label, built on the first generic encode."""
+        return {lab: i for i, lab in enumerate(self.labels)}
 
 
 def place_values(space: StateSpace) -> np.ndarray:
@@ -418,8 +419,8 @@ def is_symmetric_family(fam: PermutationFamily):
     return False, (int(a), int(b))
 
 
-def identity_family(size: int, tag: str = "identity") -> PermutationFamily:
-    return _GroupFamily(size, tag, "identity")
+def identity_family(size: int) -> PermutationFamily:
+    return _GroupFamily(size, "identity", "identity")
 
 
 def builtin_family(space: StateSpace, name: str) -> PermutationFamily:

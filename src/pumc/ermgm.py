@@ -26,7 +26,6 @@ from .core import (
     num_dyads,
 )
 from .expfam import (
-    DENSITY_LOGIT,
     ExpFamilySpec,
     ParameterMap,
     _log_weights,
@@ -154,12 +153,6 @@ def sample_multigraphs(model: ErmgmModel, theta, count: int, seed: int) -> np.nd
     return out
 
 
-def sample_multigraph(model: ErmgmModel, theta, seed: int) -> Multigraph:
-    """Single draw; step 0 of every dyad stream."""
-    counts = sample_multigraphs(model, theta, 1, seed)[0]
-    return Multigraph(n=model.n, t=model.t, counts=counts)
-
-
 def _union_model(model: ErmgmModel, t: int) -> ErmgmModel:
     """The law of W = Z_1 + .. + Z_t, t iid draws of a simple-graph model.
 
@@ -191,16 +184,15 @@ class UnionFamily:
     eta_affinely_independent: bool
 
 
-def union_expfam(model: ErmgmModel, t: int, probes=None) -> UnionFamily:
+def union_expfam(model: ErmgmModel, t: int) -> UnionFamily:
     """Exponential family of W = Z_1 + .. + Z_t on G(n, t).
 
     The union of t draws is again a dyadic model with the same parameter
     function, materialized over G(n, t). Whether eta's entries look
-    affinely independent over the probes is recorded, not enforced.
+    affinely independent over the default probes is recorded, not enforced.
     """
     fam = to_expfam(_union_model(model, t))
-    if probes is None:
-        probes = default_probes(model.eta)
+    probes = default_probes(model.eta)
     samples = np.array([model.eta.evaluate(th) for th in probes])
     return UnionFamily(family=fam, eta_affinely_independent=affinely_independent_entries(samples))
 
@@ -232,8 +224,3 @@ def mle_density_stability(x: Trajectory, kind: str) -> MleEstimate:
         transitions=x.transitions,
         stat_sum=stat_sum,
     )
-
-
-def eta_density(p: float, n: int) -> float:
-    """Natural parameter of the density family: (n-1) log(p / (1-p))."""
-    return float(ParameterMap(DENSITY_LOGIT, n=n).evaluate(p)[0])

@@ -100,17 +100,6 @@ class ParameterMap:
             raise ValueError("density_logit needs 0 < p < 1")
         return np.array([(self.n - 1) * np.log(theta / (1.0 - theta))])
 
-    def jacobian(self, theta) -> np.ndarray:
-        """d eta / d theta as an (l, d) matrix for the differentiable kinds."""
-        if self.kind == NATURAL:
-            return np.eye(self.l)
-        if self.kind == SCALAR_LOG:
-            return np.array([[1.0 / float(theta)]])
-        if self.kind == DENSITY_LOGIT:
-            p = float(theta)
-            return np.array([[(self.n - 1) / (p * (1.0 - p))]])
-        raise ValueError("table maps have no Jacobian")
-
 
 def default_probes(pm: ParameterMap) -> list:
     """Five (or l+2 if larger) parameter values spread over the domain."""
@@ -211,8 +200,8 @@ def mean_statistic(fam: ExpFamilySpec, theta) -> np.ndarray:
     return pmf(fam, theta).p @ fam.tau
 
 
-def grad_log_partition_fd(fam: ExpFamilySpec, theta, step: float = FD_STEP) -> np.ndarray:
-    """Central finite differences of psi in the natural parameter."""
+def grad_log_partition_fd(fam: ExpFamilySpec, theta) -> np.ndarray:
+    """Central finite differences of psi in the natural parameter, step FD_STEP."""
     if fam.eta.kind != NATURAL:
         raise ValueError("finite-difference gradient is defined for the natural kind")
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
@@ -220,9 +209,9 @@ def grad_log_partition_fd(fam: ExpFamilySpec, theta, step: float = FD_STEP) -> n
     for j in range(fam.eta.l):
         hi = theta.copy()
         lo = theta.copy()
-        hi[j] += step
-        lo[j] -= step
-        grad[j] = (log_partition(fam, hi) - log_partition(fam, lo)) / (2 * step)
+        hi[j] += FD_STEP
+        lo[j] -= FD_STEP
+        grad[j] = (log_partition(fam, hi) - log_partition(fam, lo)) / (2 * FD_STEP)
     return grad
 
 
@@ -338,7 +327,7 @@ class CefValidation:
     mismatched_rows: tuple          # rows deviating from row 0 at some probe
 
 
-def validate_cef(cef: CefSpec, probes=None, rel_tol: float = MEF_REL_TOL) -> CefValidation:
+def validate_cef(cef: CefSpec, probes=None) -> CefValidation:
     """Survey row normalizers; flags rows that break the shared-psi property.
 
     Rows are compared through psi by mef_check's rule. Rows with identically
@@ -349,7 +338,7 @@ def validate_cef(cef: CefSpec, probes=None, rel_tol: float = MEF_REL_TOL) -> Cef
         probes = default_probes(cef.eta)
     psi, rel = _row0_gaps(cef, probes)
     row_max = distinct_entries(cef.kappa).max(axis=1)  # one per row once broadcast back
-    bad = rel > rel_tol
+    bad = rel > MEF_REL_TOL
     with np.errstate(over="ignore"):
         raw = np.exp(psi)
     return CefValidation(
@@ -369,20 +358,20 @@ class MefCheckResult(NamedTuple):
     row: int
 
 
-def mef_check(cef: CefSpec, probes=None, rel_tol: float = MEF_REL_TOL) -> MefCheckResult:
-    """Do all row log-partitions agree (relative tolerance) at every probe?"""
+def mef_check(cef: CefSpec, probes=None) -> MefCheckResult:
+    """Do all row log-partitions agree within MEF_REL_TOL (relative) at every probe?"""
     if probes is None:
         probes = default_probes(cef.eta)
     rel = _row0_gaps(cef, probes)[1]
     worst = float(rel.max(initial=0.0))
     # The first row at the first probe holding the worst gap; none: (None, 0).
     k, row = divmod(int(np.argmax(rel)), rel.shape[1]) if worst else (None, 0)
-    return MefCheckResult(ok=worst <= rel_tol, worst_rel_dev=worst, probe=None if k is None else probes[k], row=row)
+    return MefCheckResult(ok=worst <= MEF_REL_TOL, worst_rel_dev=worst, probe=None if k is None else probes[k], row=row)
 
 
-def as_mef(cef: CefSpec, probes=None, rel_tol: float = MEF_REL_TOL) -> MefSpec:
-    """Promote a CEF to a verified MEF, or raise with the offending row."""
-    res = mef_check(cef, probes, rel_tol)
+def as_mef(cef: CefSpec) -> MefSpec:
+    """Promote a CEF to a verified MEF at the default probes, or raise with the offending row."""
+    res = mef_check(cef)
     if not res.ok:
         raise NotAnMefError(
             f"row {res.row} log-partition deviates by {res.worst_rel_dev:.3e} "
@@ -471,7 +460,7 @@ class MeanParameter:
     fd_gradient: np.ndarray | None = None
 
 
-def mean_parameter(mef: MefSpec, theta, row_tol: float = ROW_CONSISTENCY_TOL) -> MeanParameter:
+def mean_parameter(mef: MefSpec, theta) -> MeanParameter:
     """E[tau(X_i, X_{i+1})], identical across source states for an MEF.
 
     For the natural parameter kind the value is cross-checked against the
@@ -484,7 +473,7 @@ def mean_parameter(mef: MefSpec, theta, row_tol: float = ROW_CONSISTENCY_TOL) ->
     per_row = np.einsum("ab,abl->al", P, mef.tau)
     spread = np.abs(per_row - per_row[0]).max()
     scale = max(1.0, float(np.abs(per_row[0]).max()))
-    if spread > row_tol * scale:
+    if spread > ROW_CONSISTENCY_TOL * scale:
         raise NotAnMefError(f"row expectations spread {spread:.3e}, not an MEF")
     value = per_row[0].copy()
     fd = None
@@ -500,18 +489,14 @@ def mean_parameter(mef: MefSpec, theta, row_tol: float = ROW_CONSISTENCY_TOL) ->
     return MeanParameter(value=value, per_row=per_row, fd_gradient=fd)
 
 
-def puniform_cef_to_expfam(
-    cef: CefSpec, fam: PermutationFamily, probes=None, tol: float = ROW_CONSISTENCY_TOL
-) -> ExpFamilySpec:
+def puniform_cef_to_expfam(cef: CefSpec, fam: PermutationFamily) -> ExpFamilySpec:
     """Collapse a p-uniform CEF to the iid family of its relabelled targets.
 
     kappa'(c) = kappa(a, sigma_a^-1(c)) and likewise for tau, which must not
     depend on a; rows 0 and 1 are compared to catch inconsistent inputs, and
-    the realized matrix is required to pass check_puniform at each probe.
+    the realized matrix is required to pass check_puniform at each default probe.
     """
-    if probes is None:
-        probes = default_probes(cef.eta)
-    for theta in probes:
+    for theta in default_probes(cef.eta):
         ok, triple = check_puniform(cef_transition_matrix(cef, theta), fam)
         if not ok:
             raise ValueError(f"realized matrix is not p-uniform at theta={theta!r}: {triple}")
@@ -521,7 +506,7 @@ def puniform_cef_to_expfam(
     if cef.space.size > 1:
         kappa1 = cef.kappa[1, inv[1]]
         tau1 = cef.tau[1, inv[1]]
-        if np.abs(kappa - kappa1).max() > tol or np.abs(tau - tau1).max() > tol:
+        if max(np.abs(kappa - kappa1).max(), np.abs(tau - tau1).max()) > ROW_CONSISTENCY_TOL:
             raise ValueError("rows disagree after relabelling; tables are not p-uniform")
     return ExpFamilySpec(space=cef.space, kappa=kappa.copy(), tau=tau.copy(), eta=cef.eta)
 
@@ -538,7 +523,7 @@ def expfam_to_mef(fam: ExpFamilySpec, perm: PermutationFamily) -> MefSpec:
     return as_mef(CefSpec(space=fam.space, kappa=kappa, tau=tau, eta=fam.eta))
 
 
-def affinely_independent_entries(eta_samples: np.ndarray, rank_tol: float = AFFINE_RANK_TOL) -> bool:
+def affinely_independent_entries(eta_samples: np.ndarray) -> bool:
     """Are the coordinates of eta affinely independent over these samples?
 
     Tests whether delta . eta = h can hold with (delta, h) != 0 by ranking
@@ -552,7 +537,7 @@ def affinely_independent_entries(eta_samples: np.ndarray, rank_tol: float = AFFI
     s = np.linalg.svd(diffs, compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return l == 0
-    return int((s > rank_tol * s[0]).sum()) == l
+    return int((s > AFFINE_RANK_TOL * s[0]).sum()) == l
 
 
 @dataclass(frozen=True)

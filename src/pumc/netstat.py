@@ -46,24 +46,6 @@ def _require_simple(g: Multigraph, name: str):
         raise ValueError(f"{name} is defined on simple graphs (t = 1)")
 
 
-def stat_density(a: Multigraph, b: Multigraph) -> float:
-    """Edge count of the target over n - 1; ignores the source."""
-    _require_simple(b, "density")
-    if b.n < 2:
-        raise ValueError("density needs n >= 2")
-    return b.total_multiplicity() / (b.n - 1)
-
-
-def stat_stability(a: Multigraph, b: Multigraph) -> float:
-    """Edges of complement(a xor b) over n - 1: dyads where b agrees with a."""
-    _require_simple(a, "stability")
-    _require_simple(b, "stability")
-    if a.n != b.n or a.n < 2:
-        raise ValueError("stability needs matching n >= 2")
-    agree = int((a.counts == b.counts).sum())
-    return agree / (a.n - 1)
-
-
 def stat_reciprocity(a: np.ndarray, b: np.ndarray) -> float:
     """n * (reciprocated weight of b against a) / (arc count of a), 0/0 -> 0.
 
@@ -362,8 +344,8 @@ def _class_max_deviation(H: np.ndarray, classes: IsoClasses) -> np.ndarray:
     return np.maximum.reduceat(dev, starts, axis=1)
 
 
-def is_finitely_exchangeable(h, classes: IsoClasses, tol: float = EXCHANGE_TOL):
-    """Is h constant on every isomorphism class?
+def is_finitely_exchangeable(h, classes: IsoClasses):
+    """Is h constant on every isomorphism class, within EXCHANGE_TOL?
 
     h is a vector indexed by state. Returns (True, None) or (False, (b, c))
     with b the class representative and c the first deviating member.
@@ -371,7 +353,7 @@ def is_finitely_exchangeable(h, classes: IsoClasses, tol: float = EXCHANGE_TOL):
     h = np.asarray(h, dtype=np.float64).reshape(-1)
     if h.shape != (classes.space.size,):
         raise ValueError("h must assign a value to every state")
-    failing = np.flatnonzero(_class_max_deviation(h[None, :], classes)[0] > tol)
+    failing = np.flatnonzero(_class_max_deviation(h[None, :], classes)[0] > EXCHANGE_TOL)
     if failing.size == 0:
         return True, None
     members = classes.classes[failing[0]]

@@ -3,8 +3,10 @@
 Everything here enumerates outcomes directly with plain Python loops and
 exactly-rounded accumulation (math.fsum), deliberately avoiding the fast
 paths it exists to validate: trajectory laws multiply row entries step by
-step, partition functions sum over whole state spaces, and union laws walk
-every tuple of simple graphs. Budgets cap enumeration at 2^20 outcomes.
+step, partition functions sum over whole state spaces, union laws walk
+every tuple of simple graphs, and the density and stability statistics are
+counted on one pair of graphs at a time. Budgets cap enumeration at 2^20
+outcomes.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from math import exp, fsum, log
 
 import numpy as np
 
-from .core import PermutationFamily, Pmf, StochasticMatrix, build_multigraph_space, dyad_count_table
+from .core import Multigraph, PermutationFamily, Pmf, StochasticMatrix, build_multigraph_space, dyad_count_table
 from .errors import EnumerationCapError
 from .expfam import ExpFamilySpec
 from .ermgm import ErmgmModel, to_expfam
+from .netstat import _require_simple
 
 ENUM_CAP = 2 ** 20
 
@@ -43,9 +46,6 @@ class ExactLaw:
             return float(self.mass[self.outcomes.index(outcome)])
         except ValueError:
             return 0.0
-
-    def as_dict(self) -> dict:
-        return {o: float(m) for o, m in zip(self.outcomes, self.mass)}
 
 
 def _check_cap(count: int):
@@ -78,27 +78,15 @@ def enumerate_trajectory_law(P: StochasticMatrix, x0: int, steps: int) -> ExactL
 def pushforward_z_law(P: StochasticMatrix, fam: PermutationFamily, x0: int, steps: int) -> ExactLaw:
     """Exact law of (Z_1, .., Z_steps) where Z_{i+1} = sigma_{X_i}(X_{i+1}).
 
-    The relabelling is applied inline while walking every trajectory, and
-    masses landing on the same z-tuple are combined with fsum.
+    Every path of enumerate_trajectory_law is relabelled step by step through
+    the sigma table, and masses landing on the same z-tuple are combined with fsum.
     """
-    size = P.size
-    if not 0 <= x0 < size:
-        raise ValueError("x0 out of range")
-    if steps < 1:
-        raise ValueError("need at least one step")
-    _check_cap(size ** steps)
-    table = P.P
+    law = enumerate_trajectory_law(P, x0, steps)
     sigma = fam.sigma
     buckets: dict[tuple, list] = {}
-    for path in itertools.product(range(size), repeat=steps):
-        prob = 1.0
-        prev = x0
-        zs = []
-        for state in path:
-            prob *= table[prev, state]
-            zs.append(int(sigma[prev, state]))
-            prev = state
-        buckets.setdefault(tuple(zs), []).append(prob)
+    for path, prob in zip(law.outcomes, law.mass.tolist()):
+        zs = tuple(int(sigma[a, b]) for a, b in zip((x0,) + path, path))
+        buckets.setdefault(zs, []).append(prob)
     outcomes = tuple(sorted(buckets))
     masses = np.array([fsum(buckets[z]) for z in outcomes])
     return ExactLaw(outcomes=outcomes, mass=masses)
@@ -170,13 +158,11 @@ def brute_union_fibres(model: ErmgmModel, theta, t: int) -> dict:
     size = simple.space.size
     _check_cap(size ** t)
     eta = model.eta.evaluate(theta)
-    weights = []
+    psi = brute_partition(simple, theta)
+    log_mu = []
     for b in range(size):
         k = float(simple.kappa[b])
-        weights.append(float(eta @ simple.tau[b]) + log(k) if k > 0 else float("-inf"))
-    m = max(weights)
-    psi = m + log(fsum(exp(w - m) for w in weights if w > float("-inf")))
-    log_mu = [w - psi for w in weights]
+        log_mu.append(float(eta @ simple.tau[b]) + log(k) - psi if k > 0 else float("-inf"))
     digits = dyad_count_table(simple.space)
     union_space = build_multigraph_space(model.n, t)
     powers = (t + 1) ** np.arange(digits.shape[1], dtype=np.int64)
@@ -201,3 +187,20 @@ def brute_union_law(model: ErmgmModel, theta, t: int) -> ExactLaw:
         masses[u] = fsum(mass.tolist())
     return ExactLaw(outcomes=outcomes, mass=masses)
 
+
+def stat_density(a: Multigraph, b: Multigraph) -> float:
+    """Edge count of the target over n - 1; ignores the source."""
+    _require_simple(b, "density")
+    if b.n < 2:
+        raise ValueError("density needs n >= 2")
+    return b.total_multiplicity() / (b.n - 1)
+
+
+def stat_stability(a: Multigraph, b: Multigraph) -> float:
+    """Edges of complement(a xor b) over n - 1: dyads where b agrees with a."""
+    _require_simple(a, "stability")
+    _require_simple(b, "stability")
+    if a.n != b.n or a.n < 2:
+        raise ValueError("stability needs matching n >= 2")
+    agree = int((a.counts == b.counts).sum())
+    return agree / (a.n - 1)

@@ -190,22 +190,20 @@ class SymmetryReport:
     matrix_deviation: float = 0.0
 
 
-def symmetry_transfer_check(
-    P: StochasticMatrix, fam: PermutationFamily, mu: Pmf, tol: float = WITNESS_TOL
-) -> SymmetryReport:
+def symmetry_transfer_check(P: StochasticMatrix, fam: PermutationFamily, mu: Pmf) -> SymmetryReport:
     """Check the symmetry transfer between family and matrix.
 
     A symmetric family (sigma_a(b) = sigma_b(a)) forces a symmetric matrix;
     conversely a symmetric matrix with pairwise-distinct mu entries forces a
     symmetric family. Either implication failing raises, since it cannot
-    fail for a consistent p-uniform triple.
+    fail for a consistent p-uniform triple. Every comparison uses WITNESS_TOL.
     """
-    check_triple(P, fam, mu, tol)
+    check_triple(P, fam, mu)
     fam_sym, pair = is_symmetric_family(fam)
     dev = float(np.abs(P.P - P.P.T).max())
-    mat_sym = dev <= tol
+    mat_sym = dev <= WITNESS_TOL
     gaps = np.diff(np.sort(mu.p))
-    distinct = bool(gaps.size == 0 or gaps.min() > tol)
+    distinct = bool(gaps.size == 0 or gaps.min() > WITNESS_TOL)
     if fam_sym and not mat_sym:
         raise TheoremViolationError("symmetric family produced an asymmetric matrix")
     if mat_sym and distinct and not fam_sym:

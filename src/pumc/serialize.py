@@ -112,8 +112,8 @@ def _int_table(table: np.ndarray, out: list, indent, depth):
     out += "[", str(memoryview(_render_rows(template, table))[1:], "ascii"), row_close + "]"
 
 
-def dump(obj, fp: IO, indent: int | None = 2):
-    fp.write(dumps(obj, indent=indent))
+def dump(obj, fp: IO):
+    fp.write(dumps(obj, indent=2))
     fp.write("\n")
 
 
@@ -459,7 +459,11 @@ def read_states_jsonl(path: str):
     chunk one line at a time.
     """
     with open(path) as fp:
-        header = json.loads(fp.readline())
+        line = fp.readline()
+        try:
+            header = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: {exc}") from None
         if not isinstance(header, dict) or "space" not in header:
             raise ValueError(f"{path}:1: expected a header object with a \"space\"")
         space = space_from_dict(header["space"])

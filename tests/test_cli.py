@@ -511,6 +511,19 @@ def test_non_integer_header_sizes_exit_2(tmp_path, capsys):
     assert code == 2 and err == 'error: "l" must be an integer, got 1.0\n'
 
 
+def test_unreadable_header_names_file_and_line(tmp_path, capsys):
+    """An empty file or a non-JSON first line exits 2 with <path>:1:, as a bad body line does."""
+    out = str(tmp_path / "out.jsonl")
+    for text in ("", 'not json\n{"i":0,"state":1}\n'):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text)
+        for argv in (("fit", "--stat", "density"),
+                     ("transform", "--direction", "chain2iid", "--family", "stability", "--out", out)):
+            code, stdout, err = run(capsys, argv[0], "--traj", str(bad), *argv[1:])
+            assert (code, stdout) == (2, "")
+            assert err.startswith(f"error: {bad}:1: ") and err.count("\n") == 1
+
+
 def _first_difference(text, expected):
     """(line number, got, expected) of the first differing line, or None."""
     got, want = text.split("\n"), expected.split("\n")

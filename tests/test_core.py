@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,16 @@ def test_modular_encode_takes_only_integers():
             mod.encode(state)
     with pytest.raises(ValueError, match="residue out of range"):
         mod.encode(np.int64(-1))
+
+
+def test_generic_encode_is_one_lookup():
+    """encode looks a label up in an index built once per space, not per call."""
+    space = build_generic_space(f"s{i}" for i in range(2 ** 16))
+    start = time.perf_counter()
+    for i in range(10 ** 4):
+        space.encode(f"s{i}")
+    assert time.perf_counter() - start < 1.0
+    assert [space.encode(space.decode(i)) for i in range(space.size)] == list(range(space.size))
 
 
 def test_pmf_validation():

@@ -9,13 +9,11 @@ from pumc.ermgm import (
     ErmgmModel,
     _dyad_log_weights,
     dyad_pmf,
-    eta_density,
     fast_log_partition,
     fast_log_partition_instrumented,
     from_factorization,
     mle_density_stability,
     multigraph_log_pmf,
-    sample_multigraph,
     sample_multigraphs,
     to_expfam,
     union_expfam,
@@ -143,7 +141,7 @@ def test_fast_partition_closed_form_and_brute():
     model = er_model(4)
     for gamma in (-2.0, 0.0, 3.0):
         fast, terms = fast_log_partition_instrumented(model, (gamma,))
-        assert terms == 6 * 2
+        assert terms == 6 * 2 and fast_log_partition(model, (gamma,)) == fast
         closed = 6 * np.log1p(np.exp(gamma))
         assert abs(fast - closed) <= 1e-12
         brute = oracle.brute_partition(to_expfam(model), (gamma,))
@@ -187,8 +185,6 @@ def test_sampling_deterministic_and_seed_sensitive():
     c = sample_multigraphs(model, (0.3,), 50, seed=10)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    g = sample_multigraph(model, (0.3,), seed=9)
-    assert np.array_equal(g.counts, a[0])
 
 
 def test_sampling_prefix_stability():
@@ -240,8 +236,8 @@ def test_union_expfam_matches_brute_law():
     uf = union_expfam(model, t)
     law = pmf(uf.family, (gamma,))
     brute = oracle.brute_union_law(model, (gamma,), t)
-    for idx, mass in brute.as_dict().items():
-        assert abs(law.p[int(idx)] - mass) <= 1e-12
+    for idx, mass in zip(brute.outcomes, brute.mass):
+        assert abs(law.p[idx] - mass) <= 1e-12
 
 
 def test_union_requires_simple_graph_model():
@@ -290,12 +286,6 @@ def test_mle_rejects_unknown_kind_and_empty_path():
         mle_density_stability(Trajectory(space=space, states=np.array([0])), "density")
 
 
-def test_eta_density_matches_parameter_map():
-    pm = ParameterMap("density_logit", n=4)
-    for p in (0.1, 0.5, 0.9):
-        assert abs(eta_density(p, 4) - pm.evaluate(p)[0]) <= 1e-15
-
-
 def test_mle_recovers_logit_consistency():
     # estimate from a long sampled path, then map through the logit
     cm = models.density_chain(3, 0.42)
@@ -305,4 +295,4 @@ def test_mle_recovers_logit_consistency():
     traj = sample_puniform_chain(cm.space, cm.mu, cm.family, 0, 5000, seed=77)
     est = mle_density_stability(traj, "density")
     assert abs(est.p_hat - 0.42) < 0.03
-    assert np.isfinite(eta_density(est.p_hat, 3))
+    assert np.isfinite(ParameterMap("density_logit", n=3).evaluate(est.p_hat)[0])

@@ -73,22 +73,6 @@ def test_parameter_map_domain_checks():
         ParameterMap("unknown_kind")
 
 
-def test_parameter_map_jacobians():
-    assert np.array_equal(ParameterMap("natural", l=3).jacobian(None), np.eye(3))
-    assert np.isclose(ParameterMap("scalar_log").jacobian(2.0)[0, 0], 0.5)
-    pm = ParameterMap("density_logit", n=4)
-    assert np.isclose(pm.jacobian(0.3)[0, 0], 3 / (0.3 * 0.7))
-    with pytest.raises(ValueError):
-        ParameterMap("table", thetas=(0.5,), etas=(1.0,)).jacobian(0.5)
-
-
-def test_jacobian_matches_finite_differences():
-    h = 1e-7
-    for pm, theta in ((ParameterMap("scalar_log"), 1.7), (ParameterMap("density_logit", n=5), 0.42)):
-        fd = (pm.evaluate(theta + h) - pm.evaluate(theta - h)) / (2 * h)
-        assert np.abs(pm.jacobian(theta)[:, 0] - fd).max() < 1e-6
-
-
 def test_default_probes_cover_domains():
     assert default_probes(ParameterMap("scalar_log")) == [0.25, 0.5, 1.0, 2.0, 4.0]
     assert default_probes(ParameterMap("density_logit", n=3)) == [0.1, 0.3, 0.5, 0.7, 0.9]

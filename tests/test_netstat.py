@@ -39,11 +39,10 @@ from pumc.netstat import (
     sorted_degree_sequence,
     sorted_degree_table,
     stability_stat_table,
-    stat_density,
     stat_reciprocity,
-    stat_stability,
     stat_transitivity,
 )
+from pumc.oracle import stat_density, stat_stability
 
 
 def graph(n, *dyads):
@@ -119,6 +118,8 @@ def test_stat_tables_match_pairwise_functions():
             a, b = space.decode(i), space.decode(j)
             assert dens[i, j] == stat_density(a, b)
             assert stab[i, j] == stat_stability(a, b)
+            assert edge_stat_counts(space, "density", i, j) == 2 * stat_density(a, b)
+            assert edge_stat_counts(space, "stability", i, j) == 2 * stat_stability(a, b)
 
 
 def test_edge_stat_counts_are_the_edges_of_sigma():

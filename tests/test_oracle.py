@@ -15,9 +15,18 @@ from pumc.core import (
 )
 from pumc.errors import EnumerationCapError
 from pumc.ermgm import ErmgmModel, from_factorization, union_log_probability
-from pumc.expfam import ParameterMap, log_partition
+from pumc.expfam import (
+    ExpFamilySpec,
+    ParameterMap,
+    cef_transition_matrix,
+    joint_log_pmf_from_counts,
+    log_partition,
+    mef_joint_log_pmf,
+    row_log_partitions,
+    transition_counts,
+)
 from pumc.netstat import factor_dyadditive
-from pumc.puniform import chain_to_iid
+from pumc.puniform import Trajectory, chain_to_iid, iid_to_chain
 
 
 def er_edge_model(n):
@@ -31,7 +40,6 @@ def test_exact_law_validation_and_lookup():
     law = oracle.ExactLaw(outcomes=((0,), (1,)), mass=np.array([0.25, 0.75]))
     assert law.prob((1,)) == 0.75
     assert law.prob((2,)) == 0.0
-    assert law.as_dict() == {(0,): 0.25, (1,): 0.75}
     with pytest.raises(ValueError):
         oracle.ExactLaw(outcomes=((0,),), mass=np.array([0.5]))
     with pytest.raises(ValueError):
@@ -149,6 +157,51 @@ def test_brute_union_law_matches_closed_form():
             assert got == 0.0
 
 
+def test_row_log_partitions_match_brute_partition_per_row():
+    for cef, theta in ((models.gani_cef(), 2.0), (models.transitivity_cef(3), -0.7), (models.density_mef(3), 0.3)):
+        psi = row_log_partitions(cef, theta)
+        for a in range(cef.space.size):
+            row = ExpFamilySpec(space=cef.space, kappa=cef.kappa[a], tau=cef.tau[a], eta=cef.eta)
+            assert abs(psi[a] - oracle.brute_partition(row, theta)) <= 1e-12 * max(1.0, abs(psi[a]))
+
+
+def test_joint_log_pmfs_match_the_trajectory_law():
+    """Both joint log laws of every path of up to 3 steps from every start equal
+    the log of its enumerated mass."""
+    for mef, theta in ((models.density_mef(3), 0.3), (models.gani_two_row_mef(), 2.0)):
+        P = cef_transition_matrix(mef, theta)
+        for x0 in range(mef.space.size):
+            for steps in (1, 2, 3):
+                law = oracle.enumerate_trajectory_law(P, x0, steps)
+                for path, mass in zip(law.outcomes, law.mass):
+                    x = Trajectory(space=mef.space, states=np.array((x0,) + path))
+                    for got in (mef_joint_log_pmf(mef, theta, x), joint_log_pmf_from_counts(P, transition_counts(x))):
+                        assert got.impossible == (mass == 0)
+                        if mass:
+                            assert abs(got.value - np.log(mass)) <= 1e-12, (x0, path)
+
+
+def test_iid_replay_matches_the_trajectory_law():
+    """iid_to_chain sends every z-tuple of product_law to a distinct path of
+    enumerate_trajectory_law with the same mass, and chain_to_iid sends that
+    path back to z, where pushforward_z_law puts the same mass."""
+    steps = 3
+    for cm, x0 in ((models.density_chain(3, 0.3), 5), (models.stability_chain(3, 0.3), 2), (models.modular_chain(5), 1)):
+        P = cm.matrix()
+        chain_law = oracle.enumerate_trajectory_law(P, x0, steps)
+        z_law = oracle.pushforward_z_law(P, cm.family, x0, steps)
+        iid_law = oracle.product_law(cm.mu, steps)
+        paths = set()
+        for z, mass in zip(iid_law.outcomes, iid_law.mass):
+            x = iid_to_chain(x0, np.array(z), cm.family, cm.space)
+            path = tuple(x.states[1:].tolist())
+            assert abs(chain_law.prob(path) - mass) <= 1e-12
+            assert tuple(chain_to_iid(x, cm.family).tolist()) == z
+            assert abs(z_law.prob(z) - mass) <= 1e-12
+            paths.add(path)
+        assert len(paths) == len(chain_law.outcomes)
+
+
 # Exact sampler checks. A sampler fed the centred uniforms (j + 0.5) / N in
 # place of its random stream hits a cell of mass p between N p - 1 and N p + 1
 # times, so each frequency is fixed and within 1 / N of the exact law: a
@@ -228,3 +281,25 @@ def test_sample_multigraphs_follow_each_dyad_pmf_exactly(monkeypatch):
     for f in range(model.num_dyads):
         freq = np.bincount(draws[:, f], minlength=model.t + 1) / N
         assert np.abs(freq - ermgm.dyad_pmf(model, (0.7,), f).p).max() <= 1 / N, f
+
+
+def test_dyadic_model_matches_the_enumerated_simple_graph_law(monkeypatch):
+    """One draw of a simple-graph model is brute_union_law at t = 1: each state's
+    multigraph_log_pmf, each dyad's marginal as dyad_pmf, and sample_multigraphs'
+    per-dyad frequencies under centred draws (within 1/N) agree with it."""
+    monkeypatch.setattr(ermgm, "stream", _CentredDraws)
+    rng = np.random.default_rng(5)
+    model = ErmgmModel(n=3, t=1, tau_f=rng.normal(size=(3, 2, 1)), kappa_f=rng.uniform(0.5, 2, size=(3, 2)),
+                       eta=ParameterMap("natural", l=1))
+    theta = (0.7,)
+    law = oracle.brute_union_law(model, theta, 1)
+    space = model.space()
+    for idx, mass in zip(law.outcomes, law.mass):
+        assert abs(np.exp(ermgm.multigraph_log_pmf(model, theta, space.decode(idx))) - mass) <= 1e-12
+    N = 1009
+    draws = ermgm.sample_multigraphs(model, theta, N, seed=1)
+    for f in range(model.num_dyads):
+        on = np.array([(idx >> f) & 1 for idx in law.outcomes], dtype=bool)
+        marginal = np.array([law.mass[~on].sum(), law.mass[on].sum()])
+        assert np.abs(ermgm.dyad_pmf(model, theta, f).p - marginal).max() <= 1e-12
+        assert np.abs(np.bincount(draws[:, f], minlength=2) / N - marginal).max() <= 1 / N, f
