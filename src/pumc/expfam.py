@@ -143,18 +143,27 @@ def _logsumexp_rows(logits: np.ndarray, overwrite: bool = False) -> np.ndarray:
         return m + np.log(sums, out=sums)
 
 
-def _log_weights(kappa: np.ndarray, tau: np.ndarray, eta: np.ndarray, out=None) -> np.ndarray:
-    """log kappa + tau . eta, written into `out` when given.
+def _log_weights(kappa: np.ndarray, tau, eta: np.ndarray, out=None, rows=slice(None)) -> np.ndarray:
+    """log kappa + tau . eta over `rows`, written into `out` when given.
 
     For l = 1 the product is elementwise, which gives the bits of the
-    (..., 1) @ (1,) matmul at a fraction of its cost. The log is taken of
-    the carrier's distinct entries only, which the addition broadcasts
-    back. IEEE addition commutes, so the bits are those of log kappa +
-    product. Overflow is left for _row_max to refuse.
+    (..., 1) @ (1,) matmul at a fraction of its cost. A CodeTable multiplies
+    its value table by eta and gathers the products by code: each entry is
+    the IEEE product the dense table would give. The log is taken of the
+    carrier's distinct entries only, which the addition broadcasts back.
+    IEEE addition commutes, so the bits are those of log kappa + product.
+    Overflow is left for _row_max to refuse.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.multiply(tau[..., 0], eta[0], out=out) if eta.size == 1 else np.matmul(tau, eta, out=out)
-        out += np.log(distinct_entries(kappa))
+        if isinstance(tau, CodeTable):
+            # Codes are checked against the value table when it is built, so
+            # "clip" never moves one; it only spares np.take a buffered copy.
+            out = np.take(tau.values * eta[0], tau.codes[rows], out=out, mode="clip")
+        elif eta.size == 1:
+            out = np.multiply(tau[rows][..., 0], eta[0], out=out)
+        else:
+            out = np.matmul(tau[rows], eta, out=out)
+        out += np.log(distinct_entries(kappa[rows]))
     return out
 
 
@@ -215,21 +224,65 @@ def grad_log_partition_fd(fam: ExpFamilySpec, theta) -> np.ndarray:
     return grad
 
 
+@dataclass(frozen=True, eq=False)
+class CodeTable:
+    """A scalar transition statistic held as tau(a, b) = values[codes[a, b]].
+
+    A statistic with few distinct values keeps one small unsigned code per
+    transition and one float64 entry per code. It stands in for the (size,
+    size, 1) array values[codes][..., None]: shape, ndim and size are that
+    array's, indexing returns what indexing it returns, and np.asarray
+    realizes it whole.
+    """
+
+    codes: np.ndarray   # (size, size), unsigned
+    values: np.ndarray  # float64, one entry per code
+
+    ndim = 3
+
+    def __post_init__(self):
+        if self.codes.ndim != 2 or self.codes.dtype.kind != "u":
+            raise ValueError("codes must be a 2-D array of unsigned integers")
+        if self.values.ndim != 1 or self.values.dtype != np.float64:
+            raise ValueError("values must be a 1-D float64 array")
+        if self.codes.size and self.codes.max() >= self.values.size:
+            raise ValueError("every code must index the value table")
+
+    @property
+    def shape(self) -> tuple:
+        return (*self.codes.shape, 1)
+
+    @property
+    def size(self) -> int:
+        return self.codes.size
+
+    def __getitem__(self, key):
+        return self.values[self.codes[..., None][key]]
+
+    def __array__(self, dtype=None, copy=None):
+        return self[...] if dtype is None else self[...].astype(dtype)
+
+
 @dataclass(frozen=True)
 class CefSpec:
-    """Conditional exponential family: one exponential family per row."""
+    """Conditional exponential family: one exponential family per row.
+
+    tau is a (size, size, l) float64 array, or a CodeTable when l = 1.
+    """
 
     space: StateSpace
     kappa: np.ndarray
-    tau: np.ndarray
+    tau: np.ndarray | CodeTable
     eta: ParameterMap
 
     def __post_init__(self):
         # A read-only view (a broadcast unit carrier) is kept as it is.
         kappa = np.asarray(self.kappa, dtype=np.float64)
-        tau = np.ascontiguousarray(self.tau, dtype=np.float64)
-        if tau.ndim == 2:
-            tau = tau[:, :, None]
+        tau = self.tau
+        if not isinstance(tau, CodeTable):
+            tau = np.ascontiguousarray(tau, dtype=np.float64)
+            if tau.ndim == 2:
+                tau = tau[:, :, None]
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "tau", tau)
         size = self.space.size
@@ -240,7 +293,7 @@ class CefSpec:
             raise ValueError("kappa must be nonnegative")
         if tau.shape != (size, size, self.eta.l):
             raise ValueError("tau must be (size, size, l)")
-        check_finite(tau, "tau")
+        check_finite(tau.values if isinstance(tau, CodeTable) else tau, "tau")
 
 
 @dataclass(frozen=True)
@@ -268,7 +321,7 @@ def _row_blocks(cef: CefSpec, theta, out: np.ndarray | None = None):
     for start in range(0, size, rows):
         stop = min(start + rows, size)
         logits = buf[: stop - start] if out is None else out[start:stop]
-        yield start, stop, _log_weights(cef.kappa[start:stop], cef.tau[start:stop], eta, logits)
+        yield start, stop, _log_weights(cef.kappa, cef.tau, eta, logits, slice(start, stop))
 
 
 def row_log_partitions(cef: CefSpec, theta) -> np.ndarray:
@@ -390,10 +443,11 @@ def gani_row_value_sets(cef: CefSpec, tol: float = MEF_REL_TOL):
     if cef.eta.l != 1:
         raise ValueError("row value sets are defined for scalar statistics")
     sets = []
-    for row in cef.tau[:, :, 0]:
+    for a in range(cef.space.size):
         # Repeated values never start a new representative, so the greedy
-        # collapse runs over each row's distinct values only.
-        vals = np.unique(row)
+        # collapse runs over each row's distinct values only. One row is
+        # read at a time, so a CodeTable is never realized whole.
+        vals = np.unique(cef.tau[a, :, 0])
         keep = [vals[0]]
         for v in vals[1:]:
             if v - keep[-1] > tol:

@@ -36,10 +36,12 @@ from .core import (
 )
 from .errors import SpaceTooLargeError
 from .expfam import (
+    BLOCK_ENTRIES,
     NATURAL,
     SCALAR_LOG,
     DENSITY_LOGIT,
     CefSpec,
+    CodeTable,
     ExpFamilySpec,
     MefSpec,
     ParameterMap,
@@ -166,8 +168,39 @@ def _scaled_ratio_rows(numer: np.ndarray, n: int, denom: np.ndarray) -> np.ndarr
     return numer
 
 
-def transitivity_table(n: int) -> np.ndarray:
-    """(size, size) closed-two-path statistic on G(n, 1).
+def _ratio_statistic(coeff: np.ndarray, digits: np.ndarray, denom: np.ndarray, n: int, coded: bool):
+    """tau(a, b) = n * k(a, b) / d(a), 0/0 -> 0: a CodeTable, or the dense table when not `coded`.
+
+    k(a, b) = coeff[a] . digits[b] and d(a) = denom[a] are counts with
+    k <= d, so every entry is one cell of the (d, k) grid, coded as
+    d * (D + 1) + k with D the largest d. Cell values and dense rows both
+    come from _scaled_ratio_rows on the same integers, so values[codes]
+    has the dense table's bits. Counts are formed one row block at a time,
+    exact in float64, so the result is the only size^2 array.
+    """
+    size = digits.shape[0]
+    targets = digits.T.astype(np.float64)
+    step = max(1, BLOCK_ENTRIES // size)
+    blocks = [slice(start, min(start + step, size)) for start in range(0, size, step)]
+    if not coded:
+        table = np.empty((size, size))
+        for rows in blocks:
+            _scaled_ratio_rows(np.matmul(coeff[rows], targets, out=table[rows]), n, denom[rows])
+        return table
+    width = int(denom.max()) + 1
+    grid = np.tile(np.arange(width, dtype=np.float64), (width, 1))
+    values = _scaled_ratio_rows(grid, n, np.arange(width, dtype=np.float64)).reshape(-1)
+    codes = np.empty((size, size), dtype=np.min_scalar_type(values.size - 1))
+    buf = np.empty((min(step, size), size))
+    for rows in blocks:
+        counts = np.matmul(coeff[rows], targets, out=buf[: rows.stop - rows.start])
+        counts += denom[rows, None] * width
+        codes[rows] = counts
+    return CodeTable(codes=codes, values=values)
+
+
+def _transitivity(n: int, coded: bool):
+    """Closed-two-path statistic on G(n, 1).
 
     tau(a, b) = n * (two-paths of a closed by b) / (two-paths of a), with
     0/0 -> 0.
@@ -183,18 +216,27 @@ def transitivity_table(n: int) -> np.ndarray:
         path = digits[:, dyad_index(i, j)] * digits[:, dyad_index(j, k)]
         coeff[:, dyad_index(i, k)] += path
         denom += path
-    numer = coeff @ digits.T.astype(np.float64)
-    return _scaled_ratio_rows(numer, n, denom)
+    return _ratio_statistic(coeff, digits, denom, n, coded)
 
 
-def _natural_cef(tau: np.ndarray, space: StateSpace) -> CefSpec:
+def transitivity_table(n: int) -> np.ndarray:
+    """(size, size) closed-two-path statistic on G(n, 1); see transitivity_cef."""
+    return _transitivity(n, coded=False)
+
+
+def _natural_cef(tau: CodeTable, space: StateSpace) -> CefSpec:
     """Unit-carrier CEF whose natural scalar parameter multiplies tau directly."""
-    return CefSpec(space=space, kappa=np.broadcast_to(1.0, tau.shape), tau=tau, eta=ParameterMap(kind=NATURAL))
+    unit = np.broadcast_to(1.0, (space.size, space.size))
+    return CefSpec(space=space, kappa=unit, tau=tau, eta=ParameterMap(kind=NATURAL))
 
 
 def transitivity_cef(n: int) -> CefSpec:
-    """Closed-two-path CEF on G(n, 1) with unit carrier; not an MEF."""
-    return _natural_cef(transitivity_table(n), build_multigraph_space(n, 1))
+    """Closed-two-path CEF on G(n, 1) with unit carrier; not an MEF.
+
+    tau(a, b) = n * (two-paths of a closed by b) / (two-paths of a), with
+    0/0 -> 0, held as a CodeTable.
+    """
+    return _natural_cef(_transitivity(n, coded=True), build_multigraph_space(n, 1))
 
 
 def directed_pairs(n: int) -> list[tuple[int, int]]:
@@ -221,8 +263,8 @@ def directed_space(n: int) -> StateSpace:
     return build_generic_space(labels)
 
 
-def reciprocity_table(n: int) -> np.ndarray:
-    """(size, size) reciprocated-arc statistic over directed_space(n).
+def _reciprocity(n: int, coded: bool):
+    """Reciprocated-arc statistic over directed_space(n).
 
     tau(a, b) = n * sum_{(i,j)} b(j,i) a(i,j) / (arc count of a), 0/0 -> 0.
     """
@@ -238,11 +280,18 @@ def reciprocity_table(n: int) -> np.ndarray:
     bits = np.empty((size, m), dtype=np.float64)
     for f in range(m):
         bits[:, f] = (idx >> f) & 1
-    numer = bits @ bits[:, tp].T
-    arcs = bits.sum(axis=1)
-    return _scaled_ratio_rows(numer, n, arcs)
+    return _ratio_statistic(bits, bits[:, tp], bits.sum(axis=1), n, coded)
+
+
+def reciprocity_table(n: int) -> np.ndarray:
+    """(size, size) reciprocated-arc statistic over directed_space(n); see reciprocity_cef."""
+    return _reciprocity(n, coded=False)
 
 
 def reciprocity_cef(n: int) -> CefSpec:
-    """Reciprocated-arc CEF over loop-free directed graphs; not an MEF."""
-    return _natural_cef(reciprocity_table(n), directed_space(n))
+    """Reciprocated-arc CEF over loop-free directed graphs; not an MEF.
+
+    tau(a, b) = n * sum_{(i,j)} b(j,i) a(i,j) / (arc count of a), 0/0 -> 0,
+    held as a CodeTable.
+    """
+    return _natural_cef(_reciprocity(n, coded=True), directed_space(n))

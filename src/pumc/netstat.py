@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,6 +63,13 @@ def stat_reciprocity(a: np.ndarray, b: np.ndarray) -> float:
     return n * float((b.T * a).sum()) / denom
 
 
+@lru_cache(maxsize=None)
+def _two_paths(n: int) -> tuple:
+    """Dyad indices (ij, jk, ik) of each two-path i - j - k, i < j < k, and its closing dyad."""
+    return tuple((dyad_index(i, j), dyad_index(j, k), dyad_index(i, k))
+                 for i, j, k in itertools.combinations(range(n), 3))
+
+
 def stat_transitivity(a: Multigraph, b: Multigraph) -> float:
     """Closed two-paths of a in b over two-paths of a, scaled by n; 0/0 -> 0.
 
@@ -75,11 +83,11 @@ def stat_transitivity(a: Multigraph, b: Multigraph) -> float:
         raise ValueError("transitivity needs matching n >= 3")
     num = 0
     den = 0
-    ac, bc = a.counts, b.counts
-    for i, j, k in itertools.combinations(range(n), 3):
-        path = ac[dyad_index(i, j)] * ac[dyad_index(j, k)]
+    ac, bc = a.counts.tolist(), b.counts.tolist()
+    for ij, jk, ik in _two_paths(n):
+        path = ac[ij] * ac[jk]
         den += path
-        num += path * bc[dyad_index(i, k)]
+        num += path * bc[ik]
     if den == 0:
         return 0.0
     return n * num / den

@@ -164,14 +164,12 @@ def brute_union_fibres(model: ErmgmModel, theta, t: int) -> dict:
         k = float(simple.kappa[b])
         log_mu.append(float(eta @ simple.tau[b]) + log(k) - psi if k > 0 else float("-inf"))
     digits = dyad_count_table(simple.space)
-    union_space = build_multigraph_space(model.n, t)
     powers = (t + 1) ** np.arange(digits.shape[1], dtype=np.int64)
     buckets: dict[int, list] = {}
     for tup in itertools.product(range(size), repeat=t):
         logp = fsum(log_mu[z] for z in tup)
         u_idx = int((digits[list(tup)].sum(axis=0) * powers).sum())
         buckets.setdefault(u_idx, []).append(logp)
-    assert union_space.size >= len(buckets)
     return {
         u: (np.exp(np.array(logs)), np.array(logs)) for u, logs in sorted(buckets.items())
     }

@@ -94,7 +94,8 @@ def check_puniform(P, fam: PermutationFamily, tol: float = DETECT_TOL):
     idx = np.arange(table.shape[0])
     relabelled = np.empty_like(table)
     relabelled[idx[:, None], fam.apply(idx[:, None], idx)] = table  # [a, c] = P(a, sigma_a^-1(c))
-    dev = np.abs(relabelled - relabelled[0])
+    relabelled -= relabelled[0].copy()
+    dev = np.abs(relabelled, out=relabelled)  # in place: one work table fewer
     worst = dev.max()
     if worst <= tol:
         return True, None
@@ -115,6 +116,7 @@ def _matched_family(P, tol: float):
     order = np.argsort(table, axis=1, kind="stable")
     sigma = np.empty_like(order)
     sigma[np.arange(table.shape[0])[:, None], order] = order[0]
+    del order  # one work table fewer while check_puniform runs
     fam = PermutationFamily(sigma=sigma, tag="detected")
     return table, fam, check_puniform(table, fam, tol)
 

@@ -255,10 +255,25 @@ def _json_numbers(value, name: str) -> np.ndarray:
     """
     if isinstance(value, np.ndarray):
         return value.astype(np.float64)
-    flat = value
+    flat, shape = value, [len(value)] if type(value) is list else []
     while type(flat) is list and flat and all(type(row) is list for row in flat):
+        widths = set(map(len, flat))
+        shape.append(widths.pop() if len(widths) == 1 else -1)
         flat = list(chain.from_iterable(flat))
-    if type(value) is not list or not set(map(type, flat)) <= {int, float}:
+    if type(value) is not list:
+        raise ValueError(f"{name} must be an array of JSON numbers")
+    if -1 not in shape:
+        # Of JSON leaves, numpy infers an integer or float array only from
+        # numbers and booleans, and a boolean among numbers becomes exactly 0
+        # or 1: an array with neither entry is numbers alone. Anything else,
+        # a leaf beside a list included, is checked leaf by leaf below.
+        try:
+            inferred = np.array(flat)
+        except ValueError:
+            inferred = None
+        if inferred is not None and inferred.dtype.kind in "iuf" and not ((inferred == 0) | (inferred == 1)).any():
+            return inferred.astype(np.float64, copy=False).reshape(shape)
+    if not set(map(type, flat)) <= {int, float}:
         raise ValueError(f"{name} must be an array of JSON numbers")
     return np.array(value, dtype=np.float64)
 
@@ -360,6 +375,7 @@ CHUNK = 8192
 _STATE_LINE = '{"i":%d,"state":%d}\n'
 # bytes.translate table: ASCII digits stay, every other byte becomes a space.
 _DIGITS_ONLY = bytes(c if 48 <= c < 58 else 32 for c in range(256))
+RENDER_BYTES = 2 ** 21  # padded bytes of one rendered block; more rows render in chunks
 
 
 def _render_rows(template: str, values) -> bytes:
@@ -370,7 +386,8 @@ def _render_rows(template: str, values) -> bytes:
     zero-padded, and one boolean mask drops the padding. Consecutive slots
     whose following pieces have equal length form a run, written through one
     (rows, run, width + piece) view with digits as wide as the run's largest
-    value.
+    value. A table past RENDER_BYTES is rendered in row chunks under it, so
+    the block and its mask stay small; the bytes are the same.
     """
     values = np.asarray(values)
     if not len(values):
@@ -387,6 +404,10 @@ def _render_rows(template: str, values) -> bytes:
     line = pieces[0] + b"".join(
         b"0" * width + pieces[slot + 1] for (a, b), width in zip(runs, widths) for slot in range(a, b)
     )
+    step = max(1, RENDER_BYTES // max(1, len(line)))
+    if len(values) > step:
+        # A chunk's padded line is no longer than this one, so it renders in one block.
+        return b"".join(_render_rows(template, values[i:i + step]) for i in range(0, len(values), step))
     block = np.empty((len(values), len(line)), dtype=np.uint8)
     block[:] = np.frombuffer(line, dtype=np.uint8)
     keep = np.ones(block.shape, dtype=bool)
@@ -458,26 +479,45 @@ def read_states_jsonl(path: str):
     layout write_states_jsonl writes is parsed as one block, any other
     chunk one line at a time.
     """
-    with open(path) as fp:
-        line = fp.readline()
-        try:
-            header = json.loads(line)
-        except ValueError as exc:
-            raise ValueError(f"{path}:1: {exc}") from None
-        if not isinstance(header, dict) or "space" not in header:
-            raise ValueError(f"{path}:1: expected a header object with a \"space\"")
-        space = space_from_dict(header["space"])
-        parts = []
-        count, lineno = 0, 2
-        while chunk := list(islice(fp, CHUNK)):
-            states = _parse_canonical(chunk, count, space.size)
-            if states is None:
-                states = _check_lines(path, chunk, lineno, count, space.size)
-            parts.append(np.array(states, dtype=np.int64))
-            count += len(states)
-            lineno += len(chunk)
+    try:
+        with open(path, encoding="utf-8") as fp:
+            line = fp.readline()
+            try:
+                header = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:1: {exc}") from None
+            if not isinstance(header, dict) or "space" not in header:
+                raise ValueError(f"{path}:1: expected a header object with a \"space\"")
+            space = space_from_dict(header["space"])
+            parts = []
+            count, lineno = 0, 2
+            while chunk := list(islice(fp, CHUNK)):
+                states = _parse_canonical(chunk, count, space.size)
+                if states is None:
+                    states = _check_lines(path, chunk, lineno, count, space.size)
+                parts.append(np.array(states, dtype=np.int64))
+                count += len(states)
+                lineno += len(chunk)
+    except UnicodeDecodeError as exc:
+        raise ValueError(_decode_error_line(path, exc)) from None
     arr = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
     return header.get("kind", "trajectory"), space, arr
+
+
+def _decode_error_line(path: str, exc: UnicodeDecodeError) -> str:
+    """`<path>:<line>: <codec message>` for the first line that is not UTF-8.
+
+    The text decoder works on whole buffers, so its error knows no line.
+    A newline byte never sits inside a UTF-8 sequence, so decoding line by
+    line fails on the same bytes; the line is found that way.
+    """
+    with open(path, "rb") as fp:
+        for lineno, raw in enumerate(fp, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as line_exc:
+                return f"{path}:{lineno}: {line_exc}"
+    return f"{path}: {exc}"
 
 
 def _parse_canonical(chunk: list, first: int, size: int):

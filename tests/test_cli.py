@@ -524,6 +524,24 @@ def test_unreadable_header_names_file_and_line(tmp_path, capsys):
             assert err.startswith(f"error: {bad}:1: ") and err.count("\n") == 1
 
 
+def test_non_utf8_trajectory_names_file_and_line(tmp_path, capsys):
+    """A byte that is not UTF-8 exits 2 with one <path>:<line>: line naming the
+    line that holds it, whether it sits in the header, just past it (where the
+    decoder meets it while reading the header) or past the first chunk."""
+    header = b'{"kind":"trajectory","space":{"kind":"multigraph","n":3,"t":1}}\n'
+    states = b"".join(b'{"i":%d,"state":%d}\n' % (i, i % 8) for i in range(2 * serialize.CHUNK))
+    out = str(tmp_path / "out.jsonl")
+    for data, line in ((b'{"kind":"\xff"}\n' + states, 1), (header + b'{"i":0,"state":1}\n\xc3(\n', 3),
+                       (header + states + b"\xff\n", 2 * serialize.CHUNK + 2)):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(data)
+        for argv in (("fit", "--stat", "density"),
+                     ("transform", "--direction", "chain2iid", "--family", "stability", "--out", out)):
+            code, stdout, err = run(capsys, argv[0], "--traj", str(bad), *argv[1:])
+            assert (code, stdout) == (2, "")
+            assert err.startswith(f"error: {bad}:{line}: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
 def _first_difference(text, expected):
     """(line number, got, expected) of the first differing line, or None."""
     got, want = text.split("\n"), expected.split("\n")

@@ -289,7 +289,6 @@ def test_mle_rejects_unknown_kind_and_empty_path():
 def test_mle_recovers_logit_consistency():
     # estimate from a long sampled path, then map through the logit
     cm = models.density_chain(3, 0.42)
-    traj_model = er_model(3)
     from pumc.simulate import sample_puniform_chain
 
     traj = sample_puniform_chain(cm.space, cm.mu, cm.family, 0, 5000, seed=77)

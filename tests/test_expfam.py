@@ -23,6 +23,7 @@ from pumc.expfam import (
     BLOCK_ENTRIES,
     MEF_REL_TOL,
     CefSpec,
+    CodeTable,
     ExpFamilySpec,
     MefSpec,
     ParameterMap,
@@ -391,9 +392,10 @@ def test_row_log_partitions_chunking_invariant(monkeypatch):
 
 
 def test_reciprocity_build_and_survey_memory():
-    """reciprocity_cef(4) holds its tau table (one size^2 float64 table; the
-    unit carrier is a broadcast view) and little more while it is built;
-    surveying its row normalizers adds one row block."""
+    """reciprocity_cef(4) holds its tau as a code table (one byte per
+    transition; the unit carrier is a broadcast view) and one block of
+    counts while it is built; surveying its row normalizers adds one row
+    block and the block's gather indices."""
     tracemalloc.start()
     try:
         cef = models.reciprocity_cef(4)
@@ -405,11 +407,72 @@ def test_reciprocity_build_and_survey_memory():
     finally:
         tracemalloc.stop()
     size = cef.space.size
-    table = size * size * 8
+    codes = size * size
     block = BLOCK_ENTRIES // size * size * 8
     slack = 8 * 2**20
-    assert build_peak <= table + slack, f"build peak {build_peak / 2**20:.1f} MiB"
+    assert cef.tau.codes.nbytes == codes and cef.tau.size == codes
+    assert build_peak <= codes + block + slack, f"build peak {build_peak / 2**20:.1f} MiB"
     assert survey_peak <= block + slack, f"survey added {survey_peak / 2**20:.1f} MiB"
+
+
+@st.composite
+def _code_tables(draw):
+    """A CodeTable on up to 7 states with up to 300 finite values."""
+    size, count = draw(st.integers(1, 7)), draw(st.integers(1, 300))
+    values = draw(hnp.arrays(np.float64, count, elements=st.floats(-1e3, 1e3)))
+    codes = draw(hnp.arrays(np.min_scalar_type(count - 1), (size, size), elements=st.integers(0, count - 1)))
+    return CodeTable(codes=codes, values=values)
+
+
+@given(table=_code_tables(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_code_table_indexes_as_values_of_codes(table, data):
+    """Row slices, [a, b] index arrays, [a] and [:, :, 0] give the array, shape
+    and bits of the same index into values[codes][..., None]."""
+    dense = table.values[table.codes][..., None]
+    size = dense.shape[0]
+    assert (table.shape, table.ndim, table.size) == (dense.shape, dense.ndim, dense.size)
+    index = st.integers(-size, size - 1)
+    bounds = st.integers(-size - 1, size + 1) | st.none()
+    rows = slice(data.draw(bounds), data.draw(bounds), data.draw(st.sampled_from([None, 1, 2, -1])))
+    k = data.draw(st.integers(0, 9))
+    pair = tuple(data.draw(hnp.arrays(np.int64, k, elements=index)) for _ in range(2))
+    for key in (rows, pair, data.draw(index), (slice(None), slice(None), 0)):
+        got, want = table[key], dense[key]
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), key
+    assert np.asarray(table).tobytes() == dense.tobytes()
+
+
+@given(table=_code_tables(), theta=st.floats(-3, 3))
+@settings(max_examples=40, deadline=None)
+def test_code_table_cef_surveys_with_the_dense_bits(table, theta):
+    """The fused gather gives the row log-partitions, survey and matrix of the
+    CEF holding values[codes] as a dense table, bit for bit."""
+    size = table.codes.shape[0]
+    space = build_generic_space(tuple(f"s{i}" for i in range(size)))
+    unit, eta = np.broadcast_to(1.0, (size, size)), ParameterMap("natural")
+    coded = CefSpec(space=space, kappa=unit, tau=table, eta=eta)
+    dense = CefSpec(space=space, kappa=unit, tau=table.values[table.codes], eta=eta)
+    assert coded.tau is table
+    assert row_log_partitions(coded, theta).tobytes() == row_log_partitions(dense, theta).tobytes()
+    assert validate_cef(coded).raw_sums.tobytes() == validate_cef(dense).raw_sums.tobytes()
+    assert (cef_transition_matrix(coded, theta).P.tobytes() == cef_transition_matrix(dense, theta).P.tobytes())
+
+
+def test_code_tables_are_checked_when_built():
+    codes, values = np.zeros((2, 2), dtype=np.uint8), np.array([0.5, 1.5])
+    for bad_codes, bad_values, message in ((codes.astype(np.int8), values, "unsigned"),
+                                           (codes[0], values, "unsigned"),
+                                           (codes + 2, values, "index the value table"),
+                                           (codes, values.astype(np.float32), "float64")):
+        with pytest.raises(ValueError, match=message):
+            CodeTable(codes=bad_codes, values=bad_values)
+    space, unit = build_generic_space(("a", "b")), np.broadcast_to(1.0, (2, 2))
+    with pytest.raises(ValueError, match="tau must be finite"):
+        CefSpec(space=space, kappa=unit, tau=CodeTable(codes, np.array([np.inf])), eta=ParameterMap("natural"))
+    with pytest.raises(ValueError, match=r"tau must be \(size, size, l\)"):
+        CefSpec(space=space, kappa=unit, tau=CodeTable(codes, values), eta=ParameterMap("natural", l=2))
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])

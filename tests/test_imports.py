@@ -1,8 +1,11 @@
-"""Every top-level import in the package and its tests is used.
+"""Every top-level import and every function-local assignment is used.
 
-A stdlib stand-in for a linter's unused-import rule: a name bound by a
-module-level `import` or `from ... import` must be read somewhere in the
-module, or be listed in its `__all__`. `from __future__` imports are exempt.
+A stdlib stand-in for a linter's unused-import and unused-variable rules: a
+name bound by a module-level `import` or `from ... import` must be read
+somewhere in the module, or be listed in its `__all__`; `from __future__`
+imports are exempt. A name a function binds by a plain `name = ...` must be
+read in that function, nested functions and comprehensions included. In the
+package, a read inside an `assert` does not count, since `python -O` drops it.
 """
 
 import ast
@@ -30,6 +33,40 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in unused]
 
 
+def _reads(node, skip_asserts: bool) -> set:
+    """Names read under node; `x += 1` reads x. With skip_asserts, asserts are not walked."""
+    found, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if skip_asserts and isinstance(node, ast.Assert):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            found.add(node.target.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unused_locals(source: str, skip_asserts: bool = False) -> list[str]:
+    """`line N: f.name` for each name a function assigns plainly and never reads."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        declared = {name for node in ast.walk(fn) if isinstance(node, (ast.Global, ast.Nonlocal))
+                    for name in node.names}
+        bound = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id not in declared:
+                        bound.setdefault(target.id, node.lineno)
+        read = _reads(fn, skip_asserts)
+        found += [f"line {line}: {fn.name}.{name}" for name, line in bound.items() if name not in read]
+    return sorted(found, key=lambda entry: int(entry.split(":")[0].split()[1]))
+
+
 def test_the_scan_sees_modules():
     assert ROOT / "src" / "pumc" / "cli.py" in MODULES and Path(__file__).resolve() in MODULES
 
@@ -47,4 +84,20 @@ def test_unused_imports_are_found():
 
 def test_no_module_has_an_unused_top_level_import():
     found = {str(path.relative_to(ROOT)): unused_imports(path.read_text()) for path in MODULES}
+    assert {path: names for path, names in found.items() if names} == {}
+
+
+def test_unused_locals_are_found():
+    source = (
+        "def f(x):\n    y = x + 1\n    z = 2\n    z += 1\n    w = [v for v in (x,)]\n    return w\n"
+        "def g(x):\n    a, b = x\n    c = d = x\n    def h():\n        return c\n    return h, d\n"
+        "def k(x):\n    s = x\n    assert s\n    global G\n    G = 1\n"
+    )
+    assert unused_locals(source) == ["line 2: f.y"]
+    assert unused_locals(source, skip_asserts=True) == ["line 2: f.y", "line 14: k.s"]
+
+
+def test_no_function_has_an_unused_local():
+    found = {str(path.relative_to(ROOT)): unused_locals(path.read_text(), skip_asserts=path.parent.name == "pumc")
+             for path in MODULES}
     assert {path: names for path, names in found.items() if names} == {}

@@ -23,6 +23,7 @@ from pumc.core import (
     num_dyads,
 )
 from pumc.errors import TheoremViolationError
+from pumc.expfam import CodeTable
 from pumc.netstat import (
     DyadicFactorization,
     IsoClasses,
@@ -144,18 +145,25 @@ def _directed_adjacency(n, state):
     return adj
 
 
+def _pairwise(stat, states) -> np.ndarray:
+    return np.array([[stat(a, b) for b in states] for a in states])
+
+
 def test_cef_tables_match_pairwise_functions():
-    recip = models.reciprocity_cef(3).tau[:, :, 0]
-    adj = [_directed_adjacency(3, s) for s in range(recip.shape[0])]
-    for i in range(recip.shape[0]):
-        for j in range(recip.shape[0]):
-            assert recip[i, j] == stat_reciprocity(adj[i], adj[j])
-    trans = models.transitivity_cef(4).tau[:, :, 0]
-    space = build_multigraph_space(4, 1)
-    graphs = [space.decode(i) for i in range(space.size)]
-    for i in range(space.size):
-        for j in range(space.size):
-            assert trans[i, j] == stat_transitivity(graphs[i], graphs[j])
+    """Every pair of the dense table and of the CEF's code table, read both
+    as values[codes] and through its indexing, is the per-pair statistic."""
+    cases = [(n, models.reciprocity_table(n), models.reciprocity_cef(n).tau,
+              _pairwise(stat_reciprocity, [_directed_adjacency(n, s) for s in range(2 ** (n * (n - 1)))]))
+             for n in (2, 3)]
+    for n in (3, 4, 5):
+        space = build_multigraph_space(n, 1)
+        cases.append((n, models.transitivity_table(n), models.transitivity_cef(n).tau,
+                      _pairwise(stat_transitivity, [space.decode(i) for i in range(space.size)])))
+    for n, table, coded, want in cases:
+        assert isinstance(coded, CodeTable) and coded.codes.dtype == np.uint8, n
+        assert np.array_equal(table, want), n
+        assert np.array_equal(coded.values[coded.codes], want), n
+        assert np.array_equal(coded[:, :, 0], want), n
 
 
 def test_sorted_degree_table_matches_per_state_sequences():

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,6 +196,40 @@ def _with_first_leaf(value, leaf):
     if type(value) is list:
         return [_with_first_leaf(value[0], leaf), *value[1:]]
     return leaf
+
+
+def _elementwise_numbers(value, name):
+    """_json_numbers by its rule alone: every leaf an int or a float, then np.array."""
+    flat = value
+    while type(flat) is list and flat and all(type(row) is list for row in flat):
+        flat = [x for row in flat for x in row]
+    if type(value) is not list or any(type(x) not in (int, float) for x in flat):
+        raise ValueError(f"{name} must be an array of JSON numbers")
+    return np.array(value, dtype=np.float64)
+
+
+_LEAVES = st.one_of(st.sampled_from([0, 1, 2, 0.0, 1.0, -0.0, 0.5, True, False, None, "0.5", {}]),
+                    st.integers(-2**70, 2**70), st.floats())
+
+
+def _rectangles(depth):
+    return st.integers(0, 3).flatmap(
+        lambda k: st.lists(_LEAVES if depth == 1 else _rectangles(depth - 1), min_size=k, max_size=k))
+
+
+@given(st.one_of(_LEAVES, _rectangles(1), _rectangles(2), _rectangles(3),
+                 st.lists(st.one_of(_LEAVES, st.lists(_LEAVES, max_size=3)), max_size=4)))
+@settings(max_examples=300, deadline=None)
+def test_json_numbers_agree_with_the_elementwise_rule(value):
+    """The inferred-array path accepts, rejects and converts exactly as the
+    leaf-by-leaf check does, on regular and ragged nestings of any JSON leaf."""
+    def outcome(reader):
+        try:
+            got = reader(json.loads(json.dumps(value)), '"m"')
+        except ValueError as exc:
+            return str(exc)
+        return got.dtype, got.shape, got.tobytes()
+    assert outcome(serialize._json_numbers) == outcome(_elementwise_numbers)
 
 
 def test_readers_require_number_arrays():
@@ -422,6 +457,19 @@ def test_render_rows_matches_percent_formatting(pieces, data):
     assert serialize._render_rows(template, values) == expected
     if values.size and values.max() < 2**63:
         assert serialize._render_rows(template, values.astype(np.int64)) == expected
+    with mock.patch.object(serialize, "RENDER_BYTES", data.draw(st.integers(1, 64))):
+        assert serialize._render_rows(template, values) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                        elements=st.integers(0, 2**40)),
+       budget=st.integers(1, 64), indent=st.sampled_from([None, 2]))
+def test_int_tables_written_in_chunks_keep_their_bytes(table, budget, indent):
+    """An integer table rendered in chunks under RENDER_BYTES gives the bytes of its tolist()."""
+    want = serialize.dumps({"sigma": table.tolist(), "mu": [0.5]}, indent=indent)
+    with mock.patch.object(serialize, "RENDER_BYTES", budget):
+        assert serialize.dumps({"sigma": table, "mu": [0.5]}, indent=indent) == want
 
 
 def test_expand_lines_on_one_vertex_match_plain_json(tmp_path):

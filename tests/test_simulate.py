@@ -175,8 +175,8 @@ def test_stability_matrix_entries_closed_form():
     P = stability_transition_matrix(3, 0.3).P
     space = build_multigraph_space(3, 1)
     nd = num_dyads(3)
-    for a in range(8):
-        for b in range(8):
+    for a in range(space.size):
+        for b in range(space.size):
             agree = nd - bin(a ^ b).count("1")
             assert abs(P[a, b] - 0.3**agree * 0.7 ** (nd - agree)) <= 1e-15
 

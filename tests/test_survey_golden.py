@@ -1,6 +1,6 @@
 """Bit-level goldens for the row-normalizer survey.
 
-The sha256 of every survey output over eight CEFs must match the recorded
+The sha256 of every survey output over nine CEFs must match the recorded
 value: the raw sums, mismatched rows and worst spread of validate_cef, the
 mef_check verdict, row_log_partitions at several row-block sizes, the realized
 transition matrices and mean_parameter. Arrays hash as their float64 bytes
@@ -10,6 +10,7 @@ paste the dict.
 """
 
 import hashlib
+from types import GeneratorType
 from unittest import mock
 
 import numpy as np
@@ -48,6 +49,7 @@ def _random_cef(size: int, l: int, seed: int, zero_rows: int) -> CefSpec:
 def _cefs() -> dict:
     return {
         "reciprocity3": reciprocity_cef(3),
+        "reciprocity4": reciprocity_cef(4),
         "transitivity4": transitivity_cef(4),
         "stability_mef4": stability_mef(4),
         "gani": gani_cef(),
@@ -58,18 +60,28 @@ def _cefs() -> dict:
     }
 
 
-def _canon(value) -> bytes:
+def _feed(h, value):
+    """Add value's canonical bytes to the hash h, one array at a time."""
     if isinstance(value, np.ndarray):
-        return str(value.dtype).encode() + repr(value.shape).encode() + value.tobytes()
-    if isinstance(value, (float, np.floating)):
-        return float(value).hex().encode()
-    if isinstance(value, (tuple, list)):
-        return b"(" + b",".join(_canon(v) for v in value) + b")"
-    return repr(value).encode()
+        h.update(str(value.dtype).encode() + repr(value.shape).encode())
+        h.update(np.ascontiguousarray(value))
+    elif isinstance(value, (float, np.floating)):
+        h.update(float(value).hex().encode())
+    elif isinstance(value, (tuple, list, GeneratorType)):
+        h.update(b"(")
+        for i, v in enumerate(value):
+            h.update(b"," if i else b"")
+            _feed(h, v)
+        h.update(b")")
+    else:
+        h.update(repr(value).encode())
 
 
 def _sha(value) -> str:
-    return hashlib.sha256(_canon(value)).hexdigest()
+    """sha256 of value's canonical bytes; a generator is hashed as the list of its items."""
+    h = hashlib.sha256()
+    _feed(h, value)
+    return h.hexdigest()
 
 
 def _outcome(fn):
@@ -108,11 +120,11 @@ def _digests() -> dict:
             with mock.patch.object(expfam, "BLOCK_ENTRIES", entries):
                 psi = [row_log_partitions(cef, theta) for theta in probes]
             out[f"{name}:psi:{rows}"] = _sha(psi)
-        mats = [_outcome(lambda: cef_transition_matrix(cef, theta).P) for theta in probes]
-        out[f"{name}:matrix"] = _sha(mats)
+        # Generators: a reciprocity4 matrix is 128 MiB, so one is held at a time.
+        out[f"{name}:matrix"] = _sha(_outcome(lambda: cef_transition_matrix(cef, theta).P) for theta in probes)
         # Promote without checking so non-MEFs reach the row-spread test.
         mef = MefSpec(space=cef.space, kappa=cef.kappa, tau=cef.tau, eta=cef.eta, verified_mef=True)
-        out[f"{name}:mean"] = _sha([_outcome(lambda: _mean(mef, theta)) for theta in probes])
+        out[f"{name}:mean"] = _sha(_outcome(lambda: _mean(mef, theta)) for theta in probes)
     return out
 
 
@@ -125,6 +137,14 @@ GOLDEN = {
     "reciprocity3:psi:None": "3d1de162f551f49a3799dfb0a1196f5d5db887b69e660cfd3c085da87c593968",
     "reciprocity3:matrix": "6b8d4498519588d7fd860f3837d29d7cc46c3123dd4384511215f3ce14cdfa13",
     "reciprocity3:mean": "33af2976c39342e090c80de66239e18c3d170bc22cd0ecaa98443e23c8ef8266",
+    "reciprocity4:validate": "7a8188325b0fa6be75cb180e1f2e7dd77a697631fb14cfc30cc8a736a0ddd4de",
+    "reciprocity4:mef_check": "f618caa30b9c5541211047accba990b2a790858b9264a5bdec17111b69df6aec",
+    "reciprocity4:psi:1": "de811bb4cb88ecb9cd2ee95f124958e4b8ae1930d2194ca9fa89c6ad9e203665",
+    "reciprocity4:psi:3": "de811bb4cb88ecb9cd2ee95f124958e4b8ae1930d2194ca9fa89c6ad9e203665",
+    "reciprocity4:psi:64": "de811bb4cb88ecb9cd2ee95f124958e4b8ae1930d2194ca9fa89c6ad9e203665",
+    "reciprocity4:psi:None": "de811bb4cb88ecb9cd2ee95f124958e4b8ae1930d2194ca9fa89c6ad9e203665",
+    "reciprocity4:matrix": "2f1ac916c2581d84340fcb981c3199c04c736edd9bf57bb025e5022ef6492b3d",
+    "reciprocity4:mean": "7d4d4a7ae7b11ee8446b883d02db0fdec7cf60f5dc0db6acb9b5e06cad35b0c4",
     "transitivity4:validate": "44ec3de040fd16700267bf61ce9b788b3a9fc2d218933b024bb2e2d47d6356ab",
     "transitivity4:mef_check": "e098e03ef342cad54f60efcbfa4a2cabf8da26cd237928fd0869fd0d8bc23bdc",
     "transitivity4:psi:1": "2fe76656a923eeae03e876cb68c8316fc776f53da5876c9eb69acc524d115657",
