@@ -30,7 +30,7 @@ PARTITION_REL_TOL = 1e-10
 def _output(path: str | None):
     """The --out file opened for writing, or stdout when there is none."""
     if path:
-        with open(path, "w") as fp:
+        with open(path, "w", encoding="utf-8") as fp:
             yield fp
     else:
         yield sys.stdout

@@ -159,48 +159,33 @@ def stability_mef(n: int) -> MefSpec:
     return expfam_to_mef(er_family(n), builtin_family(space, "stability"))
 
 
-def _scaled_ratio_rows(numer: np.ndarray, n: int, denom: np.ndarray) -> np.ndarray:
-    """n * numer[a, b] / denom[a] with 0/0 -> 0, computed in place in numer."""
-    positive = denom > 0
-    np.multiply(numer, n, out=numer)
-    np.divide(numer, denom[:, None], out=numer, where=positive[:, None])
-    numer[~positive] = 0.0
-    return numer
-
-
-def _ratio_statistic(coeff: np.ndarray, digits: np.ndarray, denom: np.ndarray, n: int, coded: bool):
-    """tau(a, b) = n * k(a, b) / d(a), 0/0 -> 0: a CodeTable, or the dense table when not `coded`.
+def _ratio_statistic(coeff: np.ndarray, digits: np.ndarray, denom: np.ndarray, n: int) -> CodeTable:
+    """tau(a, b) = n * k(a, b) / d(a), 0/0 -> 0, as a CodeTable.
 
     k(a, b) = coeff[a] . digits[b] and d(a) = denom[a] are counts with
     k <= d, so every entry is one cell of the (d, k) grid, coded as
-    d * (D + 1) + k with D the largest d. Cell values and dense rows both
-    come from _scaled_ratio_rows on the same integers, so values[codes]
-    has the dense table's bits. Counts are formed one row block at a time,
-    exact in float64, so the result is the only size^2 array.
+    d * (D + 1) + k with D the largest d; the cell holds k * n / d. Counts
+    are formed one row block at a time, exact in float64, so the codes are
+    the only size^2 array.
     """
     size = digits.shape[0]
+    width = int(denom.max()) + 1
+    d = np.arange(width, dtype=np.float64)[:, None]
+    values = np.divide(np.arange(width, dtype=np.float64) * n, d, out=np.zeros((width, width)), where=d > 0)
+    codes = np.empty((size, size), dtype=np.min_scalar_type(values.size - 1))
     targets = digits.T.astype(np.float64)
     step = max(1, BLOCK_ENTRIES // size)
-    blocks = [slice(start, min(start + step, size)) for start in range(0, size, step)]
-    if not coded:
-        table = np.empty((size, size))
-        for rows in blocks:
-            _scaled_ratio_rows(np.matmul(coeff[rows], targets, out=table[rows]), n, denom[rows])
-        return table
-    width = int(denom.max()) + 1
-    grid = np.tile(np.arange(width, dtype=np.float64), (width, 1))
-    values = _scaled_ratio_rows(grid, n, np.arange(width, dtype=np.float64)).reshape(-1)
-    codes = np.empty((size, size), dtype=np.min_scalar_type(values.size - 1))
     buf = np.empty((min(step, size), size))
-    for rows in blocks:
-        counts = np.matmul(coeff[rows], targets, out=buf[: rows.stop - rows.start])
+    for start in range(0, size, step):
+        rows = slice(start, min(start + step, size))
+        counts = np.matmul(coeff[rows], targets, out=buf[: rows.stop - start])
         counts += denom[rows, None] * width
         codes[rows] = counts
-    return CodeTable(codes=codes, values=values)
+    return CodeTable(codes=codes, values=values.reshape(-1))
 
 
-def _transitivity(n: int, coded: bool):
-    """Closed-two-path statistic on G(n, 1).
+def transitivity_table(n: int) -> CodeTable:
+    """Closed-two-path statistic on G(n, 1), held as a CodeTable.
 
     tau(a, b) = n * (two-paths of a closed by b) / (two-paths of a), with
     0/0 -> 0.
@@ -216,12 +201,7 @@ def _transitivity(n: int, coded: bool):
         path = digits[:, dyad_index(i, j)] * digits[:, dyad_index(j, k)]
         coeff[:, dyad_index(i, k)] += path
         denom += path
-    return _ratio_statistic(coeff, digits, denom, n, coded)
-
-
-def transitivity_table(n: int) -> np.ndarray:
-    """(size, size) closed-two-path statistic on G(n, 1); see transitivity_cef."""
-    return _transitivity(n, coded=False)
+    return _ratio_statistic(coeff, digits, denom, n)
 
 
 def _natural_cef(tau: CodeTable, space: StateSpace) -> CefSpec:
@@ -231,12 +211,8 @@ def _natural_cef(tau: CodeTable, space: StateSpace) -> CefSpec:
 
 
 def transitivity_cef(n: int) -> CefSpec:
-    """Closed-two-path CEF on G(n, 1) with unit carrier; not an MEF.
-
-    tau(a, b) = n * (two-paths of a closed by b) / (two-paths of a), with
-    0/0 -> 0, held as a CodeTable.
-    """
-    return _natural_cef(_transitivity(n, coded=True), build_multigraph_space(n, 1))
+    """Closed-two-path CEF on G(n, 1) with unit carrier; not an MEF. tau is transitivity_table(n)."""
+    return _natural_cef(transitivity_table(n), build_multigraph_space(n, 1))
 
 
 def directed_pairs(n: int) -> list[tuple[int, int]]:
@@ -263,8 +239,8 @@ def directed_space(n: int) -> StateSpace:
     return build_generic_space(labels)
 
 
-def _reciprocity(n: int, coded: bool):
-    """Reciprocated-arc statistic over directed_space(n).
+def reciprocity_table(n: int) -> CodeTable:
+    """Reciprocated-arc statistic over directed_space(n), held as a CodeTable.
 
     tau(a, b) = n * sum_{(i,j)} b(j,i) a(i,j) / (arc count of a), 0/0 -> 0.
     """
@@ -280,18 +256,9 @@ def _reciprocity(n: int, coded: bool):
     bits = np.empty((size, m), dtype=np.float64)
     for f in range(m):
         bits[:, f] = (idx >> f) & 1
-    return _ratio_statistic(bits, bits[:, tp], bits.sum(axis=1), n, coded)
-
-
-def reciprocity_table(n: int) -> np.ndarray:
-    """(size, size) reciprocated-arc statistic over directed_space(n); see reciprocity_cef."""
-    return _reciprocity(n, coded=False)
+    return _ratio_statistic(bits, bits[:, tp], bits.sum(axis=1), n)
 
 
 def reciprocity_cef(n: int) -> CefSpec:
-    """Reciprocated-arc CEF over loop-free directed graphs; not an MEF.
-
-    tau(a, b) = n * sum_{(i,j)} b(j,i) a(i,j) / (arc count of a), 0/0 -> 0,
-    held as a CodeTable.
-    """
-    return _natural_cef(_reciprocity(n, coded=True), directed_space(n))
+    """Reciprocated-arc CEF over loop-free directed graphs; not an MEF. tau is reciprocity_table(n)."""
+    return _natural_cef(reciprocity_table(n), directed_space(n))

@@ -144,15 +144,21 @@ def load_json(path: str):
     than "[" characters; that count is the memo's budget. A file past it is
     parsed again by plain json.loads, at the cost of about budget extra
     conversions. Integers keep json's own conversion, which is faster than
-    a memo lookup.
+    a memo lookup. A parse or decode error names the file.
     """
-    with open(path) as fp:
-        text = fp.read()
+    try:
+        with open(path, encoding="utf-8") as fp:
+            text = fp.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(_decode_error_line(path, exc)) from None
     memo = _FloatMemo(text.count("["))
     try:
-        return json.loads(text, parse_float=memo.__getitem__)
-    except _MemoFull:
-        return json.loads(text)
+        try:
+            return json.loads(text, parse_float=memo.__getitem__)
+        except _MemoFull:
+            return json.loads(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------- spaces
@@ -233,11 +239,11 @@ def family_from_dict(d: dict) -> PermutationFamily:
     sigma = _json_object(d, "a family")["sigma"]
     flat = (
         list(chain.from_iterable(sigma))
-        if type(sigma) is list and set(map(type, sigma)) <= {list}
+        if type(sigma) is list and set(map(type, sigma)) <= {list} and len(set(map(len, sigma))) <= 1
         else [None]
     )
     # An int past int64 makes np.array an object or float64 array; either
-    # still compares out of range. Ragged rows raise in np.array.
+    # still compares out of range.
     table = np.array(sigma) if set(map(type, flat)) <= {int} else None
     if table is None or table.size and not (table.min() >= 0 and table.max() < len(sigma)):
         raise ValueError("\"sigma\" must be a 2-D array of integer state indices")
@@ -249,30 +255,32 @@ def family_from_dict(d: dict) -> PermutationFamily:
 def _json_numbers(value, name: str) -> np.ndarray:
     """A JSON array of numbers, nested to any depth, as float64.
 
-    Strings, booleans, nulls and objects raise ValueError; np.array would
-    parse "0.5" and turn true into 1.0. An ndarray, as the *_to_dict writers
-    leave in a dict that never went through JSON, is taken as it is.
+    Strings, booleans, nulls, objects and rows of unequal length raise
+    ValueError; np.array would parse "0.5" and turn true into 1.0. An
+    ndarray, as the *_to_dict writers leave in a dict that never went
+    through JSON, is taken as it is.
     """
     if isinstance(value, np.ndarray):
         return value.astype(np.float64)
     flat, shape = value, [len(value)] if type(value) is list else []
     while type(flat) is list and flat and all(type(row) is list for row in flat):
         widths = set(map(len, flat))
-        shape.append(widths.pop() if len(widths) == 1 else -1)
+        if len(widths) > 1:
+            raise ValueError(f"{name} must be a rectangular array of JSON numbers")
+        shape.append(widths.pop())
         flat = list(chain.from_iterable(flat))
     if type(value) is not list:
         raise ValueError(f"{name} must be an array of JSON numbers")
-    if -1 not in shape:
-        # Of JSON leaves, numpy infers an integer or float array only from
-        # numbers and booleans, and a boolean among numbers becomes exactly 0
-        # or 1: an array with neither entry is numbers alone. Anything else,
-        # a leaf beside a list included, is checked leaf by leaf below.
-        try:
-            inferred = np.array(flat)
-        except ValueError:
-            inferred = None
-        if inferred is not None and inferred.dtype.kind in "iuf" and not ((inferred == 0) | (inferred == 1)).any():
-            return inferred.astype(np.float64, copy=False).reshape(shape)
+    # Of JSON leaves, numpy infers an integer or float array only from
+    # numbers and booleans, and a boolean among numbers becomes exactly 0
+    # or 1: an array with neither entry is numbers alone. Anything else,
+    # a leaf beside a list included, is checked leaf by leaf below.
+    try:
+        inferred = np.array(flat)
+    except ValueError:
+        inferred = None
+    if inferred is not None and inferred.dtype.kind in "iuf" and not ((inferred == 0) | (inferred == 1)).any():
+        return inferred.astype(np.float64, copy=False).reshape(shape)
     if not set(map(type, flat)) <= {int, float}:
         raise ValueError(f"{name} must be an array of JSON numbers")
     return np.array(value, dtype=np.float64)
@@ -302,10 +310,10 @@ def load_pmf(path: str) -> Pmf:
 def save_matrix(path: str, P: StochasticMatrix):
     if path.endswith(".csv"):
         rows = [",".join(_format_float(float(x)) for x in row) for row in P.P]
-        with open(path, "w") as fp:
+        with open(path, "w", encoding="utf-8") as fp:
             fp.write("\n".join(rows) + "\n")
     else:
-        with open(path, "w") as fp:
+        with open(path, "w", encoding="utf-8") as fp:
             dump({"matrix": P.P}, fp)
 
 
@@ -582,7 +590,7 @@ def write_running_means_csv(path: str, running_mean):
     """`step,running_mean` header, then step k and the k-step means per line."""
     running_mean = np.asarray(running_mean, dtype=np.float64)
     line = "%d" + ",%.17g" * running_mean.shape[1] + "\n"
-    with open(path, "w") as fp:
+    with open(path, "w", encoding="utf-8") as fp:
         fp.write("step,running_mean\n")
         for start in range(0, len(running_mean), CHUNK):
             chunk = running_mean[start:start + CHUNK]

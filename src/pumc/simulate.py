@@ -15,6 +15,7 @@ import numpy as np
 from . import models
 from .core import DENSE_ENTRY_CAP, Pmf, PermutationFamily, StateSpace, StochasticMatrix, check_dense_budget, num_dyads
 from .errors import PowerIterationError, TheoremViolationError
+from .expfam import CodeTable
 from .puniform import Trajectory, check_puniform, iid_to_chain
 from .rng import inverse_cdf, stream
 
@@ -78,19 +79,20 @@ class ConvergenceReport:
 
 
 def convergence_report(
-    x: Trajectory, stat_table: np.ndarray, target, fam: PermutationFamily | None = None
+    x: Trajectory, stat_table: np.ndarray | CodeTable, target, fam: PermutationFamily | None = None
 ) -> ConvergenceReport:
     """Running time-average of a transition statistic against its target.
 
     stat_table is (size, size) or (size, size, l), indexed by (source,
-    target) state. The iid standard error is only reported when a family is
-    supplied and every statistic coordinate passes the p-uniformity check
-    under it; without that certificate the column would be meaningless for
-    a dependent sequence, so it stays None.
+    target) state. A CodeTable is indexed as it is, not realized; only the
+    family check forms a dense coordinate. The iid standard error is only
+    reported when a family is supplied and every statistic coordinate
+    passes the p-uniformity check under it; without that certificate the
+    column would be meaningless for a dependent sequence, so it stays None.
     """
     size = x.space.size
     check_dense_budget(size, "the statistic table")
-    table = np.asarray(stat_table, dtype=np.float64)
+    table = stat_table if isinstance(stat_table, CodeTable) else np.asarray(stat_table, dtype=np.float64)
     if table.ndim == 2:
         table = table[:, :, None]
     if table.shape[:2] != (size, size):

@@ -12,7 +12,7 @@ from pumc.cli import _diagnose_table, main
 from pumc.core import build_multigraph_space, edge_total_table, num_dyads
 from pumc.errors import PowerIterationError, SpaceTooLargeError, TheoremViolationError
 from pumc.ermgm import ErmgmModel, from_factorization, mle_density_stability, sample_multigraphs
-from pumc.expfam import ParameterMap
+from pumc.expfam import BLOCK_ENTRIES, CodeTable, ParameterMap
 from pumc.netstat import factor_dyadditive
 from pumc.simulate import sample_puniform_chain
 
@@ -723,8 +723,49 @@ def test_fractional_family_file_exits_2(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("kind", ["matrix", "family", "model", "pmf", "config"])
+def test_unreadable_json_files_are_named(tmp_path, capsys, kind):
+    """A JSON input file that does not parse, or is not UTF-8, exits 2 with
+    one line that names it: `<path>: ...` or `<path>:<line>: ...`."""
+    traj_path = str(tmp_path / "x.jsonl")
+    run(capsys, "simulate", "--model", "density", "--n", "3", "--p", "0.3", "--steps", "10", "--seed", "3",
+        "--out", traj_path)
+    path = str(tmp_path / "in.json")
+    argv = {
+        "matrix": ("detect", "--matrix", path),
+        "family": ("transform", "--traj", traj_path, "--direction", "chain2iid", "--family", path,
+                   "--out", str(tmp_path / "z.jsonl")),
+        "model": ("partition", "--model", path, "--theta", "0.5"),
+        "pmf": ("exchangeability", "--model", "custom", "--n", "3", "--mu", path),
+        "config": ("detect", "--matrix", str(tmp_path / "absent.json"), "--config", path),
+    }[kind]
+    for text, message in (
+        (b'{"p": [0.5,', f"{path}: Expecting value: line 1 column 12 (char 11)"),
+        (b'{\n"p": [0.5, \xff]}', f"{path}:2: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte"),
+    ):
+        Path(path).write_bytes(text)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), text
+    assert not (tmp_path / "z.jsonl").exists()
+
+
+def test_ragged_json_arrays_name_their_field(tmp_path, capsys):
+    traj_path = str(tmp_path / "x.jsonl")
+    run(capsys, "simulate", "--model", "density", "--n", "1", "--p", "0.3", "--steps", "4", "--seed", "3",
+        "--out", traj_path)
+    matrix, family = str(tmp_path / "m.json"), str(tmp_path / "f.json")
+    Path(matrix).write_text('{"matrix": [[0.5,0.5],[0.5]]}')
+    Path(family).write_text('{"sigma": [[0,1],[0]]}')
+    for argv, message in (
+        (("detect", "--matrix", matrix), '"matrix" must be a rectangular array of JSON numbers'),
+        (("transform", "--traj", traj_path, "--direction", "chain2iid", "--family", family,
+          "--out", str(tmp_path / "z.jsonl")), '"sigma" must be a 2-D array of integer state indices'),
+    ):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
 def test_reciprocity_diagnose_table_holds_one_table():
-    """diagnose --stat reciprocity builds its statistic table and no carrier."""
+    """diagnose --stat reciprocity builds its code table, one float64 row
+    block of counts at a time, and no dense table or carrier."""
     args = argparse.Namespace(stat="reciprocity", n=4)
     space = models.directed_space(4)
     tracemalloc.start()
@@ -733,8 +774,8 @@ def test_reciprocity_diagnose_table_holds_one_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fam is None and table.shape == (space.size, space.size)
-    limit = space.size * space.size * 8 + 8 * 2**20
+    assert fam is None and isinstance(table, CodeTable) and table.shape == (space.size, space.size, 1)
+    limit = table.codes.nbytes + BLOCK_ENTRIES * 8 + 2 * 2**20
     assert peak <= limit, f"peak {peak / 2**20:.1f} MiB"
 
 

@@ -6,6 +6,8 @@ somewhere in the module, or be listed in its `__all__`; `from __future__`
 imports are exempt. A name a function binds by a plain `name = ...` must be
 read in that function, nested functions and comprehensions included. In the
 package, a read inside an `assert` does not count, since `python -O` drops it.
+Every text-mode `open()` in the package names its encoding, so no file is
+read or written in the locale's.
 """
 
 import ast
@@ -101,3 +103,32 @@ def test_no_function_has_an_unused_local():
     found = {str(path.relative_to(ROOT)): unused_locals(path.read_text(), skip_asserts=path.parent.name == "pumc")
              for path in MODULES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def text_opens_without_encoding(source: str) -> list[str]:
+    """`line N` for each open() call whose mode is not a binary literal and that passes no encoding."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+        if not binary and len(node.args) < 4 and "encoding" not in keywords:
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_text_opens_without_encoding_are_found():
+    source = (
+        "open(p)\nopen(p, 'w')\nopen(p, mode='a')\nopen(p, m)\n"
+        "open(p, 'rb')\nopen(p, mode='wb')\nopen(p, encoding='utf-8')\nopen(p, 'w', -1, 'utf-8')\n"
+        "fp.open(p)\n"
+    )
+    assert text_opens_without_encoding(source) == ["line 1", "line 2", "line 3", "line 4"]
+
+
+def test_every_package_text_open_names_its_encoding():
+    found = {str(path.relative_to(ROOT)): text_opens_without_encoding(path.read_text())
+             for path in MODULES if path.parent.name == "pumc"}
+    assert {path: lines for path, lines in found.items() if lines} == {}

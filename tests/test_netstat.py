@@ -150,8 +150,9 @@ def _pairwise(stat, states) -> np.ndarray:
 
 
 def test_cef_tables_match_pairwise_functions():
-    """Every pair of the dense table and of the CEF's code table, read both
-    as values[codes] and through its indexing, is the per-pair statistic."""
+    """The statistic table and the CEF's tau hold the same codes and values,
+    and every pair, read as values[codes] and through the table's indexing,
+    is the per-pair statistic."""
     cases = [(n, models.reciprocity_table(n), models.reciprocity_cef(n).tau,
               _pairwise(stat_reciprocity, [_directed_adjacency(n, s) for s in range(2 ** (n * (n - 1)))]))
              for n in (2, 3)]
@@ -159,11 +160,13 @@ def test_cef_tables_match_pairwise_functions():
         space = build_multigraph_space(n, 1)
         cases.append((n, models.transitivity_table(n), models.transitivity_cef(n).tau,
                       _pairwise(stat_transitivity, [space.decode(i) for i in range(space.size)])))
-    for n, table, coded, want in cases:
-        assert isinstance(coded, CodeTable) and coded.codes.dtype == np.uint8, n
-        assert np.array_equal(table, want), n
-        assert np.array_equal(coded.values[coded.codes], want), n
-        assert np.array_equal(coded[:, :, 0], want), n
+    for n, table, tau, want in cases:
+        assert np.array_equal(table.codes, tau.codes) and np.array_equal(table.values, tau.values), n
+        for coded in (table, tau):
+            assert isinstance(coded, CodeTable) and coded.codes.dtype == np.uint8, n
+            assert coded.shape == (*want.shape, 1), n
+            assert np.array_equal(coded.values[coded.codes], want), n
+            assert np.array_equal(coded[:, :, 0], want), n
 
 
 def test_sorted_degree_table_matches_per_state_sequences():

@@ -199,9 +199,12 @@ def _with_first_leaf(value, leaf):
 
 
 def _elementwise_numbers(value, name):
-    """_json_numbers by its rule alone: every leaf an int or a float, then np.array."""
+    """_json_numbers by its rule alone: lists of one length at every level,
+    every leaf an int or a float, then np.array."""
     flat = value
     while type(flat) is list and flat and all(type(row) is list for row in flat):
+        if len({len(row) for row in flat}) > 1:
+            raise ValueError(f"{name} must be a rectangular array of JSON numbers")
         flat = [x for row in flat for x in row]
     if type(value) is not list or any(type(x) not in (int, float) for x in flat):
         raise ValueError(f"{name} must be an array of JSON numbers")
@@ -567,9 +570,14 @@ def _loaded(load, arg):
 
 
 def _assert_loads_alike(path, text):
+    """load_json(path) gives json.loads(text); its ValueError puts the path before json's message."""
     with open(path, "w") as fp:
         fp.write(text)
-    assert _loaded(serialize.load_json, path) == _loaded(json.loads, text)
+    want = _loaded(json.loads, text)
+    if want[0] != "value":
+        assert issubclass(want[0], ValueError), want
+        want = ValueError, f"{path}: {want[1]}"
+    assert _loaded(serialize.load_json, path) == want
 
 
 @settings(max_examples=300, deadline=None)

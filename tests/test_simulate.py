@@ -4,9 +4,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pumc import models
-from pumc.core import StochasticMatrix, build_multigraph_space, identity_family, num_dyads
+from pumc.core import StochasticMatrix, build_multigraph_space, builtin_family, identity_family, num_dyads
 from pumc.errors import PowerIterationError
-from pumc.netstat import density_stat_table
+from pumc.expfam import CodeTable
+from pumc.netstat import density_stat_table, edge_stat_counts
 from pumc.puniform import Trajectory, chain_to_iid
 from pumc.simulate import (
     convergence_report,
@@ -85,6 +86,35 @@ def test_convergence_report_se_needs_puniform_certificate():
     bad = np.broadcast_to(np.arange(8.0)[:, None], (8, 8)).copy()
     with pytest.raises(ValueError):
         convergence_report(x, bad, 0.5, identity_family(8))
+
+
+def test_convergence_report_reads_a_code_table_as_its_dense_form():
+    """A CodeTable gives the report of the dense table it stands for, bit for
+    bit: with no family, under a family that certifies it, and under one
+    that does not, where both refuse with the same triple."""
+    cm = models.stability_chain(4, 0.3)
+    x = sample_puniform_chain(cm.space, cm.mu, cm.family, 0, 500, seed=4)
+    idx = np.arange(cm.space.size)
+    agree = edge_stat_counts(cm.space, "stability", idx[:, None], idx).astype(np.uint8)
+    stability = CodeTable(codes=agree, values=np.arange(num_dyads(4) + 1) / 3.0)
+    transitivity = models.transitivity_table(4)
+
+    def outcome(table, fam):
+        try:
+            rep = convergence_report(x, table, 1.5, fam)
+        except ValueError as exc:
+            return str(exc)
+        stderr = None if rep.stderr is None else rep.stderr.tobytes()
+        return rep.running_mean.tobytes(), rep.final_mean.tobytes(), stderr
+
+    cases = ((transitivity, None), (stability, None), (stability, cm.family),
+             (transitivity, builtin_family(cm.space, "identity")))
+    for table, fam in cases:
+        coded = outcome(table, fam)
+        assert coded == outcome(np.asarray(table), fam)
+        assert (type(coded) is str) == (table is transitivity and fam is not None)
+        assert (fam is cm.family) == (type(coded) is tuple and coded[2] is not None)
+    assert "is not p-uniform under the family: (0, " in coded
 
 
 def test_convergence_report_dimension_checks():
