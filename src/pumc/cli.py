@@ -37,9 +37,8 @@ def _output(path: str | None):
 
 
 def _emit(args, payload, summary: str):
-    text = serialize.dumps(payload, indent=2) + "\n"
     with _output(getattr(args, "out", None)) as fp:
-        fp.write(text)
+        serialize.dump(payload, fp)
     print(summary, file=sys.stderr)
 
 
@@ -414,7 +413,10 @@ def _apply_config(parser: argparse.ArgumentParser, args):
             raise ValueError(f"unknown config key {key!r}")
         kind = bool if action.nargs == 0 else action.type or str
         if kind is float and type(value) is int:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(f"config key {key!r} needs float, got an integer past the float64 range") from None
         if type(value) is not kind:
             raise ValueError(f"config key {key!r} needs {kind.__name__}, got {json.dumps(value)}")
         if action.choices is not None and value not in action.choices:

@@ -20,6 +20,8 @@ ENUMERATION_CAP = 2 ** 24
 # Entries of one dense table, size x size or states x dyads: reciprocity on
 # 4 vertices (2^24) fits, G(6, 1) (2^30) does not.
 DENSE_ENTRY_CAP = 2 ** 26
+# Entries of one row block of a size x size work table: 1 MiB of float64.
+BLOCK_ENTRIES = 2 ** 17
 # Largest modulus: the sum of two residues must stay inside int64.
 MODULAR_CAP = 2 ** 62
 PMF_TOL = 1e-12
@@ -35,6 +37,13 @@ def check_dense_budget(size: int, what: str):
         raise SpaceTooLargeError(
             f"{what} would hold {size} x {size} entries, past the cap of {DENSE_ENTRY_CAP}"
         )
+
+
+def row_blocks(size: int) -> list[slice]:
+    """Slices of whole rows covering 0..size-1, each of BLOCK_ENTRIES
+    entries of a size x size table (at least one row)."""
+    step = max(1, BLOCK_ENTRIES // size)
+    return [slice(start, min(start + step, size)) for start in range(0, size, step)]
 
 
 def distinct_entries(table: np.ndarray) -> np.ndarray:
@@ -285,8 +294,8 @@ class PermutationFamily:
         if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] == 0:
             raise ValueError("need a nonempty square index matrix")
         size = sigma.shape[0]
-        # Every row must hit each index exactly once.
-        if not np.array_equal(np.sort(sigma, axis=1), np.broadcast_to(np.arange(size), sigma.shape)):
+        # Every row must hit each index exactly once; sorted a block of rows at a time.
+        if any((np.sort(sigma[rows], axis=1) != np.arange(size)).any() for rows in row_blocks(size)):
             raise ValueError("every row must be a permutation of 0..size-1")
         self._sigma = sigma
         self.size = size

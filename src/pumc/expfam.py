@@ -23,6 +23,7 @@ from .core import (
     check_dense_budget,
     check_finite,
     distinct_entries,
+    row_blocks,
 )
 from .errors import NotAnMefError, TheoremViolationError
 from .puniform import Trajectory, check_puniform
@@ -303,25 +304,21 @@ class MefSpec(CefSpec):
     verified_mef: bool = False
 
 
-BLOCK_ENTRIES = 2 ** 19  # entries per row block: 4 MiB of float64
-
-
 def _row_blocks(cef: CefSpec, theta, out: np.ndarray | None = None):
     """Yield (start, stop, logits) over blocks of rows of the CEF's logits.
 
-    A block has BLOCK_ENTRIES entries in whole rows (at least one row). Its
-    logits are written into out[start:stop] when `out` is given, otherwise
-    into one buffer reused for every block, which the caller may overwrite
-    before asking for the next block.
+    Blocks are core.row_blocks. Their logits are written into
+    out[start:stop] when `out` is given, otherwise into one buffer reused
+    for every block, which the caller may overwrite before asking for the
+    next block.
     """
     eta = cef.eta.evaluate(theta)
     size = cef.space.size
-    rows = max(1, min(BLOCK_ENTRIES // size, size))
-    buf = np.empty((rows, size)) if out is None else None
-    for start in range(0, size, rows):
-        stop = min(start + rows, size)
-        logits = buf[: stop - start] if out is None else out[start:stop]
-        yield start, stop, _log_weights(cef.kappa, cef.tau, eta, logits, slice(start, stop))
+    blocks = row_blocks(size)
+    buf = np.empty((blocks[0].stop, size)) if out is None else None
+    for rows in blocks:
+        logits = buf[: rows.stop - rows.start] if out is None else out[rows]
+        yield rows.start, rows.stop, _log_weights(cef.kappa, cef.tau, eta, logits, rows)
 
 
 def row_log_partitions(cef: CefSpec, theta) -> np.ndarray:

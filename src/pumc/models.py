@@ -33,10 +33,10 @@ from .core import (
     edge_total_table,
     identity_family,
     num_dyads,
+    row_blocks,
 )
 from .errors import SpaceTooLargeError
 from .expfam import (
-    BLOCK_ENTRIES,
     NATURAL,
     SCALAR_LOG,
     DENSITY_LOGIT,
@@ -174,11 +174,10 @@ def _ratio_statistic(coeff: np.ndarray, digits: np.ndarray, denom: np.ndarray, n
     values = np.divide(np.arange(width, dtype=np.float64) * n, d, out=np.zeros((width, width)), where=d > 0)
     codes = np.empty((size, size), dtype=np.min_scalar_type(values.size - 1))
     targets = digits.T.astype(np.float64)
-    step = max(1, BLOCK_ENTRIES // size)
-    buf = np.empty((min(step, size), size))
-    for start in range(0, size, step):
-        rows = slice(start, min(start + step, size))
-        counts = np.matmul(coeff[rows], targets, out=buf[: rows.stop - start])
+    blocks = row_blocks(size)
+    buf = np.empty((blocks[0].stop, size))
+    for rows in blocks:
+        counts = np.matmul(coeff[rows], targets, out=buf[: rows.stop - rows.start])
         counts += denom[rows, None] * width
         codes[rows] = counts
     return CodeTable(codes=codes, values=values.reshape(-1))

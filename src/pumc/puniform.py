@@ -20,6 +20,7 @@ from .core import (
     StochasticMatrix,
     check_dense_budget,
     is_symmetric_family,
+    row_blocks,
 )
 from .errors import TheoremViolationError
 
@@ -51,7 +52,9 @@ def check_triple(P: StochasticMatrix, fam: PermutationFamily, mu: Pmf, tol: floa
     """Raise ValueError unless P(a, b) = mu(sigma_a(b)) entrywise within tol."""
     if fam.size != P.size or mu.size != P.size:
         raise ValueError("(P, family, mu) must share one state space size")
-    err = np.abs(P.P - fam.spread(mu.p, "the transition matrix")).max()
+    check_dense_budget(P.size, "the transition matrix")
+    idx = np.arange(P.size)
+    err = np.max([np.abs(P.P[rows] - mu.p[fam.apply(idx[rows, None], idx)]).max() for rows in row_blocks(P.size)])
     if err > tol:
         raise ValueError(f"(P, family, mu) is not a p-uniform triple, error {err:.3e}")
 
@@ -86,21 +89,33 @@ def check_puniform(P, fam: PermutationFamily, tol: float = DETECT_TOL):
 
     Accepts a StochasticMatrix or any square real table. Returns (True, None)
     or (False, (a, b, c)) where rows a and b disagree at relabelled target c,
-    i.e. P(a, sigma_a^-1(c)) != P(b, sigma_b^-1(c)).
+    i.e. P(a, sigma_a^-1(c)) != P(b, sigma_b^-1(c)). Every row is compared
+    with row 0, one block of rows at a time; (a, c) is the first worst
+    deviation in row-major order, NaN before any number.
     """
     table = _as_table(P)
-    if fam.size != table.shape[0]:
+    size = table.shape[0]
+    if fam.size != size:
         raise ValueError("family size does not match the table")
-    idx = np.arange(table.shape[0])
-    relabelled = np.empty_like(table)
-    relabelled[idx[:, None], fam.apply(idx[:, None], idx)] = table  # [a, c] = P(a, sigma_a^-1(c))
-    relabelled -= relabelled[0].copy()
-    dev = np.abs(relabelled, out=relabelled)  # in place: one work table fewer
-    worst = dev.max()
+    idx = np.arange(size)
+    first = np.empty(size)
+    first[fam.apply(0, idx)] = table[0]
+    blocks = row_blocks(size)
+    buf = np.empty((blocks[0].stop, size))
+    worst, at = None, None
+    for rows in blocks:
+        dev = buf[: rows.stop - rows.start]
+        dev[np.arange(len(dev))[:, None], fam.apply(idx[rows, None], idx)] = table[rows]  # [a, c] = P(a, sigma_a^-1(c))
+        dev -= first
+        np.abs(dev, out=dev)
+        k = int(np.argmax(dev))  # the block's first largest entry, or its first NaN
+        value = dev.flat[k]
+        # An earlier block keeps a tie; a NaN outranks every number.
+        if worst is None or value > worst or (np.isnan(value) and not np.isnan(worst)):
+            worst, at = value, (rows.start + k // size, k % size)
     if worst <= tol:
         return True, None
-    a, c = np.unravel_index(np.argmax(dev), dev.shape)
-    return False, (0, int(a), int(c))
+    return False, (0, int(at[0]), int(at[1]))
 
 
 def _matched_family(P, tol: float):
@@ -108,15 +123,18 @@ def _matched_family(P, tol: float):
 
     sigma sends row a's k-th smallest entry to the position of row 0's k-th
     smallest, which picks the lexicographically smallest assignment inside
-    exact-tie blocks and makes sigma_0 the identity. Returns the table, the
-    family and check_puniform's (ok, triple) under it.
+    exact-tie blocks and makes sigma_0 the identity. Rows are sorted one
+    block at a time. Returns the table, the family and check_puniform's
+    (ok, triple) under it.
     """
     table = _as_table(P)
-    check_dense_budget(table.shape[0], "detection's work tables")
-    order = np.argsort(table, axis=1, kind="stable")
-    sigma = np.empty_like(order)
-    sigma[np.arange(table.shape[0])[:, None], order] = order[0]
-    del order  # one work table fewer while check_puniform runs
+    size = table.shape[0]
+    check_dense_budget(size, "detection's work tables")
+    first = np.argsort(table[0], kind="stable")
+    sigma = np.empty((size, size), dtype=np.int64)
+    for rows in row_blocks(size):
+        order = np.argsort(table[rows], axis=1, kind="stable")
+        sigma[rows][np.arange(len(order))[:, None], order] = first
     fam = PermutationFamily(sigma=sigma, tag="detected")
     return table, fam, check_puniform(table, fam, tol)
 

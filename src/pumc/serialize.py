@@ -7,6 +7,7 @@ bit-exactly and repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from itertools import chain, islice
 from typing import IO
@@ -61,11 +62,10 @@ def _emit(obj, out: list, indent, depth):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))
+    elif _is_int_table(obj):
+        _int_table(obj, out.append, indent, depth)
     elif isinstance(obj, np.ndarray):
-        if obj.ndim == 2 and obj.dtype.kind in "iu" and not (obj.size and obj.min() < 0):
-            _int_table(obj, out, indent, depth)
-        else:
-            _emit(obj.tolist(), out, indent, depth)
+        _emit(obj.tolist(), out, indent, depth)
     elif isinstance(obj, dict):
         _emit_items(
             ((json.dumps(str(k)) + (": " if indent else ":")) for k in obj),
@@ -97,24 +97,49 @@ def _padding(indent, depth) -> tuple[str, str]:
     return "\n" + " " * (indent * (depth + 1)), "\n" + " " * (indent * depth)
 
 
-def _int_table(table: np.ndarray, out: list, indent, depth):
-    """A 2-D array of integers >= 0 as _emit writes its tolist(), in one _render_rows call.
+def _is_int_table(obj) -> bool:
+    """A 2-D array of integers >= 0, which _int_table renders."""
+    return isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind in "iu" and not (obj.size and obj.min() < 0)
+
+
+def _int_table(table: np.ndarray, write, indent, depth):
+    """Write a 2-D array of integers >= 0 as _emit writes its tolist(), one
+    _render_chunks chunk at a time.
 
     Every table row renders as ",<pad>[" and its items; the first comma is dropped.
     """
     if not len(table):
-        out.append("[]")
+        write("[]")
         return
     row_pad, row_close = _padding(indent, depth)
     pad, close = _padding(indent, depth + 1)
     cols = table.shape[1]
     template = "," + row_pad + "[" + ",".join([pad + "%d"] * cols) + (close if cols else "") + "]"
-    out += "[", str(memoryview(_render_rows(template, table))[1:], "ascii"), row_close + "]"
+    write("[")
+    for i, chunk in enumerate(_render_chunks(template, table)):
+        write(str(memoryview(chunk)[0 if i else 1:], "ascii"))
+    write(row_close + "]")
 
 
 def dump(obj, fp: IO):
-    fp.write(dumps(obj, indent=2))
-    fp.write("\n")
+    """Write dumps(obj, indent=2) and a newline, a dict one entry at a time.
+
+    A 2-D integer table (detect's sigma) is written one rendered row chunk
+    at a time, so its text is never held whole. Every other entry is
+    dumps' text indented one level: dumps puts a newline only before
+    padding, and bench/traced.py times dumps as the emit layer.
+    """
+    if not isinstance(obj, dict) or not obj:
+        fp.write(dumps(obj, indent=2) + "\n")
+        return
+    pad, closing = _padding(2, 0)
+    for i, (key, value) in enumerate(obj.items()):
+        fp.write(("," if i else "{") + pad + json.dumps(str(key)) + ": ")
+        if _is_int_table(value):
+            _int_table(value, fp.write, 2, 1)
+        else:
+            fp.write(dumps(value, indent=2).replace("\n", pad))
+    fp.write(closing + "}\n")
 
 
 class _MemoFull(Exception):
@@ -136,28 +161,130 @@ class _FloatMemo(dict):
         return value
 
 
+JSON_BLOCK = 2 ** 19  # characters of JSON text read at a time; bytes per block of the "[" count
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # json's own whitespace set
+# A number cut inside its fraction or exponent ("1.", "1e", "1e+") still
+# parses as its leading digits; at most this many characters dangle.
+_NUMBER_TAIL = 2
+
+
+class _JsonBlocks:
+    """The JSON value of a file read JSON_BLOCK characters at a time.
+
+    raw_decode parses each value that fits in the unread text; a container
+    that does not fit is walked here one item at a time. A value is taken
+    only when more than _NUMBER_TAIL characters follow it, or at the end of
+    the file. Malformed text raises ValueError, or RecursionError when
+    nested too deeply; neither carries json's message.
+    """
+
+    def __init__(self, fp: IO, parse_float):
+        self.fp = fp
+        self.decode = json.JSONDecoder(parse_float=parse_float).raw_decode
+        self.text, self.pos, self.eof = "", 0, False
+
+    def document(self):
+        value = self._value()
+        if self._next():
+            raise ValueError("extra data")
+        return value
+
+    def _read(self):
+        """Append a block: at least JSON_BLOCK characters and at least as many
+        as are unread, so a value parsed again after each read costs linear time."""
+        size = max(JSON_BLOCK, len(self.text) - self.pos)
+        block = self.fp.read(size)
+        self.text = self.text[self.pos:] + block
+        self.pos = 0
+        self.eof = len(block) < size  # a text read is short only at the end of the file
+
+    def _next(self) -> str:
+        """The next character that is not whitespace; "" at the end of the file."""
+        while True:
+            self.pos = _WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or self.eof:
+                return self.text[self.pos:self.pos + 1]
+            self._read()
+
+    def _value(self):
+        first = self._next()
+        while True:
+            try:
+                value, end = self.decode(self.text, self.pos)
+            except ValueError:
+                if self.eof:
+                    raise
+                # Cut short by the end of the unread text, or larger than a block.
+                if first in "[{" and len(self.text) - self.pos >= JSON_BLOCK:
+                    return self._container(first)
+            else:
+                if end + _NUMBER_TAIL < len(self.text) or self.eof:
+                    self.pos = end
+                    return value
+            self._read()
+
+    def _container(self, first: str):
+        """The array or object opening at self.pos, one item at a time."""
+        close = "]" if first == "[" else "}"
+        items = []
+        self.pos += 1
+        if self._next() == close:
+            self.pos += 1
+            return [] if first == "[" else {}
+        while True:
+            if first == "[":
+                items.append(self._value())
+            else:
+                if self._next() != '"':
+                    raise ValueError("expected a key")
+                key = self._value()
+                if self._next() != ":":
+                    raise ValueError("expected ':'")
+                self.pos += 1
+                items.append((key, self._value()))
+            sep = self._next()
+            self.pos += 1
+            if sep == close:
+                return items if first == "[" else dict(items)
+            if sep != ",":
+                raise ValueError("expected ',' or a closing bracket")
+
+
+def _parse_blocks(path: str, parse_float):
+    """One pass of _JsonBlocks over the file."""
+    with open(path, encoding="utf-8") as fp:
+        return _JsonBlocks(fp, parse_float).document()
+
+
 def load_json(path: str):
     """The value of a JSON file, exactly as json.load gives it.
 
-    Each distinct float text is converted once. Every row of a p-uniform
-    matrix is a permutation of one pmf, so it has no more distinct numbers
-    than "[" characters; that count is the memo's budget. A file past it is
-    parsed again by plain json.loads, at the cost of about budget extra
-    conversions. Integers keep json's own conversion, which is faster than
-    a memo lookup. A parse or decode error names the file.
+    The text is read JSON_BLOCK characters at a time and is never held
+    whole, except to report an error: any failure parses the whole file
+    once more with json.loads, so the error is json's own text, after the
+    file's path. Each distinct float text is converted once. Every row of a
+    p-uniform matrix is a permutation of one pmf, so it has no more
+    distinct numbers than "[" characters; that count, taken in one binary
+    pass, is the memo's budget. A file past it is parsed again with plain
+    float conversion. Integers keep json's own conversion, which is faster
+    than a memo lookup.
     """
     try:
-        with open(path, encoding="utf-8") as fp:
-            text = fp.read()
+        budget = 0
+        with open(path, "rb") as raw:
+            while block := raw.read(JSON_BLOCK):
+                budget += block.count(b"[")
+        try:
+            try:
+                return _parse_blocks(path, _FloatMemo(budget).__getitem__)
+            except _MemoFull:
+                return _parse_blocks(path, float)
+        except (ValueError, RecursionError):
+            with open(path, encoding="utf-8") as fp:
+                return json.loads(fp.read())
     except UnicodeDecodeError as exc:
         raise ValueError(_decode_error_line(path, exc)) from None
-    memo = _FloatMemo(text.count("["))
-    try:
-        try:
-            return json.loads(text, parse_float=memo.__getitem__)
-        except _MemoFull:
-            return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
@@ -256,34 +383,36 @@ def _json_numbers(value, name: str) -> np.ndarray:
     """A JSON array of numbers, nested to any depth, as float64.
 
     Strings, booleans, nulls, objects and rows of unequal length raise
-    ValueError; np.array would parse "0.5" and turn true into 1.0. An
-    ndarray, as the *_to_dict writers leave in a dict that never went
-    through JSON, is taken as it is.
+    ValueError; np.array would parse "0.5" and turn true into 1.0. So does
+    an integer past the float64 range. An ndarray, as the *_to_dict writers
+    leave in a dict that never went through JSON, is taken as it is.
     """
     if isinstance(value, np.ndarray):
         return value.astype(np.float64)
-    flat, shape = value, [len(value)] if type(value) is list else []
-    while type(flat) is list and flat and all(type(row) is list for row in flat):
-        widths = set(map(len, flat))
-        if len(widths) > 1:
-            raise ValueError(f"{name} must be a rectangular array of JSON numbers")
-        shape.append(widths.pop())
-        flat = list(chain.from_iterable(flat))
     if type(value) is not list:
         raise ValueError(f"{name} must be an array of JSON numbers")
     # Of JSON leaves, numpy infers an integer or float array only from
     # numbers and booleans, and a boolean among numbers becomes exactly 0
     # or 1: an array with neither entry is numbers alone. Anything else,
-    # a leaf beside a list included, is checked leaf by leaf below.
+    # ragged rows and a leaf beside a list included, is checked leaf by
+    # leaf below.
     try:
-        inferred = np.array(flat)
+        inferred = np.array(value)
     except ValueError:
         inferred = None
     if inferred is not None and inferred.dtype.kind in "iuf" and not ((inferred == 0) | (inferred == 1)).any():
-        return inferred.astype(np.float64, copy=False).reshape(shape)
+        return inferred.astype(np.float64, copy=False)
+    flat = value
+    while type(flat) is list and flat and all(type(row) is list for row in flat):
+        if len(set(map(len, flat))) > 1:
+            raise ValueError(f"{name} must be a rectangular array of JSON numbers")
+        flat = list(chain.from_iterable(flat))
     if not set(map(type, flat)) <= {int, float}:
         raise ValueError(f"{name} must be an array of JSON numbers")
-    return np.array(value, dtype=np.float64)
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer past the float64 range") from None
 
 
 def load_matrix(path: str) -> StochasticMatrix:
@@ -383,23 +512,29 @@ CHUNK = 8192
 _STATE_LINE = '{"i":%d,"state":%d}\n'
 # bytes.translate table: ASCII digits stay, every other byte becomes a space.
 _DIGITS_ONLY = bytes(c if 48 <= c < 58 else 32 for c in range(256))
-RENDER_BYTES = 2 ** 21  # padded bytes of one rendered block; more rows render in chunks
+RENDER_BYTES = 2 ** 20  # padded bytes of one rendered block; more rows render in chunks
 
 
 def _render_rows(template: str, values) -> bytes:
-    """template % row for every row of a (rows, k) integer array, as bytes.
+    """template % row for every row of a (rows, k) integer array, as bytes."""
+    return b"".join(_render_chunks(template, values))
+
+
+def _render_chunks(template: str, values):
+    """Yield the bytes of template % row for every row of a (rows, k) integer
+    array, in row chunks.
 
     template holds k "%d" slots and no other % directive; every value is
     >= 0. Each rendered row is one row of a uint8 block with every number
     zero-padded, and one boolean mask drops the padding. Consecutive slots
     whose following pieces have equal length form a run, written through one
     (rows, run, width + piece) view with digits as wide as the run's largest
-    value. A table past RENDER_BYTES is rendered in row chunks under it, so
-    the block and its mask stay small; the bytes are the same.
+    value. Each chunk's block stays under RENDER_BYTES, so the block and its
+    mask stay small.
     """
     values = np.asarray(values)
     if not len(values):
-        return b""
+        return
     pieces = template.encode().split(b"%d")
     runs = []  # [first slot, end slot]
     for slot in range(len(pieces) - 1):
@@ -407,15 +542,26 @@ def _render_rows(template: str, values) -> bytes:
             runs[-1][1] = slot + 1
         else:
             runs.append([slot, slot + 1])
+    # A chunk's padded line is no longer than the whole table's.
+    step = max(1, RENDER_BYTES // max(1, len(_padded_line(pieces, runs, values)[0])))
+    for start in range(0, len(values), step):
+        yield _render_block(pieces, runs, values[start:start + step])
+
+
+def _padded_line(pieces: list, runs: list, values: np.ndarray):
+    """One row's bytes with every slot zero-padded to its run's width, the
+    runs' largest values and those widths."""
     tops = [int(values[:, a:b].max()) for a, b in runs]
     widths = [len(str(top)) for top in tops]
     line = pieces[0] + b"".join(
         b"0" * width + pieces[slot + 1] for (a, b), width in zip(runs, widths) for slot in range(a, b)
     )
-    step = max(1, RENDER_BYTES // max(1, len(line)))
-    if len(values) > step:
-        # A chunk's padded line is no longer than this one, so it renders in one block.
-        return b"".join(_render_rows(template, values[i:i + step]) for i in range(0, len(values), step))
+    return line, tops, widths
+
+
+def _render_block(pieces: list, runs: list, values: np.ndarray) -> bytes:
+    """One chunk of _render_chunks: its rows as one zero-padded uint8 block, padding dropped."""
+    line, tops, widths = _padded_line(pieces, runs, values)
     block = np.empty((len(values), len(line)), dtype=np.uint8)
     block[:] = np.frombuffer(line, dtype=np.uint8)
     keep = np.ones(block.shape, dtype=bool)
@@ -492,7 +638,7 @@ def read_states_jsonl(path: str):
             line = fp.readline()
             try:
                 header = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
                 raise ValueError(f"{path}:1: {exc}") from None
             if not isinstance(header, dict) or "space" not in header:
                 raise ValueError(f"{path}:1: expected a header object with a \"space\"")
@@ -557,7 +703,7 @@ def _check_lines(path: str, chunk: list, first_line: int, first: int, size: int)
         where = f"{path}:{lineno}"
         try:
             rec = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{where}: {exc}") from None
         expected = first + len(states)
         if not isinstance(rec, dict) or type(rec.get("i")) is not int or rec["i"] != expected:

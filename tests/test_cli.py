@@ -9,10 +9,10 @@ import pytest
 import pumc.core
 from pumc import models, netstat, serialize
 from pumc.cli import _diagnose_table, main
-from pumc.core import build_multigraph_space, edge_total_table, num_dyads
+from pumc.core import BLOCK_ENTRIES, build_multigraph_space, edge_total_table, num_dyads
 from pumc.errors import PowerIterationError, SpaceTooLargeError, TheoremViolationError
 from pumc.ermgm import ErmgmModel, from_factorization, mle_density_stability, sample_multigraphs
-from pumc.expfam import BLOCK_ENTRIES, CodeTable, ParameterMap
+from pumc.expfam import CodeTable, ParameterMap
 from pumc.netstat import factor_dyadditive
 from pumc.simulate import sample_puniform_chain
 
@@ -658,6 +658,7 @@ def test_config_overrides_flags(tmp_path, capsys):
         ({"x0": "0", "expand": "yes"}, "'x0' needs int"),
         ({"expand": "yes"}, "'expand' needs bool"),
         ({"model": "bogus"}, "'model' must be one of"),
+        ({"p": 10 ** 400}, "'p' needs float, got an integer past the float64 range"),
     )):
         path = str(tmp_path / f"typed{i}.json")
         with open(path, "w") as fp:
@@ -761,6 +762,22 @@ def test_ragged_json_arrays_name_their_field(tmp_path, capsys):
           "--out", str(tmp_path / "z.jsonl")), '"sigma" must be a 2-D array of integer state indices'),
     ):
         assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
+def test_integers_past_the_float_range_name_their_field(tmp_path, capsys):
+    huge = 7 * 10 ** 400
+    model = {"n": 3, "t": 1, "tau_f": [[[0.0], [1.0]]] * 3, "eta": {"kind": "natural"}}
+    table_eta = {"kind": "table", "thetas": [0.5, huge], "etas": [[0.5], [1.0]]}
+    cases = [
+        ("m.json", {"matrix": [[huge, 0.5], [0.5, 0.5]]}, ("detect", "--matrix"), '"matrix"'),
+        ("mu.json", {"p": [huge] + [0.0] * 7}, ("exchangeability", "--model", "custom", "--n", "3", "--mu"), '"p"'),
+        ("tau.json", dict(model, tau_f=[[[0.0], [-huge]]] * 3), ("partition", "--theta", "0.5", "--model"), '"tau_f"'),
+        ("eta.json", dict(model, eta=table_eta), ("partition", "--theta", "0.5", "--model"), '"thetas"'),
+    ]
+    for name, doc, argv, field in cases:
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        assert run(capsys, *argv, str(path)) == (2, "", f"error: {field} holds an integer past the float64 range\n")
 
 
 def test_reciprocity_diagnose_table_holds_one_table():

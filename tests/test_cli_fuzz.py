@@ -66,7 +66,7 @@ def _replace(doc, path, value):
 
 def _write(directory, name, text):
     path = os.path.join(directory, name)
-    with open(path, "w") as fp:
+    with open(path, "wb" if isinstance(text, bytes) else "w") as fp:
         fp.write(text)
     return path
 
@@ -79,53 +79,119 @@ def _document(data, base, paths):
     return text
 
 
+FAMILY = {"sigma": [[0, 1], [1, 0]], "tag": "swap"}
+PMF = {"p": [0.125] * 8}
+CONFIG = {"n": 3, "p": 0.3, "steps": 5, "seed": 1, "x0": 0, "expand": True}
+
+
+def _lines(header, states):
+    return "\n".join(json.dumps(line) for line in [header, *states]) + "\n"
+
+
+# Per file kind: its file name, a valid text (with integer entries in its
+# number arrays, where an edit can make a huge integer), and the commands
+# that read it.
+KINDS = {
+    "matrix": ("m.json", json.dumps({"matrix": [[1, 0], [0.25, 0.75]]}), lambda path, out: [
+        ("detect", "--matrix", path),
+        ("simulate", "--model", "custom", "--matrix", path, "--steps", 5, "--seed", 1, "--out", out),
+    ]),
+    "model": ("model.json", json.dumps(dict(TABLE_MODEL, tau_f=[[0, 1]] * 3, kappa_f=[[1, 2]] * 3, eta={
+        "kind": "table", "thetas": [0.5, -1], "etas": [[0.5], [-1]]})), lambda path, out: [
+        ("partition", "--model", path, "--theta", "0.5,-1", "--brute"),
+        ("sample", "--model", path, "--theta", 0.5, "--seed", 2, "--count", 3),
+    ]),
+    "trajectory": ("t.jsonl", _lines(HEADER, STATES), lambda path, out: [
+        ("fit", "--traj", path, "--stat", "stability"),
+        ("transform", "--traj", path, "--direction", "chain2iid", "--family", "stability", "--expand", "--out", out),
+        ("diagnose", "--traj", path, "--stat", "density", "--p", 0.3),
+    ]),
+    "generic_trajectory": ("t.jsonl", _lines(GENERIC_HEADER, STATES[:1] + [{"i": 1, "state": 2}]), lambda path, out: [
+        ("transform", "--traj", path, "--direction", "chain2iid", "--family", "identity", "--out", out),
+        ("fit", "--traj", path, "--stat", "density"),
+    ]),
+    "family": ("fam.json", json.dumps(FAMILY), lambda path, out: [
+        ("transform", "--traj", _write(os.path.dirname(out), "pair.jsonl", _lines(
+            {"kind": "trajectory", "space": {"kind": "modular", "n": 2}}, [{"i": 0, "state": 1}, {"i": 1, "state": 0}])),
+         "--direction", "chain2iid", "--family", path, "--out", out),
+    ]),
+    "pmf": ("mu.json", json.dumps({"p": [0.5, 0, 0, 0.5, 0, 0, 0, 0]}), lambda path, out: [
+        ("exchangeability", "--model", "custom", "--n", 3, "--mu", path),
+    ]),
+    "config": ("c.json", json.dumps(CONFIG), lambda path, out: [
+        ("simulate", "--model", "stability", "--n", 3, "--p", 0.3, "--steps", 5, "--seed", 1, "--out", out,
+         "--config", path),
+    ]),
+}
+
+
+def _run_kind(kind, directory, text):
+    """Write text as the kind's file and run every command that reads it."""
+    name, _, commands = KINDS[kind]
+    path = _write(directory, name, text)
+    for argv in commands(path, os.path.join(directory, "out.jsonl")):
+        run(*argv)
+
+
 @given(st.data())
 @settings(max_examples=140, deadline=None)
 def test_malformed_files_exit_cleanly(data):
-    kind = data.draw(st.sampled_from(["matrix", "model", "trajectory", "generic_trajectory", "family", "pmf", "config"]))
+    kind = data.draw(st.sampled_from(sorted(KINDS)))
+    if kind == "matrix":
+        text = _document(data, MATRIX, [[], ["matrix"], ["matrix", 0], ["matrix", 0, 1]])
+    elif kind == "model":
+        base, paths = data.draw(st.sampled_from([
+            (MODEL, [[], ["n"], ["t"], ["tau_f"], ["tau_f", 1], ["tau_f", 1, 1], ["eta"], ["eta", "kind"], ["kappa_f"]]),
+            (TABLE_MODEL, [["eta", "thetas"], ["eta", "thetas", 1], ["eta", "etas"], ["eta", "etas", 1, 0]]),
+        ]))
+        text = _document(data, base, paths)
+    elif kind == "generic_trajectory":
+        header = _document(data, GENERIC_HEADER, [["space", "labels"], ["space", "labels", 1]])
+        text = header + '\n{"i":0,"state":1}\n{"i":1,"state":2}\n'
+    elif kind == "trajectory":
+        header = _document(data, HEADER, [[], ["kind"], ["space"], ["space", "n"], ["space", "t"], ["space", "kind"]])
+        lines = [json.dumps(s) for s in STATES]
+        lines[1] = _document(data, STATES[1], [[], ["i"], ["state"]])
+        text = "\n".join([header, *lines]) + "\n"
+    elif kind == "family":
+        text = _document(data, FAMILY, [[], ["sigma"], ["sigma", 1], ["sigma", 1, 0]])
+    elif kind == "pmf":
+        text = _document(data, PMF, [[], ["p"], ["p", 3]])
+    else:
+        text = _document(data, CONFIG, [[], ["n"], ["p"], ["steps"], ["seed"], ["x0"], ["expand"]])
     with tempfile.TemporaryDirectory() as d:
-        out = os.path.join(d, "out.jsonl")
-        if kind == "matrix":
-            path = _write(d, "m.json", _document(data, MATRIX, [[], ["matrix"], ["matrix", 0], ["matrix", 0, 1]]))
-            run("detect", "--matrix", path)
-            run("simulate", "--model", "custom", "--matrix", path, "--steps", 5, "--seed", 1, "--out", out)
-        elif kind == "model":
-            base, paths = data.draw(st.sampled_from([
-                (MODEL, [[], ["n"], ["t"], ["tau_f"], ["tau_f", 1], ["tau_f", 1, 1], ["eta"], ["eta", "kind"], ["kappa_f"]]),
-                (TABLE_MODEL, [["eta", "thetas"], ["eta", "thetas", 1], ["eta", "etas"], ["eta", "etas", 1, 0]]),
-            ]))
-            path = _write(d, "model.json", _document(data, base, paths))
-            run("partition", "--model", path, "--theta", "0.5,-1", "--brute")
-            run("sample", "--model", path, "--theta", 0.5, "--seed", 2, "--count", 3)
-        elif kind == "generic_trajectory":
-            header = _document(data, GENERIC_HEADER, [["space", "labels"], ["space", "labels", 1]])
-            path = _write(d, "t.jsonl", header + '\n{"i":0,"state":1}\n{"i":1,"state":2}\n')
-            run("transform", "--traj", path, "--direction", "chain2iid", "--family", "identity", "--out", out)
-            run("fit", "--traj", path, "--stat", "density")
-        elif kind == "trajectory":
-            header = _document(data, HEADER, [[], ["kind"], ["space"], ["space", "n"], ["space", "t"], ["space", "kind"]])
-            lines = [json.dumps(s) for s in STATES]
-            lines[1] = _document(data, STATES[1], [[], ["i"], ["state"]])
-            path = _write(d, "t.jsonl", "\n".join([header, *lines]) + "\n")
-            run("fit", "--traj", path, "--stat", "stability")
-            run("transform", "--traj", path, "--direction", "chain2iid", "--family", "stability",
-                "--expand", "--out", out)
-            run("diagnose", "--traj", path, "--stat", "density", "--p", 0.3)
-        elif kind == "family":
-            base = {"sigma": [[0, 1], [1, 0]], "tag": "swap"}
-            fam = _write(d, "fam.json", _document(data, base, [[], ["sigma"], ["sigma", 1], ["sigma", 1, 0]]))
-            traj = _write(d, "t.jsonl", json.dumps({"kind": "trajectory", "space": {"kind": "modular", "n": 2}})
-                          + '\n{"i":0,"state":1}\n{"i":1,"state":0}\n')
-            run("transform", "--traj", traj, "--direction", "chain2iid", "--family", fam, "--out", out)
-        elif kind == "pmf":
-            base = {"p": [0.125] * 8}
-            path = _write(d, "mu.json", _document(data, base, [[], ["p"], ["p", 3]]))
-            run("exchangeability", "--model", "custom", "--n", 3, "--mu", path)
-        else:
-            base = {"n": 3, "p": 0.3, "steps": 5, "seed": 1, "x0": 0, "expand": True}
-            path = _write(d, "c.json", _document(data, base, [[], ["n"], ["p"], ["steps"], ["seed"], ["x0"], ["expand"]]))
-            run("simulate", "--model", "stability", "--n", 3, "--p", 0.3, "--steps", 5, "--seed", 1,
-                "--out", out, "--config", path)
+        _run_kind(kind, d, text)
+
+
+@st.composite
+def _raw_edits(draw, text: bytes) -> bytes:
+    """text cut at a byte, or with a run of "[", a 300-5000-digit integer or one flipped bit at a byte."""
+    # Half the edits land where a value starts, so an inserted integer often stands alone.
+    starts = [i for i in range(1, len(text)) if text[i - 1] in b"[ ,-:"]
+    at = draw(st.integers(0, len(text)) | st.sampled_from(starts))
+    edit = draw(st.sampled_from(["cut", "brackets", "integer", "flip"]))
+    if edit == "cut":
+        return text[:at]
+    if edit == "brackets":
+        return text[:at] + b"[" * draw(st.integers(1, 10 ** 5)) + text[at:]
+    if edit == "integer":
+        digits = str(draw(st.integers(1, 9))).encode() + draw(st.sampled_from([b"0", b"7", b"9"])) * draw(
+            st.integers(299, 4999))
+        return text[:at] + digits + text[at:]
+    at = min(at, len(text) - 1)
+    return text[:at] + bytes([text[at] ^ 1 << draw(st.integers(0, 7))]) + text[at + 1:]
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_raw_byte_edits_exit_cleanly(data):
+    """Valid files of every kind with their bytes edited: deep nesting, integers past
+    the float range and bytes that are not UTF-8 exit 2 with one line, like any other
+    malformed text."""
+    kind = data.draw(st.sampled_from(sorted(KINDS)))
+    text = data.draw(_raw_edits(KINDS[kind][1].encode()))
+    with tempfile.TemporaryDirectory() as d:
+        _run_kind(kind, d, text)
 
 
 @given(

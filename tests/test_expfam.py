@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pumc import expfam, models, oracle
+from pumc import core, models, oracle
 from pumc.core import (
+    BLOCK_ENTRIES,
     StochasticMatrix,
     build_generic_space,
     build_multigraph_space,
@@ -20,7 +21,6 @@ from pumc.core import (
 )
 from pumc.errors import NotAnMefError, SpaceTooLargeError
 from pumc.expfam import (
-    BLOCK_ENTRIES,
     MEF_REL_TOL,
     CefSpec,
     CodeTable,
@@ -386,7 +386,7 @@ def test_cef_transition_matrix_normalizes_all_rows():
 def test_row_log_partitions_chunking_invariant(monkeypatch):
     cef = models.density_mef(3)
     full = row_log_partitions(cef, 0.3)
-    monkeypatch.setattr(expfam, "BLOCK_ENTRIES", 3 * cef.space.size)
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", 3 * cef.space.size)
     small = row_log_partitions(cef, 0.3)
     assert np.array_equal(full, small)
 

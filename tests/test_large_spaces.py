@@ -17,6 +17,10 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
+from pumc import models
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 AS_LIMIT = 3 * 10 ** 9
 
@@ -170,3 +174,54 @@ print(code, len(calls), tracemalloc.get_traced_memory()[1])
     assert (code, calls, res.stderr) == (2, 3, "error: disk full\n")
     assert peak < 4 * 2 ** 20, f"peak {peak} bytes"
     assert sorted(p.name for p in tmp_path.glob("r.r*.jsonl")) == ["r.r0.jsonl", "r.r1.jsonl"]
+
+
+@pytest.fixture(scope="module")
+def stability_p_json(tmp_path_factory):
+    """The 1024-state stability matrix of G(5, 1) at p = 0.3, written as json.dump writes it."""
+    path = tmp_path_factory.mktemp("detect") / "P.json"
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump({"matrix": models.stability_chain(5, 0.3).matrix().P.tolist()}, fp)
+    return path
+
+
+def test_detect_holds_matrix_sigma_and_blocks(stability_p_json, tmp_path):
+    """detect reads the 24 MB text in blocks, matches and checks rows in blocks and
+    writes sigma in row chunks: its peak is the matrix and sigma (8 MiB each) plus
+    a few MiB, where holding the text, a dense work table or the output text
+    would each add 8-24 MiB."""
+    script = """
+import contextlib, io, sys, tracemalloc
+from pumc import cli
+tracemalloc.start()
+with contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+    res = _run(tmp_path, "-c", script, "detect", "--matrix", str(stability_p_json), "--out", "detect.json")
+    assert res.returncode == 0, res.stderr
+    code, peak = map(int, res.stdout.split())
+    assert code == 0 and json.loads((tmp_path / "detect.json").read_text())["puniform"] is True
+    assert peak <= 24 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_detect_child_rss_over_a_bare_import(stability_p_json, tmp_path):
+    """tracemalloc sees no heap layout; the child's own ru_maxrss does. Holding the
+    file's text once more puts the difference past 40 MB.
+
+    A child's ru_maxrss starts at its parent's resident size when it execs,
+    so both children are started from a fresh interpreter, not from pytest.
+    """
+    script = """
+import os, subprocess, sys
+def peak_mb(*args):
+    proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0, args
+    return usage.ru_maxrss / 1024
+print(peak_mb("-m", "pumc.cli", *sys.argv[1:]), peak_mb("-c", "import pumc.cli"))
+"""
+    res = _run(tmp_path, "-c", script, "detect", "--matrix", str(stability_p_json), "--out", "d.json")
+    assert res.returncode == 0, res.stderr
+    detect_mb, import_mb = map(float, res.stdout.split())
+    assert detect_mb - import_mb <= 40, f"detect {detect_mb:.1f} MB, bare import {import_mb:.1f} MB"

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pumc import models
+from pumc import core, models
 from pumc.core import (
     PermutationFamily,
     Pmf,
@@ -16,6 +18,7 @@ from pumc.core import (
 )
 from pumc.puniform import (
     PuniformWitness,
+    _matched_family,
     Trajectory,
     chain_to_iid,
     check_puniform,
@@ -220,3 +223,70 @@ def test_detected_witness_on_reciprocity_matrix_is_absent():
     rc = models.reciprocity_cef(3)
     P = pumc.cef_transition_matrix(rc, 2.0)
     assert detect_puniform(P) is None
+
+
+# ------------------------------------------- row blocks against the dense code
+
+def _dense_sigma(table):
+    """Detection's matching as one size x size argsort."""
+    order = np.argsort(table, axis=1, kind="stable")
+    sigma = np.empty_like(order)
+    sigma[np.arange(table.shape[0])[:, None], order] = order[0]
+    return sigma
+
+
+def _dense_check(table, fam, tol):
+    """check_puniform with the whole relabelled table in memory."""
+    idx = np.arange(table.shape[0])
+    relabelled = np.empty_like(table)
+    relabelled[idx[:, None], fam.apply(idx[:, None], idx)] = table
+    relabelled -= relabelled[0].copy()
+    dev = np.abs(relabelled)
+    if dev.max() <= tol:
+        return True, None
+    a, c = np.unravel_index(np.argmax(dev), dev.shape)
+    return False, (0, int(a), int(c))
+
+
+@st.composite
+def _square_tables(draw):
+    """p-uniform tables, perturbed ones, ones with exact ties in mu, and ones with NaN."""
+    size = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["puniform", "perturbed", "ties", "nan"]))
+    mu = rng.integers(0, 3, size).astype(float) if kind == "ties" else rng.random(size)
+    table = mu[np.array([rng.permutation(size) for _ in range(size)])]
+    if kind in ("perturbed", "nan"):
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = rng.integers(size, size=2)
+            table[a, b] = np.nan if kind == "nan" else table[a, b] + rng.choice([1e-12, 1e-6, 0.5])
+    return table
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_square_tables(), rows=st.sampled_from([1, 3]), tol=st.sampled_from([0.0, 1e-9]))
+def test_blocked_detection_matches_the_dense_tables(table, rows, tol):
+    """sigma and (ok, triple) from row blocks of 1 and 3 rows equal the dense code's,
+    the first worst (a, c) in row-major order and NaN included."""
+    size = table.shape[0]
+    with mock.patch.object(core, "BLOCK_ENTRIES", rows * size):
+        _, fam, result = _matched_family(table, tol)
+        formula = builtin_family(build_modular_space(size), "modular")
+        by_formula = check_puniform(table, formula, tol)
+    assert np.array_equal(fam.sigma, _dense_sigma(table))
+    assert result == _dense_check(table, fam, tol)
+    assert by_formula == _dense_check(table, formula, tol)
+
+
+def test_blocked_triple_check_reports_the_dense_error(monkeypatch):
+    cm = models.stability_chain(3, 0.3)
+    P, fam, mu = cm.matrix(), cm.family, cm.mu
+    bumped = P.P.copy()
+    bumped[5, [2, 3]] += [1e-6, -1e-6]
+    err = np.abs(bumped - mu.p[fam.sigma]).max()
+    monkeypatch.setattr(core, "BLOCK_ENTRIES", 3 * P.size)
+    check_triple(P, fam, mu)
+    with pytest.raises(ValueError, match=f"error {err:.3e}$"):
+        check_triple(StochasticMatrix(bumped), fam, mu)
+    with pytest.raises(ValueError, match="every row must be a permutation"):
+        PermutationFamily(sigma=np.array([[0, 1, 2], [1, 2, 0], [2, 2, 1]]))

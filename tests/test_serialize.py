@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import tracemalloc
@@ -475,6 +476,20 @@ def test_int_tables_written_in_chunks_keep_their_bytes(table, budget, indent):
         assert serialize.dumps({"sigma": table, "mu": [0.5]}, indent=indent) == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(table=hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+                        elements=st.integers(0, 2**40)),
+       budget=st.integers(1, 64), payload=st.sampled_from(["dict", "list", "empty"]))
+def test_dump_writes_dumps_text(table, budget, payload):
+    """dump streams a dict entry by entry and a table chunk by chunk, with the bytes of dumps."""
+    obj = {"dict": {"ok": True, "sigma": table, "mu": [0.5, [1, 2]], "tag": "a\nb", "none": {}},
+           "list": [table, {"x": 1}], "empty": {}}[payload]
+    fp = io.StringIO()
+    with mock.patch.object(serialize, "RENDER_BYTES", budget):
+        serialize.dump(obj, fp)
+    assert fp.getvalue() == serialize.dumps(obj, indent=2) + "\n"
+
+
 def test_expand_lines_on_one_vertex_match_plain_json(tmp_path):
     """G(1, t) has one state and no dyads: every line carries "dyads":[]."""
     for t in (1, 3):
@@ -587,6 +602,28 @@ def test_load_json_returns_what_json_loads_returns(tmp_path_factory, text, cut):
     _assert_loads_alike(tmp_path_factory.mktemp("j") / "v.json", text if cut is None else text[:cut])
 
 
+@pytest.mark.parametrize("block", [1, 2, 7])
+@settings(max_examples=150, deadline=None)
+@given(text=_JSON_TEXTS, cut=st.none() | st.integers(0, 60))
+def test_load_json_in_tiny_blocks_returns_what_json_loads_returns(tmp_path_factory, block, text, cut):
+    """The same texts read a few characters at a time: containers are walked item by
+    item and values straddle blocks. Only an error reads the whole text with json.loads."""
+    text = text if cut is None else text[:cut]
+    with mock.patch.object(serialize, "JSON_BLOCK", block), mock.patch.object(json, "loads", wraps=json.loads) as loads:
+        _assert_loads_alike(tmp_path_factory.mktemp("j") / "v.json", text)
+    # The reference parse, and for malformed text the error path's whole-text parse.
+    assert loads.call_count == (1 if _loaded(json.loads, text)[0] == "value" else 2)
+
+
+def _count_passes(monkeypatch) -> list:
+    """Record each block-read pass load_json makes: "memo" or "plain" float conversion."""
+    passes = []
+    parse = serialize._parse_blocks
+    monkeypatch.setattr(serialize, "_parse_blocks", lambda path, parse_float: passes.append(
+        "plain" if parse_float is float else "memo") or parse(path, parse_float))
+    return passes
+
+
 @pytest.mark.parametrize("extra", [0, 1])
 def test_load_json_memo_budget_boundary(tmp_path, monkeypatch, extra):
     """A 4-row table has 5 "["; 5 distinct float texts parse in one pass, 6 fall back
@@ -594,11 +631,9 @@ def test_load_json_memo_budget_boundary(tmp_path, monkeypatch, extra):
     floats = ["0.5", "-0.0", "1e400", "0.50", "1.0", "1E-3"][:5 + extra]
     cells = (floats + ["1", "-0", "100000000000000000000"]) * 3
     text = "{\"matrix\": [" + ",".join("[" + ",".join(cells[r::4]) + "]" for r in range(4)) + "]}"
-    calls = []
-    plain = json.loads
-    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(k) or plain(*a, **k))
+    passes = _count_passes(monkeypatch)
     _assert_loads_alike(tmp_path / "t.json", text)
-    assert len(calls) == 1 + 1 + extra  # the reference parse, then load_json's one or two
+    assert passes == ["memo", "plain"][:1 + extra]
 
 
 def test_load_json_all_distinct_matrix_falls_back(tmp_path, monkeypatch):
@@ -607,11 +642,9 @@ def test_load_json_all_distinct_matrix_falls_back(tmp_path, monkeypatch):
     path = str(tmp_path / "r.json")
     with open(path, "w") as fp:
         json.dump({"matrix": P.tolist()}, fp)
-    calls = []
-    plain = json.loads
-    monkeypatch.setattr(json, "loads", lambda *a, **k: calls.append(k) or plain(*a, **k))
+    passes = _count_passes(monkeypatch)
     assert np.array_equal(serialize.load_matrix(path).P, P)
-    assert [sorted(k) for k in calls] == [["parse_float"], []]
+    assert passes == ["memo", "plain"]
 
 
 # ------------------------------------------- 2-D integer arrays as a block

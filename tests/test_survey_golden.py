@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 
-from pumc import expfam
+from pumc import core
 from pumc.core import build_generic_space
 from pumc.errors import TheoremViolationError
 from pumc.expfam import (
@@ -116,8 +116,8 @@ def _digests() -> dict:
         res = mef_check(cef, probes)
         out[f"{name}:mef_check"] = _sha((res.ok, res.worst_rel_dev, res.probe, res.row))
         for rows in BLOCK_ROWS:
-            entries = expfam.BLOCK_ENTRIES if rows is None else rows * cef.space.size
-            with mock.patch.object(expfam, "BLOCK_ENTRIES", entries):
+            entries = core.BLOCK_ENTRIES if rows is None else rows * cef.space.size
+            with mock.patch.object(core, "BLOCK_ENTRIES", entries):
                 psi = [row_log_partitions(cef, theta) for theta in probes]
             out[f"{name}:psi:{rows}"] = _sha(psi)
         # Generators: a reciprocity4 matrix is 128 MiB, so one is held at a time.
