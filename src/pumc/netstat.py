@@ -229,6 +229,7 @@ def factor_dyadditive(space: StateSpace, tau, probes=None, seed=None) -> FactorR
         vals = vals[:, None]
     if vals.shape[0] != space.size:
         raise ValueError("statistic must cover every state")
+    check_finite(vals, "tau")
     nd = num_dyads(space.n)
     base = vals[0]  # empty graph is state 0
     l = vals.shape[1]
@@ -260,6 +261,7 @@ def factor_dyadically_multiplicative(space: StateSpace, kappa, probes=None, seed
     vals = np.asarray(kappa, dtype=np.float64).reshape(-1)
     if vals.shape != (space.size,):
         raise ValueError("carrier must cover every state")
+    check_finite(vals, "kappa")
     if vals.min() < 0:
         raise ValueError("carrier values must be nonnegative")
     nd = num_dyads(space.n)

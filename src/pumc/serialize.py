@@ -10,11 +10,13 @@ import json
 import re
 import warnings
 from itertools import chain, islice
+from math import isqrt
 from typing import IO
 
 import numpy as np
 
 from .core import (
+    DENSE_ENTRY_CAP,
     GENERIC,
     MODULAR,
     MULTIGRAPH,
@@ -142,26 +144,23 @@ def dump(obj, fp: IO):
     fp.write(closing + "}\n")
 
 
-class _MemoFull(Exception):
-    """More distinct float texts than the memo's budget; not a ValueError,
-    so no conversion error is mistaken for it."""
+# Every row of a p-uniform matrix is a relabelling of one pmf, so a matrix
+# under the dense budget holds no more distinct numbers than this.
+FLOAT_MEMO_CAP = isqrt(DENSE_ENTRY_CAP)
 
 
 class _FloatMemo(dict):
-    """Float text -> float(text), each distinct text converted once."""
-
-    def __init__(self, budget: int):
-        super().__init__()
-        self.budget = budget
+    """Float text -> float(text), each distinct text converted once; past
+    FLOAT_MEMO_CAP texts, a new text is converted and not kept."""
 
     def __missing__(self, text: str) -> float:
-        if len(self) >= self.budget:
-            raise _MemoFull
-        value = self[text] = float(text)
+        value = float(text)
+        if len(self) < FLOAT_MEMO_CAP:
+            self[text] = value
         return value
 
 
-JSON_BLOCK = 2 ** 19  # characters of JSON text read at a time; bytes per block of the "[" count
+JSON_BLOCK = 2 ** 19  # characters of JSON text read at a time
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # json's own whitespace set
 # A number cut inside its fraction or exponent ("1.", "1e", "1e+") still
 # parses as its leading digits; at most this many characters dangle.
@@ -250,35 +249,21 @@ class _JsonBlocks:
                 raise ValueError("expected ',' or a closing bracket")
 
 
-def _parse_blocks(path: str, parse_float):
-    """One pass of _JsonBlocks over the file."""
-    with open(path, encoding="utf-8") as fp:
-        return _JsonBlocks(fp, parse_float).document()
-
-
 def load_json(path: str):
     """The value of a JSON file, exactly as json.load gives it.
 
     The text is read JSON_BLOCK characters at a time and is never held
     whole, except to report an error: any failure parses the whole file
     once more with json.loads, so the error is json's own text, after the
-    file's path. Each distinct float text is converted once. Every row of a
-    p-uniform matrix is a permutation of one pmf, so it has no more
-    distinct numbers than "[" characters; that count, taken in one binary
-    pass, is the memo's budget. A file past it is parsed again with plain
-    float conversion. Integers keep json's own conversion, which is faster
-    than a memo lookup.
+    file's path. Each distinct float text is converted once, up to
+    FLOAT_MEMO_CAP texts, which covers any p-uniform matrix under the dense
+    budget; later new texts are converted each time. Integers keep json's
+    own conversion, which is faster than a memo lookup.
     """
     try:
-        budget = 0
-        with open(path, "rb") as raw:
-            while block := raw.read(JSON_BLOCK):
-                budget += block.count(b"[")
         try:
-            try:
-                return _parse_blocks(path, _FloatMemo(budget).__getitem__)
-            except _MemoFull:
-                return _parse_blocks(path, float)
+            with open(path, encoding="utf-8") as fp:
+                return _JsonBlocks(fp, _FloatMemo().__getitem__).document()
         except (ValueError, RecursionError):
             with open(path, encoding="utf-8") as fp:
                 return json.loads(fp.read())
@@ -402,12 +387,15 @@ def _json_numbers(value, name: str) -> np.ndarray:
         inferred = None
     if inferred is not None and inferred.dtype.kind in "iuf" and not ((inferred == 0) | (inferred == 1)).any():
         return inferred.astype(np.float64, copy=False)
-    flat = value
-    while type(flat) is list and flat and all(type(row) is list for row in flat):
-        if len(set(map(len, flat))) > 1:
+    del inferred  # not held beside the float64 array built below
+    # The lists of one depth at a time; the leaves are checked one innermost
+    # list at a time, never gathered into one list.
+    rows = [value]
+    while any(rows) and all(type(item) is list for row in rows for item in row):
+        if len({len(item) for row in rows for item in row}) > 1:
             raise ValueError(f"{name} must be a rectangular array of JSON numbers")
-        flat = list(chain.from_iterable(flat))
-    if not set(map(type, flat)) <= {int, float}:
+        rows = list(chain.from_iterable(rows))
+    if not all(set(map(type, row)) <= {int, float} for row in rows):
         raise ValueError(f"{name} must be an array of JSON numbers")
     try:
         return np.array(value, dtype=np.float64)

@@ -7,7 +7,10 @@ imports are exempt. A name a function binds by a plain `name = ...` must be
 read in that function, nested functions and comprehensions included. In the
 package, a read inside an `assert` does not count, since `python -O` drops it.
 Every text-mode `open()` in the package names its encoding, so no file is
-read or written in the locale's.
+read or written in the locale's. Every module-level private name in the
+package (a function, class or assignment whose name starts with `_`) is
+read somewhere in the package outside its own definition; a read from the
+tests does not keep a helper alive.
 """
 
 import ast
@@ -132,3 +135,47 @@ def test_every_package_text_open_names_its_encoding():
     found = {str(path.relative_to(ROOT)): text_opens_without_encoding(path.read_text())
              for path in MODULES if path.parent.name == "pumc"}
     assert {path: lines for path, lines in found.items() if lines} == {}
+
+
+def _private_definitions(node) -> list[str]:
+    """The `_name`s a module-level statement defines; dunders are not private."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def orphaned_private_names(sources: dict) -> list[str]:
+    """`module: line N: name` for each module-level `_name` that no other
+    module-level statement of any of the sources reads."""
+    statements = [(module, node) for module, source in sources.items() for node in ast.parse(source).body]
+    reads = [_reads(node, skip_asserts=False) for _, node in statements]
+    found = []
+    for i, (module, node) in enumerate(statements):
+        for name in _private_definitions(node):
+            if not any(name in read for j, read in enumerate(reads) if j != i):
+                found.append(f"{module}: line {node.lineno}: {name}")
+    return found
+
+
+def test_orphaned_private_names_are_found():
+    sources = {
+        "a.py": (
+            "_A = 1\n_B, (_C, d) = 2, (3, 4)\n__all__ = []\n"
+            "def _f():\n    return _f()\n"
+            "class _K:\n    pass\n"
+            "def g():\n    return _B\n"
+        ),
+        "b.py": "from a import _C\nx = _C\n_A = 2\n",
+    }
+    assert orphaned_private_names(sources) == [
+        "a.py: line 1: _A", "a.py: line 4: _f", "a.py: line 6: _K", "b.py: line 3: _A"]
+
+
+def test_every_package_private_name_is_read_in_the_package():
+    sources = {str(path.relative_to(ROOT)): path.read_text() for path in MODULES if path.parent.name == "pumc"}
+    assert orphaned_private_names(sources) == []

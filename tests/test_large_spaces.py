@@ -14,7 +14,6 @@ import os
 import resource
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -40,28 +39,24 @@ def _run(cwd, *argv):
     )
 
 
-def pumc_peak_mb(cwd, *argv):
-    """Run one pumc command; return its exit code, stderr and peak RSS in MB.
+# Runs `python *argv` as its one child; prints the child's exit code and peak RSS in MB.
+_PEAK_LAUNCHER = """
+import resource, subprocess, sys
+code = subprocess.run([sys.executable, *sys.argv[1:]], stdout=subprocess.DEVNULL, timeout=290).returncode
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024)
+"""
 
-    os.wait4 reads the usage of this child alone; RUSAGE_CHILDREN would
-    report the largest child the test process ever reaped.
+
+def peak_mb(cwd, *argv):
+    """Run `python *argv`; return its exit code, stderr and peak RSS in MB.
+
+    A child's ru_maxrss starts at its parent's resident size when it execs,
+    so the run is started from a fresh interpreter, not from pytest. That
+    launcher has one child, so RUSAGE_CHILDREN reads that child alone.
     """
-    with open(cwd / "stderr.txt", "w+") as err:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "pumc.cli", *argv], cwd=cwd, env=_env(),
-            stdout=subprocess.DEVNULL, stderr=err, preexec_fn=_limit_address_space,
-        )
-        deadline = time.monotonic() + 300
-        while True:
-            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
-            if pid:
-                break
-            if time.monotonic() > deadline:
-                proc.kill()
-            time.sleep(0.05)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        err.seek(0)
-        return proc.returncode, err.read(), usage.ru_maxrss / 1024
+    res = _run(cwd, "-c", _PEAK_LAUNCHER, *argv)
+    code, mb = res.stdout.split()
+    return int(code), res.stderr, float(mb)
 
 
 def pumc(cwd, *argv):
@@ -97,9 +92,9 @@ def test_expanded_pipeline_at_n7_stays_small(tmp_path):
         ("fit", "--traj", "s.jsonl", "--stat", "stability"),
     ]
     for argv in steps:
-        code, err, peak_mb = pumc_peak_mb(tmp_path, *argv)
+        code, err, mb = peak_mb(tmp_path, "-m", "pumc.cli", *argv)
         assert code == 0, (argv[0], err)
-        assert peak_mb <= 200, (argv[:3], f"{peak_mb:.0f} MB")
+        assert mb <= 200, (argv[:3], f"{mb:.0f} MB")
     assert (tmp_path / "back.jsonl").read_bytes() == (tmp_path / "s.jsonl").read_bytes()
 
 
@@ -207,21 +202,9 @@ print(code, tracemalloc.get_traced_memory()[1])
 
 def test_detect_child_rss_over_a_bare_import(stability_p_json, tmp_path):
     """tracemalloc sees no heap layout; the child's own ru_maxrss does. Holding the
-    file's text once more puts the difference past 40 MB.
-
-    A child's ru_maxrss starts at its parent's resident size when it execs,
-    so both children are started from a fresh interpreter, not from pytest.
-    """
-    script = """
-import os, subprocess, sys
-def peak_mb(*args):
-    proc = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0, args
-    return usage.ru_maxrss / 1024
-print(peak_mb("-m", "pumc.cli", *sys.argv[1:]), peak_mb("-c", "import pumc.cli"))
-"""
-    res = _run(tmp_path, "-c", script, "detect", "--matrix", str(stability_p_json), "--out", "d.json")
-    assert res.returncode == 0, res.stderr
-    detect_mb, import_mb = map(float, res.stdout.split())
+    file's text once more puts the difference past 40 MB."""
+    code, err, detect_mb = peak_mb(tmp_path, "-m", "pumc.cli", "detect", "--matrix", str(stability_p_json),
+                                   "--out", "d.json")
+    assert code == 0, err
+    import_mb = peak_mb(tmp_path, "-c", "import pumc.cli")[2]
     assert detect_mb - import_mb <= 40, f"detect {detect_mb:.1f} MB, bare import {import_mb:.1f} MB"

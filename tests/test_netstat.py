@@ -255,6 +255,21 @@ def test_multiplicative_with_zero_at_empty_graph():
         assert abs(res.factorization.reconstruct_kappa(space.decode(i)) - kappa[i]) <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("state", [3, 7])  # states with two and three edges
+def test_dyadic_factorizations_refuse_non_finite_input(bad, state):
+    """A NaN deviation compares false and an infinite carrier scales its own
+    tolerance to infinity, so either would verify; both are refused on entry."""
+    space = build_multigraph_space(3, 1)
+    edges = edge_total_table(space).astype(float)
+    tau, kappa = edges.copy(), 2.0 ** edges
+    tau[state] = kappa[state] = bad
+    with pytest.raises(ValueError, match="tau must be finite"):
+        factor_dyadditive(space, tau)
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        factor_dyadically_multiplicative(space, kappa)
+
+
 def test_factorization_table_shapes():
     fact = DyadicFactorization(n=3, t=1, tau_f=np.zeros((3, 2)), kappa_f=np.ones((3, 2)))
     assert fact.tau_f.shape == (3, 2, 1)

@@ -615,36 +615,68 @@ def test_load_json_in_tiny_blocks_returns_what_json_loads_returns(tmp_path_facto
     assert loads.call_count == (1 if _loaded(json.loads, text)[0] == "value" else 2)
 
 
-def _count_passes(monkeypatch) -> list:
-    """Record each block-read pass load_json makes: "memo" or "plain" float conversion."""
-    passes = []
-    parse = serialize._parse_blocks
-    monkeypatch.setattr(serialize, "_parse_blocks", lambda path, parse_float: passes.append(
-        "plain" if parse_float is float else "memo") or parse(path, parse_float))
-    return passes
+def _table_text(cells):
+    """A 4-row {"matrix": ...} text of the given cell texts."""
+    return "{\"matrix\": [" + ",".join("[" + ",".join(cells[r::4]) + "]" for r in range(4)) + "]}"
 
 
-@pytest.mark.parametrize("extra", [0, 1])
-def test_load_json_memo_budget_boundary(tmp_path, monkeypatch, extra):
-    """A 4-row table has 5 "["; 5 distinct float texts parse in one pass, 6 fall back
-    to a second. Integers keep json's own conversion and do not count."""
-    floats = ["0.5", "-0.0", "1e400", "0.50", "1.0", "1E-3"][:5 + extra]
-    cells = (floats + ["1", "-0", "100000000000000000000"]) * 3
-    text = "{\"matrix\": [" + ",".join("[" + ",".join(cells[r::4]) + "]" for r in range(4)) + "]}"
-    passes = _count_passes(monkeypatch)
-    _assert_loads_alike(tmp_path / "t.json", text)
-    assert passes == ["memo", "plain"][:1 + extra]
-
-
-def test_load_json_all_distinct_matrix_falls_back(tmp_path, monkeypatch):
+def _all_distinct_text():
     P = np.random.default_rng(2).random((8, 8))
     P /= P.sum(axis=1, keepdims=True)
-    path = str(tmp_path / "r.json")
-    with open(path, "w") as fp:
-        json.dump({"matrix": P.tolist()}, fp)
-    passes = _count_passes(monkeypatch)
-    assert np.array_equal(serialize.load_matrix(path).P, P)
-    assert passes == ["memo", "plain"]
+    return json.dumps({"matrix": P.tolist()})
+
+
+_FLOAT_TEXTS = ["0.5", "-0.0", "1e400", "0.50", "1.0", "1E-3"]
+_INT_TEXTS = ["1", "-0", "100000000000000000000"]  # json's own conversion; never memoized
+
+
+@pytest.mark.parametrize("text, cap", [
+    (_table_text((_FLOAT_TEXTS[:5] + _INT_TEXTS) * 3), 5),
+    (_table_text((_FLOAT_TEXTS + _INT_TEXTS) * 3), 5),
+    (_all_distinct_text(), 8),  # 64 distinct texts past the 8 a p-uniform 8 x 8 matrix can hold
+], ids=["at_cap", "past_cap", "all_distinct_8x8"])
+def test_load_json_reads_past_the_memo_cap_in_one_pass(tmp_path, monkeypatch, text, cap):
+    """A file with as many or more distinct float texts than FLOAT_MEMO_CAP is
+    read in one block pass, with no json.loads call; the memo stops at the cap."""
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    want = repr(json.loads(text))
+    passes, memos = [], []
+
+    class Blocks(serialize._JsonBlocks):
+        def document(self):
+            passes.append(self)
+            return super().document()
+
+    class Memo(serialize._FloatMemo):
+        def __init__(self):
+            super().__init__()
+            memos.append(self)
+
+    monkeypatch.setattr(serialize, "FLOAT_MEMO_CAP", cap)
+    monkeypatch.setattr(serialize, "_JsonBlocks", Blocks)
+    monkeypatch.setattr(serialize, "_FloatMemo", Memo)
+    with mock.patch.object(json, "loads", wraps=json.loads) as loads:
+        got = repr(serialize.load_json(str(path)))
+    assert got == want
+    assert (len(passes), loads.call_count) == (1, 0)
+    assert [len(memo) for memo in memos] == [cap]
+
+
+def test_json_numbers_on_a_sparse_matrix_hold_no_list_of_leaves():
+    """Exact 0 and 1 entries send a matrix to the leaf check, which walks one
+    row at a time: its peak is one 8 MiB float64 array and a few bool temporaries."""
+    rows = [[0.0] * 1024 for _ in range(1024)]
+    for i, row in enumerate(rows):
+        row[i] = row[(i + 1) % 1024] = 0.5
+    tracemalloc.start()
+    try:
+        got = serialize._json_numbers(rows, "\"matrix\"")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (1024, 1024) and got.sum() == 1024
+    assert peak <= 12 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 # ------------------------------------------- 2-D integer arrays as a block
