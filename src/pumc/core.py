@@ -248,7 +248,7 @@ class Pmf:
         check_finite(p, "pmf entries")
         if p.min() < 0:
             raise ValueError("pmf entries must be nonnegative")
-        if abs(p.sum() - 1.0) > PMF_TOL:
+        if not abs(p.sum() - 1.0) <= PMF_TOL:
             raise ValueError("pmf must sum to 1 within 1e-12")
 
     @property
@@ -271,7 +271,7 @@ class StochasticMatrix:
         if P.min() < 0:
             raise ValueError("entries must be nonnegative")
         err = np.abs(P.sum(axis=1) - 1.0).max()
-        if err > PMF_TOL:
+        if not err <= PMF_TOL:
             raise ValueError(f"rows must sum to 1 within 1e-12, worst error {err:.3e}")
 
     @property

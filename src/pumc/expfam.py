@@ -388,7 +388,7 @@ def validate_cef(cef: CefSpec, probes=None) -> CefValidation:
         probes = default_probes(cef.eta)
     psi, rel = _row0_gaps(cef, probes)
     row_max = distinct_entries(cef.kappa).max(axis=1)  # one per row once broadcast back
-    bad = rel > MEF_REL_TOL
+    bad = ~(rel <= MEF_REL_TOL)
     with np.errstate(over="ignore"):
         raw = np.exp(psi)
     return CefValidation(
@@ -524,7 +524,7 @@ def mean_parameter(mef: MefSpec, theta) -> MeanParameter:
     per_row = np.einsum("ab,abl->al", P, mef.tau)
     spread = np.abs(per_row - per_row[0]).max()
     scale = max(1.0, float(np.abs(per_row[0]).max()))
-    if spread > ROW_CONSISTENCY_TOL * scale:
+    if not spread <= ROW_CONSISTENCY_TOL * scale:
         raise NotAnMefError(f"row expectations spread {spread:.3e}, not an MEF")
     value = per_row[0].copy()
     fd = None
@@ -533,7 +533,7 @@ def mean_parameter(mef: MefSpec, theta) -> MeanParameter:
             space=mef.space, kappa=mef.kappa[0], tau=mef.tau[0], eta=mef.eta
         )
         fd = grad_log_partition_fd(fam, theta)
-        if np.abs(fd - value).max() > FD_TOL:
+        if not np.abs(fd - value).max() <= FD_TOL:
             raise TheoremViolationError(
                 "finite-difference gradient disagrees with the mean parameter"
             )
@@ -544,22 +544,18 @@ def puniform_cef_to_expfam(cef: CefSpec, fam: PermutationFamily) -> ExpFamilySpe
     """Collapse a p-uniform CEF to the iid family of its relabelled targets.
 
     kappa'(c) = kappa(a, sigma_a^-1(c)) and likewise for tau, which must not
-    depend on a; rows 0 and 1 are compared to catch inconsistent inputs, and
-    the realized matrix is required to pass check_puniform at each default probe.
+    depend on a: kappa and each tau coordinate must pass check_puniform at
+    ROW_CONSISTENCY_TOL, and so must the realized matrix at each default probe.
     """
     for theta in default_probes(cef.eta):
         ok, triple = check_puniform(cef_transition_matrix(cef, theta), fam)
         if not ok:
             raise ValueError(f"realized matrix is not p-uniform at theta={theta!r}: {triple}")
-    inv = fam.unapply(np.arange(min(2, fam.size))[:, None], np.arange(fam.size))
-    kappa = cef.kappa[0, inv[0]]
-    tau = cef.tau[0, inv[0]]
-    if cef.space.size > 1:
-        kappa1 = cef.kappa[1, inv[1]]
-        tau1 = cef.tau[1, inv[1]]
-        if max(np.abs(kappa - kappa1).max(), np.abs(tau - tau1).max()) > ROW_CONSISTENCY_TOL:
-            raise ValueError("rows disagree after relabelling; tables are not p-uniform")
-    return ExpFamilySpec(space=cef.space, kappa=kappa.copy(), tau=tau.copy(), eta=cef.eta)
+    tables = [cef.kappa, *(cef.tau[:, :, j] for j in range(cef.eta.l))]
+    if not all(check_puniform(table, fam, ROW_CONSISTENCY_TOL)[0] for table in tables):
+        raise ValueError("rows disagree after relabelling; tables are not p-uniform")
+    inv = fam.unapply(0, np.arange(fam.size))
+    return ExpFamilySpec(space=cef.space, kappa=cef.kappa[0, inv].copy(), tau=cef.tau[0, inv].copy(), eta=cef.eta)
 
 
 def expfam_to_mef(fam: ExpFamilySpec, perm: PermutationFamily) -> MefSpec:

@@ -136,7 +136,8 @@ def edge_stat_counts(space: StateSpace, kind: str, source, target) -> np.ndarray
     `source` and `target` are broadcastable arrays of state indices; the
     statistic is the count over n - 1.
     """
-    return edge_total_table(space)[_edge_stat_family(space, kind).apply(source, target)]
+    fam = _edge_stat_family(space, kind)
+    return edge_total_table(space)[fam.apply(source, target)]
 
 
 def _edge_stat_table(space: StateSpace, kind: str) -> np.ndarray:
@@ -242,7 +243,7 @@ def factor_dyadditive(space: StateSpace, tau, probes=None, seed=None) -> FactorR
     check = _probe_states(space, probes, seed)
     rebuilt = tau_f[np.arange(nd), dyad_counts(space, check)].sum(axis=1)
     dev = np.abs(rebuilt - vals[check]).max(axis=1)
-    if dev.max() > RECONSTRUCTION_TOL:
+    if not dev.max() <= RECONSTRUCTION_TOL:
         bad = int(check[int(np.argmax(dev))])
         return FactorResult(factorization=None, witness=space.decode(bad))
     return FactorResult(factorization=fact, witness=None)
@@ -278,7 +279,7 @@ def factor_dyadically_multiplicative(space: StateSpace, kappa, probes=None, seed
     rebuilt = kappa_f[np.arange(nd), dyad_counts(space, check)].prod(axis=1)
     scale_ref = max(1.0, float(np.abs(vals[check]).max()))
     dev = np.abs(rebuilt - vals[check])
-    if dev.max() > RECONSTRUCTION_TOL * scale_ref:
+    if not dev.max() <= RECONSTRUCTION_TOL * scale_ref:
         bad = int(check[int(np.argmax(dev))])
         return FactorResult(factorization=None, witness=space.decode(bad))
     return FactorResult(factorization=fact, witness=None)
@@ -341,11 +342,7 @@ def _first_members(classes: IsoClasses) -> np.ndarray:
 
 
 def _class_max_deviation(H: np.ndarray, classes: IsoClasses) -> np.ndarray:
-    """(rows, classes) max over each class of |H[r, b] - H[r, first member]|.
-
-    A NaN deviation makes its class's max NaN, which no tolerance exceeds,
-    as with ndarray.max over the class.
-    """
+    """(rows, classes) max over each class of |H[r, b] - H[r, first member]|."""
     sizes = [members.size for members in classes.classes]
     starts = np.cumsum([0] + sizes[:-1])
     dev = H[:, np.concatenate(classes.classes)]
@@ -363,7 +360,8 @@ def is_finitely_exchangeable(h, classes: IsoClasses):
     h = np.asarray(h, dtype=np.float64).reshape(-1)
     if h.shape != (classes.space.size,):
         raise ValueError("h must assign a value to every state")
-    failing = np.flatnonzero(_class_max_deviation(h[None, :], classes)[0] > EXCHANGE_TOL)
+    check_finite(h, "h")
+    failing = np.flatnonzero(~(_class_max_deviation(h[None, :], classes)[0] <= EXCHANGE_TOL))
     if failing.size == 0:
         return True, None
     members = classes.classes[failing[0]]
@@ -419,8 +417,7 @@ def exchangeability_transfer(
     if not ok:
         raise ValueError(f"family does not preserve the relation: {witness}")
     mu_ok, mu_wit = is_finitely_exchangeable(mu.p, classes)
-    split = (_class_max_deviation(P.P, classes) > EXCHANGE_TOL).any(axis=1)
-    rows = tuple((~split).tolist())
+    rows = tuple((_class_max_deviation(P.P, classes) <= EXCHANGE_TOL).all(axis=1).tolist())
     equivalent = (all(rows) == mu_ok) and (any(rows) == mu_ok)
     if not equivalent:
         raise TheoremViolationError("exchangeability equivalence failed on consistent inputs")

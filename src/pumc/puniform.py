@@ -52,10 +52,8 @@ def check_triple(P: StochasticMatrix, fam: PermutationFamily, mu: Pmf, tol: floa
     """Raise ValueError unless P(a, b) = mu(sigma_a(b)) entrywise within tol."""
     if fam.size != P.size or mu.size != P.size:
         raise ValueError("(P, family, mu) must share one state space size")
-    check_dense_budget(P.size, "the transition matrix")
-    idx = np.arange(P.size)
-    err = np.max([np.abs(P.P[rows] - mu.p[fam.apply(idx[rows, None], idx)]).max() for rows in row_blocks(P.size)])
-    if err > tol:
+    err = _worst_deviation(P.P, fam, mu.p)[0]
+    if not err <= tol:
         raise ValueError(f"(P, family, mu) is not a p-uniform triple, error {err:.3e}")
 
 
@@ -97,25 +95,32 @@ def check_puniform(P, fam: PermutationFamily, tol: float = DETECT_TOL):
     size = table.shape[0]
     if fam.size != size:
         raise ValueError("family size does not match the table")
-    idx = np.arange(size)
     first = np.empty(size)
-    first[fam.apply(0, idx)] = table[0]
+    first[fam.apply(0, np.arange(size))] = table[0]
+    worst, at = _worst_deviation(table, fam, first)
+    if worst <= tol:
+        return True, None
+    return False, (0, *at)
+
+
+def _worst_deviation(table: np.ndarray, fam: PermutationFamily, ref: np.ndarray):
+    """Worst |table(a, sigma_a^-1(c)) - ref(c)| and its first (a, c), NaN first."""
+    size = table.shape[0]
+    idx = np.arange(size)
     blocks = row_blocks(size)
     buf = np.empty((blocks[0].stop, size))
     worst, at = None, None
     for rows in blocks:
         dev = buf[: rows.stop - rows.start]
         dev[np.arange(len(dev))[:, None], fam.apply(idx[rows, None], idx)] = table[rows]  # [a, c] = P(a, sigma_a^-1(c))
-        dev -= first
+        dev -= ref
         np.abs(dev, out=dev)
         k = int(np.argmax(dev))  # the block's first largest entry, or its first NaN
         value = dev.flat[k]
         # An earlier block keeps a tie; a NaN outranks every number.
         if worst is None or value > worst or (np.isnan(value) and not np.isnan(worst)):
             worst, at = value, (rows.start + k // size, k % size)
-    if worst <= tol:
-        return True, None
-    return False, (0, int(at[0]), int(at[1]))
+    return worst, at
 
 
 def _matched_family(P, tol: float):

@@ -222,11 +222,11 @@ def trace_and_limit_checks(n: int, p: float) -> StabilityMatrixReport:
     uniform_dev = float(np.abs(P - 1.0 / size).max())
     u = np.full(size, 1.0 / size)
     stationary_resid = float(np.abs(u @ P - u).sum())
-    if abs(trace - expected) > TRACE_TOL:
+    if not abs(trace - expected) <= TRACE_TOL:
         raise TheoremViolationError("trace must equal 2^N p^N for the stability chain")
     if not symmetric:
         raise TheoremViolationError("stability matrices are symmetric")
-    if p == 0.5 and uniform_dev > UNIFORM_ENTRY_TOL:
+    if p == 0.5 and not uniform_dev <= UNIFORM_ENTRY_TOL:
         raise TheoremViolationError("at p = 1/2 every entry must be 2^-N")
     if p >= 0.9 and margin <= 0:
         raise TheoremViolationError("diagonal must dominate rows for p near 1")

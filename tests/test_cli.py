@@ -488,6 +488,16 @@ def test_non_integer_index_or_state_exits_2(tmp_path, capsys):
         assert code == 2 and out == "" and f"{bad}:5:" in err
 
 
+def test_fit_on_a_space_that_is_not_a_simple_graph_names_the_statistic(tmp_path, capsys):
+    matrix = str(tmp_path / "P.csv")
+    serialize.save_matrix(matrix, models.modular_chain(3).matrix())
+    for stat, model in (("stability", ("custom", "--matrix", matrix)), ("density", ("modular", "--n", "3"))):
+        traj = str(tmp_path / f"{model[0]}.jsonl")
+        run(capsys, "simulate", "--model", *model, "--steps", "10", "--seed", "4", "--out", traj)
+        code, out, err = run(capsys, "fit", "--traj", traj, "--stat", stat)
+        assert (code, out, err) == (2, "", f"error: {stat} needs a simple-graph space with n >= 2\n")
+
+
 def test_non_integer_header_sizes_exit_2(tmp_path, capsys):
     traj = str(tmp_path / "h.jsonl")
     model = str(tmp_path / "m.json")

@@ -612,6 +612,18 @@ def test_puniform_cef_to_expfam_rejects_wrong_family():
         puniform_cef_to_expfam(mef, identity_family(8))
 
 
+@pytest.mark.parametrize("row", [1, 2])
+def test_puniform_cef_to_expfam_refuses_a_shifted_tau_row(row):
+    """A constant shift of one tau row leaves the realized matrix p-uniform,
+    so only the tables' own check can refuse it, whichever row is shifted."""
+    tau = np.tile([0.0, 1.0, 2.0], (3, 1))
+    tau[row] += 5.0
+    cef = CefSpec(space=build_generic_space(("a", "b", "c")), kappa=np.ones((3, 3)), tau=tau,
+                  eta=ParameterMap("natural", l=1))
+    with pytest.raises(ValueError, match="rows disagree after relabelling; tables are not p-uniform"):
+        puniform_cef_to_expfam(cef, identity_family(3))
+
+
 def test_expfam_to_mef_shares_partition():
     space = build_multigraph_space(3, 1)
     mef = expfam_to_mef(models.er_family(3), builtin_family(space, "symdiff"))

@@ -10,7 +10,10 @@ Every text-mode `open()` in the package names its encoding, so no file is
 read or written in the locale's. Every module-level private name in the
 package (a function, class or assignment whose name starts with `_`) is
 read somewhere in the package outside its own definition; a read from the
-tests does not keep a helper alive.
+tests does not keep a helper alive. Every comparison in the package that
+names a tolerance is a pass test, `deviation <= tol`, so a NaN deviation
+fails it; the few comparisons with a tolerance that are not verdicts are
+listed with their reasons.
 """
 
 import ast
@@ -179,3 +182,51 @@ def test_orphaned_private_names_are_found():
 def test_every_package_private_name_is_read_in_the_package():
     sources = {str(path.relative_to(ROOT)): path.read_text() for path in MODULES if path.parent.name == "pumc"}
     assert orphaned_private_names(sources) == []
+
+
+NOT_A_VERDICT = {
+    ("cli", "cmd_detect"): "validates --tol itself: 0 <= tol < inf, which a NaN fails",
+    ("expfam", "gani_row_value_sets"): "clustering cut: a gap above tol starts a new value",
+    ("expfam", "affinely_independent_entries"): "rank cut: singular values above tol * s[0] count",
+    ("puniform", "symmetry_transfer_check"): "distinctness claim: gaps above tol, false on a NaN",
+}
+
+
+def _names_tolerance(node) -> bool:
+    """Does the expression read a `*_TOL` constant or a name or attribute `tol`?"""
+    for sub in ast.walk(node):
+        name = sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else ""
+        if name == "tol" or name.endswith("_TOL"):
+            return True
+    return False
+
+
+def tolerance_compares_not_passing_form(source: str) -> list[tuple[str, int]]:
+    """(function, line) for each comparison naming a tolerance that is not one
+    `<=` with the tolerance on its right; module level is `<module>`."""
+    found, stack = [], [(ast.parse(source), "<module>")]
+    while stack:
+        node, fn = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Compare) and _names_tolerance(node):
+            if len(node.ops) != 1 or not isinstance(node.ops[0], ast.LtE) or _names_tolerance(node.left):
+                found.append((fn, node.lineno))
+        stack.extend((child, fn) for child in ast.iter_child_nodes(node))
+    return sorted(found, key=lambda site: site[1])
+
+
+def test_tolerance_compares_not_in_passing_form_are_found():
+    source = (
+        "A_TOL = 1e-9\nok = 1.0 <= A_TOL\n"
+        "def f(dev, tol):\n    if dev > tol:\n        return 1\n    return not dev <= 2 * A_TOL\n"
+        "def g(args, x):\n    return 0 <= args.tol < 1, A_TOL >= x, x == A_TOL, x <= 1e-9\n"
+    )
+    assert tolerance_compares_not_passing_form(source) == [("f", 4), ("g", 8), ("g", 8), ("g", 8)]
+
+
+def test_every_package_tolerance_verdict_passes_on_deviation_le_tol():
+    found = {(path.stem, fn) for path in MODULES if path.parent.name == "pumc"
+             for fn, _ in tolerance_compares_not_passing_form(path.read_text())}
+    assert found - NOT_A_VERDICT.keys() == set(), "write the verdict as `not deviation <= tol`"
+    assert NOT_A_VERDICT.keys() - found == set(), "rows for comparisons that are gone"

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,22 @@ def test_dyadic_factorizations_refuse_non_finite_input(bad, state):
         factor_dyadically_multiplicative(space, kappa)
 
 
+def test_dyadic_factorizations_refuse_a_reconstruction_that_overflows_to_nan():
+    """Finite inputs whose rebuilt values reach inf - inf or inf * 0 give a NaN
+    deviation, which fails the reconstruction check like any other miss."""
+    space = build_multigraph_space(5, 1)  # ten dyads: the sum pairs dyads 0+1 and 2+3
+    tau = np.zeros(space.size)
+    tau[[1, 2]], tau[[4, 8]] = 1.7e308, -1.7e308  # dyads 0, 1 and dyads 2, 3 alone
+    space3 = build_multigraph_space(3, 1)
+    kappa = np.ones(space3.size)
+    kappa[[1, 2]], kappa[4] = 1e200, 0.0  # 1e200 * 1e200 * 0 at the triangle
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the input's point
+        added = factor_dyadditive(space, tau)
+        multiplied = factor_dyadically_multiplicative(space3, kappa)
+    assert not added.ok and added.witness.counts.tolist() == [1, 1, 1, 1, 0, 0, 0, 0, 0, 0]
+    assert not multiplied.ok and multiplied.witness.counts.tolist() == [1, 1, 1]
+
+
 def test_factorization_table_shapes():
     fact = DyadicFactorization(n=3, t=1, tau_f=np.zeros((3, 2)), kappa_f=np.ones((3, 2)))
     assert fact.tau_f.shape == (3, 2, 1)
@@ -458,7 +475,23 @@ def test_exchangeability_matches_loop_reference_with_ties_and_nan():
         h[nudge] += gen.choice([5e-13, 2e-12, 1.0], size=nudge.sum())
         if trial % 3 == 0:
             h[gen.integers(space.size, size=gen.integers(1, 4))] = np.nan
-        assert is_finitely_exchangeable(h, cls) == _ref_is_finitely_exchangeable(h, cls)
+            with pytest.raises(ValueError, match="h must be finite"):
+                is_finitely_exchangeable(h, cls)
+        else:
+            assert is_finitely_exchangeable(h, cls) == _ref_is_finitely_exchangeable(h, cls)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_exchangeability_refuses_non_finite_input(bad):
+    """A NaN class deviation compared false against the tolerance and inf - inf
+    warned; a raw vector holding either is refused on entry."""
+    space = build_multigraph_space(3, 1)
+    h = models.er_pmf(3, 0.3).p.copy()
+    h[3] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="h must be finite"):
+            is_finitely_exchangeable(h, iso_classes(space))
 
 
 def test_transfer_rows_match_loop_reference():

@@ -16,7 +16,7 @@ import pumc
 from pumc import oracle
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("core", "puniform", "expfam", "netstat", "models", "ermgm", "simulate", "rng")
+MODULES = ("core", "puniform", "expfam", "netstat", "models", "ermgm", "simulate", "rng", "serialize")
 
 _DYADIC_LAW = "tests/test_oracle.py::test_dyadic_model_matches_the_enumerated_simple_graph_law"
 _JOINT_LAW = "tests/test_oracle.py::test_joint_log_pmfs_match_the_trajectory_law"
@@ -127,6 +127,28 @@ NOT_FAST_PATH = {
     "simulate.stability_transition_matrix": "builder: stability_chain(n, p).matrix()",
     "simulate.stationary_distribution": "solver: power iteration with its own residual",
     "simulate.trace_and_limit_checks": "theorem check: the stability matrix facts",
+    "serialize.dumps": "codec: JSON text with 17 significant digits on every float",
+    "serialize.dump": "codec: dumps(obj, indent=2) written a dict entry at a time",
+    "serialize.load_json": "codec: a JSON file's value, exactly as json.load gives it",
+    "serialize.space_to_dict": "codec: a space's header",
+    "serialize.space_from_dict": "codec: reads space_to_dict's header",
+    "serialize.multigraph_to_dict": "codec: one multigraph record",
+    "serialize.multigraph_from_dict": "codec, tests only: reads multigraph_to_dict's record",
+    "serialize.family_to_dict": "codec, tests only: the file family_from_dict reads",
+    "serialize.family_from_dict": "codec: a --family file",
+    "serialize.load_matrix": "codec: a --matrix file",
+    "serialize.load_pmf": "codec: a --mu file",
+    "serialize.save_matrix": "codec, tests only: the file load_matrix reads",
+    "serialize.eta_to_dict": "codec: a parameter map",
+    "serialize.eta_from_dict": "codec: reads eta_to_dict's map",
+    "serialize.ermgm_to_dict": "codec, tests only: the file ermgm_from_dict reads",
+    "serialize.ermgm_from_dict": "codec: a dyadic --model file",
+    "serialize.write_states_jsonl": "codec: a state stream, one state per line",
+    "serialize.read_states_jsonl": "codec: reads write_states_jsonl's stream",
+    "serialize.write_multigraph_lines": "codec: sample's multigraph records",
+    "serialize.write_running_means_csv": "codec: diagnose's running means",
+    "serialize.write_trajectory": "codec: write_states_jsonl of a trajectory",
+    "serialize.read_trajectory": "codec: read_states_jsonl, refusing an iid stream",
 }
 
 
