@@ -545,7 +545,9 @@ def puniform_cef_to_expfam(cef: CefSpec, fam: PermutationFamily) -> ExpFamilySpe
 
     kappa'(c) = kappa(a, sigma_a^-1(c)) and likewise for tau, which must not
     depend on a: kappa and each tau coordinate must pass check_puniform at
-    ROW_CONSISTENCY_TOL, and so must the realized matrix at each default probe.
+    ROW_CONSISTENCY_TOL, and so must the realized matrix at each default probe:
+    the absolute table check alone passes kappa rows [1e-12, 2e-12] and
+    [2e-12, 1e-12], whose realized rows [1/3, 2/3] and [2/3, 1/3] are not.
     """
     for theta in default_probes(cef.eta):
         ok, triple = check_puniform(cef_transition_matrix(cef, theta), fam)

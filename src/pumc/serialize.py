@@ -385,11 +385,9 @@ def _json_numbers(value, name: str) -> np.ndarray:
         inferred = np.array(value)
     except ValueError:
         inferred = None
-    kind = None if inferred is None else inferred.dtype.kind
-    if kind in ("i", "u", "f") and not ((inferred == 0) | (inferred == 1)).any():
+    if inferred is not None and inferred.dtype.kind in "iuf" and not ((inferred == 0) | (inferred == 1)).any():
         return inferred.astype(np.float64, copy=False)
-    if kind != "f":
-        inferred = None  # an integer array is not held beside the float64 array built below
+    del inferred  # not held beside the float64 array built below
     # The lists of one depth at a time; the leaves are checked one innermost
     # list at a time, never gathered into one list.
     rows = [value]
@@ -399,8 +397,6 @@ def _json_numbers(value, name: str) -> np.ndarray:
         rows = list(chain.from_iterable(rows))
     if not all(set(map(type, row)) <= {int, float} for row in rows):
         raise ValueError(f"{name} must be an array of JSON numbers")
-    if inferred is not None:
-        return inferred.astype(np.float64, copy=False)
     try:
         return np.array(value, dtype=np.float64)
     except OverflowError:

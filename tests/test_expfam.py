@@ -624,6 +624,15 @@ def test_puniform_cef_to_expfam_refuses_a_shifted_tau_row(row):
         puniform_cef_to_expfam(cef, identity_family(3))
 
 
+def test_puniform_cef_to_expfam_refuses_a_kappa_below_the_table_tolerance():
+    """kappa rows differ by 1e-12 < ROW_CONSISTENCY_TOL, so the tables pass;
+    the realized rows [1/3, 2/3] and [2/3, 1/3] do not."""
+    cef = CefSpec(space=build_generic_space(("a", "b")), kappa=np.array([[1e-12, 2e-12], [2e-12, 1e-12]]),
+                  tau=np.zeros((2, 2)), eta=ParameterMap("natural", l=1))
+    with pytest.raises(ValueError, match="realized matrix is not p-uniform"):
+        puniform_cef_to_expfam(cef, identity_family(2))
+
+
 def test_expfam_to_mef_shares_partition():
     space = build_multigraph_space(3, 1)
     mef = expfam_to_mef(models.er_family(3), builtin_family(space, "symdiff"))

@@ -185,25 +185,34 @@ def test_every_package_private_name_is_read_in_the_package():
 
 
 NOT_A_VERDICT = {
-    ("cli", "cmd_detect"): "validates --tol itself: 0 <= tol < inf, which a NaN fails",
-    ("expfam", "gani_row_value_sets"): "clustering cut: a gap above tol starts a new value",
-    ("expfam", "affinely_independent_entries"): "rank cut: singular values above tol * s[0] count",
-    ("puniform", "symmetry_transfer_check"): "distinctness claim: gaps above tol, false on a NaN",
+    ("cli", "cmd_detect", "0 <= args.tol < float('inf')"):
+        "validates --tol itself: 0 <= tol < inf, which a NaN fails",
+    ("expfam", "gani_row_value_sets", "v - keep[-1] > tol"):
+        "clustering cut: a gap above tol starts a new value",
+    ("expfam", "affinely_independent_entries", "s > AFFINE_RANK_TOL * s[0]"):
+        "rank cut: singular values above tol * s[0] count",
+    ("puniform", "symmetry_transfer_check", "gaps.min() > WITNESS_TOL"):
+        "distinctness claim: gaps above tol, false on a NaN",
 }
 
 
 def _names_tolerance(node) -> bool:
-    """Does the expression read a `*_TOL` constant or a name or attribute `tol`?"""
-    for sub in ast.walk(node):
+    """Does the expression read a `*_TOL` constant or a name or attribute `tol`
+    outside the comparisons nested in it?"""
+    stack = [node]
+    while stack:
+        sub = stack.pop()
         name = sub.id if isinstance(sub, ast.Name) else sub.attr if isinstance(sub, ast.Attribute) else ""
         if name == "tol" or name.endswith("_TOL"):
             return True
+        stack.extend(child for child in ast.iter_child_nodes(sub) if not isinstance(child, ast.Compare))
     return False
 
 
-def tolerance_compares_not_passing_form(source: str) -> list[tuple[str, int]]:
-    """(function, line) for each comparison naming a tolerance that is not one
-    `<=` with the tolerance on its right; module level is `<module>`."""
+def tolerance_compares_not_passing_form(source: str) -> list[tuple[str, int, str]]:
+    """(function, line, source text) for each comparison naming a tolerance
+    that is not one `<=` with the tolerance on its right; module level is
+    `<module>`."""
     found, stack = [], [(ast.parse(source), "<module>")]
     while stack:
         node, fn = stack.pop()
@@ -211,9 +220,9 @@ def tolerance_compares_not_passing_form(source: str) -> list[tuple[str, int]]:
             fn = node.name
         if isinstance(node, ast.Compare) and _names_tolerance(node):
             if len(node.ops) != 1 or not isinstance(node.ops[0], ast.LtE) or _names_tolerance(node.left):
-                found.append((fn, node.lineno))
+                found.append((fn, node.lineno, ast.unparse(node)))
         stack.extend((child, fn) for child in ast.iter_child_nodes(node))
-    return sorted(found, key=lambda site: site[1])
+    return sorted(found, key=lambda site: (site[1], site[2]))
 
 
 def test_tolerance_compares_not_in_passing_form_are_found():
@@ -221,12 +230,15 @@ def test_tolerance_compares_not_in_passing_form_are_found():
         "A_TOL = 1e-9\nok = 1.0 <= A_TOL\n"
         "def f(dev, tol):\n    if dev > tol:\n        return 1\n    return not dev <= 2 * A_TOL\n"
         "def g(args, x):\n    return 0 <= args.tol < 1, A_TOL >= x, x == A_TOL, x <= 1e-9\n"
+        "def h(s):\n    return int((s > A_TOL).sum()) == 1\n"
     )
-    assert tolerance_compares_not_passing_form(source) == [("f", 4), ("g", 8), ("g", 8), ("g", 8)]
+    assert tolerance_compares_not_passing_form(source) == [
+        ("f", 4, "dev > tol"), ("g", 8, "0 <= args.tol < 1"), ("g", 8, "A_TOL >= x"), ("g", 8, "x == A_TOL"),
+        ("h", 10, "s > A_TOL")]
 
 
 def test_every_package_tolerance_verdict_passes_on_deviation_le_tol():
-    found = {(path.stem, fn) for path in MODULES if path.parent.name == "pumc"
-             for fn, _ in tolerance_compares_not_passing_form(path.read_text())}
-    assert found - NOT_A_VERDICT.keys() == set(), "write the verdict as `not deviation <= tol`"
-    assert NOT_A_VERDICT.keys() - found == set(), "rows for comparisons that are gone"
+    found = sorted((path.stem, fn, text) for path in MODULES if path.parent.name == "pumc"
+                   for fn, _, text in tolerance_compares_not_passing_form(path.read_text()))
+    assert [site for site in found if site not in NOT_A_VERDICT] == [], "write the verdict as `not deviation <= tol`"
+    assert found == sorted(NOT_A_VERDICT), "each listed cut appears exactly once"
