@@ -385,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_diagnose)
 
     p = subs.add_parser("exchangeability", help="exchangeability transfer report")
-    p.add_argument("--model", required=True, choices=("density", "stability", "modular", "custom"))
+    p.add_argument("--model", required=True, choices=("density", "custom"))
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=float)
     p.add_argument("--mu", help="pmf JSON file for the custom model")
@@ -434,7 +434,7 @@ def main(argv=None) -> int:
     except (TheoremViolationError, PowerIterationError) as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

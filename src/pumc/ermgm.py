@@ -34,7 +34,7 @@ from .expfam import (
     affinely_independent_entries,
     default_probes,
 )
-from .netstat import DyadicFactorization, edge_stat_counts
+from .netstat import DyadicFactorization, _dyadic_rebuild, edge_stat_counts
 from .puniform import Trajectory
 from .rng import inverse_cdf, stream
 
@@ -121,9 +121,11 @@ def to_expfam(model: ErmgmModel) -> ExpFamilySpec:
     """Materialize the model as a per-state family over the whole space."""
     space = model.space()
     digits = dyad_count_table(space)
-    rows = np.arange(model.num_dyads)[None, :]
-    tau = model.tau_f[rows, digits].sum(axis=1)
-    kappa = model.kappa_f[rows, digits].prod(axis=1)
+    tau = _dyadic_rebuild(model.tau_f, digits, np.add)
+    kappa = _dyadic_rebuild(model.kappa_f, digits, np.multiply)
+    for name, value in (("tau", tau), ("kappa", kappa)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"the per-state {name} overflows the float range")
     return ExpFamilySpec(space=space, kappa=kappa, tau=tau, eta=model.eta)
 
 
@@ -132,7 +134,7 @@ def multigraph_log_pmf(model: ErmgmModel, theta, w: Multigraph) -> float:
     if w.n != model.n or w.t != model.t:
         raise ValueError("multigraph does not belong to this model's space")
     logw = _dyad_log_weights(model, theta)
-    return float((logw[np.arange(model.num_dyads), w.counts] - _logsumexp_rows(logw)).sum())
+    return float(_dyadic_rebuild(logw - _logsumexp_rows(logw)[:, None], w.counts, np.add))
 
 
 def sample_multigraphs(model: ErmgmModel, theta, count: int, seed: int) -> np.ndarray:

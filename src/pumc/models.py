@@ -11,7 +11,6 @@ Markovian.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ from .core import (
     builtin_family,
     check_dense_budget,
     dyad_count_table,
-    dyad_index,
     edge_total_table,
     identity_family,
     num_dyads,
@@ -48,6 +46,7 @@ from .expfam import (
     as_mef,
     expfam_to_mef,
 )
+from .netstat import _two_paths
 
 GANI_TAU = np.array([[1.0, 1.0, 3.0], [3.0, 3.0, 1.0], [1.0, 3.0, 3.0]])
 GANI_KAPPA = np.array([[2.0, 1.0, 1.0], [1.0 / 3.0, 2.0 / 3.0, 3.0], [2.75, 1.0, 0.25]])
@@ -196,9 +195,9 @@ def transitivity_table(n: int) -> CodeTable:
     digits = dyad_count_table(space)
     coeff = np.zeros((digits.shape[0], num_dyads(n)))
     denom = np.zeros(digits.shape[0])
-    for i, j, k in itertools.combinations(range(n), 3):
-        path = digits[:, dyad_index(i, j)] * digits[:, dyad_index(j, k)]
-        coeff[:, dyad_index(i, k)] += path
+    for ij, jk, ik in _two_paths(n):
+        path = digits[:, ij] * digits[:, jk]
+        coeff[:, ik] += path
         denom += path
     return _ratio_statistic(coeff, digits, denom, n)
 

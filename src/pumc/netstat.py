@@ -186,10 +186,18 @@ class DyadicFactorization:
             object.__setattr__(self, "kappa_f", kappa_f)
 
     def reconstruct_tau(self, g: Multigraph) -> np.ndarray:
-        return self.tau_f[np.arange(self.tau_f.shape[0]), g.counts].sum(axis=0)
+        return _dyadic_rebuild(self.tau_f, g.counts, np.add)
 
     def reconstruct_kappa(self, g: Multigraph) -> float:
-        return float(self.kappa_f[np.arange(self.kappa_f.shape[0]), g.counts].prod())
+        return float(_dyadic_rebuild(self.kappa_f, g.counts, np.multiply))
+
+
+def _dyadic_rebuild(tables: np.ndarray, counts: np.ndarray, combine: np.ufunc) -> np.ndarray:
+    """Each dyad's (N, t+1, ...) table read at its count in (..., N) counts, then summed
+    (np.add: a statistic) or multiplied (np.multiply: a carrier) over the dyads. A value
+    past the float range comes back as inf or NaN with no numpy warning; callers refuse it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return combine.reduce(tables[np.arange(tables.shape[0]), counts], axis=counts.ndim - 1)
 
 
 @dataclass(frozen=True)
@@ -231,22 +239,13 @@ def factor_dyadditive(space: StateSpace, tau, probes=None, seed=None) -> FactorR
     if vals.shape[0] != space.size:
         raise ValueError("statistic must cover every state")
     check_finite(vals, "tau")
-    nd = num_dyads(space.n)
-    base = vals[0]  # empty graph is state 0
-    l = vals.shape[1]
-    tau_f = np.empty((nd, space.t + 1, l))
-    tau_f[:, 0] = base / nd
-    # The single-dyad state with dyad f at multiplicity m has index m (t+1)^f.
-    single = np.arange(1, space.t + 1) * place_values(space)[:, None]
-    tau_f[:, 1:] = vals[single] - base + base / nd
+    # The empty graph (state 0) splits its value evenly over the dyads, if there are any;
+    # the graph with dyad f alone, at multiplicity m, has index m (t+1)^f.
+    share = vals[0] / max(num_dyads(space.n), 1)
+    tau_f = vals[np.arange(space.t + 1) * place_values(space)[:, None]] - vals[0] + share
+    tau_f[:, 0] = share
     fact = DyadicFactorization(n=space.n, t=space.t, tau_f=tau_f)
-    check = _probe_states(space, probes, seed)
-    rebuilt = tau_f[np.arange(nd), dyad_counts(space, check)].sum(axis=1)
-    dev = np.abs(rebuilt - vals[check]).max(axis=1)
-    if not dev.max() <= RECONSTRUCTION_TOL:
-        bad = int(check[int(np.argmax(dev))])
-        return FactorResult(factorization=None, witness=space.decode(bad))
-    return FactorResult(factorization=fact, witness=None)
+    return _verdict(space, fact, tau_f, np.add, vals, _probe_states(space, probes, seed), RECONSTRUCTION_TOL)
 
 
 def factor_dyadically_multiplicative(space: StateSpace, kappa, probes=None, seed=None) -> FactorResult:
@@ -276,13 +275,16 @@ def factor_dyadically_multiplicative(space: StateSpace, kappa, probes=None, seed
     kappa_f = vals[ref + shift * place_values(space)[:, None]] / scale
     fact = DyadicFactorization(n=space.n, t=space.t, kappa_f=kappa_f)
     check = _probe_states(space, probes, seed)
-    rebuilt = kappa_f[np.arange(nd), dyad_counts(space, check)].prod(axis=1)
-    scale_ref = max(1.0, float(np.abs(vals[check]).max()))
-    dev = np.abs(rebuilt - vals[check])
-    if not dev.max() <= RECONSTRUCTION_TOL * scale_ref:
-        bad = int(check[int(np.argmax(dev))])
-        return FactorResult(factorization=None, witness=space.decode(bad))
-    return FactorResult(factorization=fact, witness=None)
+    tol = RECONSTRUCTION_TOL * max(1.0, float(np.abs(vals[check]).max()))
+    return _verdict(space, fact, kappa_f, np.multiply, vals, check, tol)
+
+
+def _verdict(space: StateSpace, fact: DyadicFactorization, tables, combine, vals, check, tol) -> FactorResult:
+    """The factorization, or the first worst probe state (NaN ranks worst) if the rebuild misses tol there."""
+    dev = np.abs(_dyadic_rebuild(tables, dyad_counts(space, check), combine) - vals[check])
+    dev = dev.reshape(check.size, -1).max(axis=1)
+    bad = None if dev.max() <= tol else space.decode(int(check[int(np.argmax(dev))]))
+    return FactorResult(factorization=fact if bad is None else None, witness=bad)
 
 
 def multigraph_union(zs) -> Multigraph:
@@ -331,14 +333,9 @@ def iso_classes(space: StateSpace) -> IsoClasses:
     iso = IsoClasses(space=space, class_id=class_id, representatives=reps, classes=classes)
     # Degree sequences are isomorphism invariants; any split orbit is a bug.
     degrees = sorted_degree_table(space)
-    if (degrees != degrees[_first_members(iso)]).any():
+    if (degrees != degrees[reps[class_id]]).any():
         raise TheoremViolationError("orbit mixes degree sequences")
     return iso
-
-
-def _first_members(classes: IsoClasses) -> np.ndarray:
-    """For every state, the first listed member of its class."""
-    return np.array([members[0] for members in classes.classes])[classes.class_id]
 
 
 def _class_max_deviation(H: np.ndarray, classes: IsoClasses) -> np.ndarray:
@@ -378,7 +375,7 @@ def is_relation_invariant(perm: PermutationFamily, classes: IsoClasses):
     if perm.size != classes.space.size:
         raise ValueError("family and classes must share a space")
     cid = classes.class_id
-    first = _first_members(classes)
+    first = classes.representatives[cid]
     mapped = perm.spread(cid, "the class map")
     split = mapped != mapped[:, first]
     rows = np.flatnonzero(split.any(axis=1))

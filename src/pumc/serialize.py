@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
+from functools import partial
 from itertools import chain, islice
 from math import isqrt
 from typing import IO
@@ -149,6 +150,17 @@ def dump(obj, fp: IO):
 FLOAT_MEMO_CAP = isqrt(DENSE_ENTRY_CAP)
 
 
+class _Fields(dict):
+    """A JSON object read from a file: a missing field raises ValueError naming both, not KeyError."""
+
+    def __init__(self, pairs, where: str):
+        super().__init__(pairs)
+        self.where = where
+
+    def __missing__(self, key):
+        raise ValueError(f'{self.where}: missing field "{key}"')
+
+
 class _FloatMemo(dict):
     """Float text -> float(text), each distinct text converted once; past
     FLOAT_MEMO_CAP texts, a new text is converted and not kept."""
@@ -177,9 +189,10 @@ class _JsonBlocks:
     nested too deeply; neither carries json's message.
     """
 
-    def __init__(self, fp: IO, parse_float):
+    def __init__(self, fp: IO, parse_float, object_pairs_hook):
         self.fp = fp
-        self.decode = json.JSONDecoder(parse_float=parse_float).raw_decode
+        self.decode = json.JSONDecoder(parse_float=parse_float, object_pairs_hook=object_pairs_hook).raw_decode
+        self.object = object_pairs_hook
         self.text, self.pos, self.eof = "", 0, False
 
     def document(self):
@@ -229,7 +242,7 @@ class _JsonBlocks:
         self.pos += 1
         if self._next() == close:
             self.pos += 1
-            return [] if first == "[" else {}
+            return [] if first == "[" else self.object([])
         while True:
             if first == "[":
                 items.append(self._value())
@@ -244,13 +257,13 @@ class _JsonBlocks:
             sep = self._next()
             self.pos += 1
             if sep == close:
-                return items if first == "[" else dict(items)
+                return items if first == "[" else self.object(items)
             if sep != ",":
                 raise ValueError("expected ',' or a closing bracket")
 
 
 def load_json(path: str):
-    """The value of a JSON file, exactly as json.load gives it.
+    """The value of a JSON file, as json.load gives it, each object a _Fields.
 
     The text is read JSON_BLOCK characters at a time and is never held
     whole, except to report an error: any failure parses the whole file
@@ -260,13 +273,14 @@ def load_json(path: str):
     budget; later new texts are converted each time. Integers keep json's
     own conversion, which is faster than a memo lookup.
     """
+    fields = partial(_Fields, where=path)
     try:
         try:
             with open(path, encoding="utf-8") as fp:
-                return _JsonBlocks(fp, _FloatMemo().__getitem__).document()
+                return _JsonBlocks(fp, _FloatMemo().__getitem__, fields).document()
         except (ValueError, RecursionError):
             with open(path, encoding="utf-8") as fp:
-                return json.loads(fp.read())
+                return json.loads(fp.read(), object_pairs_hook=fields)
     except UnicodeDecodeError as exc:
         raise ValueError(_decode_error_line(path, exc)) from None
     except (ValueError, RecursionError) as exc:
@@ -418,10 +432,7 @@ def load_matrix(path: str) -> StochasticMatrix:
 
 def load_pmf(path: str) -> Pmf:
     """A pmf from a JSON file {"p": [masses]}."""
-    obj = load_json(path)
-    if not isinstance(obj, dict):
-        raise ValueError("a pmf file holds a JSON object with \"p\"")
-    return Pmf(_json_numbers(obj["p"], "\"p\""))
+    return Pmf(_json_numbers(_json_object(load_json(path), "a pmf file")["p"], "\"p\""))
 
 
 def save_matrix(path: str, P: StochasticMatrix):
@@ -625,12 +636,10 @@ def read_states_jsonl(path: str):
         with open(path, encoding="utf-8") as fp:
             line = fp.readline()
             try:
-                header = json.loads(line)
+                header = json.loads(line, object_pairs_hook=partial(_Fields, where=f"{path}:1"))
             except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
                 raise ValueError(f"{path}:1: {exc}") from None
-            if not isinstance(header, dict) or "space" not in header:
-                raise ValueError(f"{path}:1: expected a header object with a \"space\"")
-            space = space_from_dict(header["space"])
+            space = space_from_dict(_json_object(header, f"{path}:1: the header")["space"])
             parts = []
             count, lineno = 0, 2
             while chunk := list(islice(fp, CHUNK)):

@@ -411,7 +411,7 @@ def test_family_words_each_command_refuses(tmp_path, capsys):
          "none is not accepted here; use auto, a builtin name or a family file"),
         (("exchangeability", "--model", "density", "--n", "3", "--p", "0.3", "--family", "stability"),
          "stability is not accepted here; use auto"),
-        (("exchangeability", "--model", "modular", "--n", "3", "--family", "none"),
+        (("exchangeability", "--model", "density", "--n", "3", "--p", "0.3", "--family", "none"),
          "none is not accepted here; use auto"),
     ]
     for argv, message in cases:
@@ -435,13 +435,22 @@ def test_diagnose_family_takes_any_builtin_name_or_a_file(tmp_path, capsys):
     assert (code, out, err) == (2, "", f"error: [Errno 2] No such file or directory: {missing!r}\n")
 
 
-def test_exchangeability_model_needs_n_and_p(capsys):
-    for model in ("density", "stability"):
-        code, out, err = run(capsys, "exchangeability", "--model", model, "--n", "3")
-        assert code == 2 and out == ""
-        assert err == f"error: --model {model} needs --n and --p\n"
-    code, _, err = run(capsys, "exchangeability", "--model", "modular")
-    assert code == 2 and err == "error: --model modular needs --n\n"
+def test_exchangeability_model_needs_n_and_p(tmp_path, capsys):
+    code, out, err = run(capsys, "exchangeability", "--model", "density", "--n", "3")
+    assert (code, out, err) == (2, "", "error: --model density needs --n and --p\n")
+    # modular could only refuse, and stability refuses from n = 3 on, so neither is a choice.
+    for model in ("modular", "stability"):
+        with pytest.raises(SystemExit) as exc:
+            main(["exchangeability", "--model", model, "--n", "2", "--p", "0.3"])
+        assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+    # Stability's n = 2 answer: the ER law under its own family.
+    mu_path = str(tmp_path / "er.json")
+    with open(mu_path, "w") as fp:
+        json.dump({"p": [0.7, 0.3]}, fp)
+    code, out, _ = run(capsys, "exchangeability", "--model", "custom", "--n", "2", "--mu", mu_path,
+                       "--family", "stability")
+    assert code == 0 and read_json(out) == {"mu_exchangeable": True, "row_exchangeable": [True, True],
+                                            "equivalence_holds": True, "class_sizes": [1, 1], "mu_witness": None}
 
 
 @pytest.mark.parametrize("error", [TheoremViolationError("rows disagree"),
@@ -757,6 +766,62 @@ def test_unreadable_json_files_are_named(tmp_path, capsys, kind):
         Path(path).write_bytes(text)
         assert run(capsys, *argv) == (2, "", f"error: {message}\n"), text
     assert not (tmp_path / "z.jsonl").exists()
+
+
+_MODEL = {"n": 3, "t": 1, "tau_f": [[[0.0], [1.0]]] * 3, "eta": {"kind": "natural"}}
+_HEADER = {"kind": "trajectory", "space": {"kind": "multigraph", "n": 3, "t": 1}}
+# (file kind, a valid document, the key path of one required field)
+REQUIRED_FIELDS = [
+    ("matrix", {"matrix": [[1.0]]}, ("matrix",)),
+    ("pmf", {"p": [0.125] * 8}, ("p",)),
+    ("family", {"tag": "", "sigma": [[0]]}, ("sigma",)),
+    *[("model", _MODEL, field) for field in (("n",), ("t",), ("tau_f",), ("eta",), ("eta", "kind"))],
+    ("model", dict(_MODEL, eta={"kind": "density_logit", "n": 3}), ("eta", "n")),
+    *[("model", dict(_MODEL, eta={"kind": "table", "thetas": [0.5], "etas": [[0.5]]}), ("eta", key))
+      for key in ("thetas", "etas")],
+    ("trajectory", _HEADER, ("space",)),
+    *[("trajectory", _HEADER, ("space", key)) for key in ("n", "t")],
+    ("trajectory", {"kind": "trajectory", "space": {"kind": "modular", "n": 3}}, ("space", "n")),
+    ("trajectory", {"kind": "trajectory", "space": {"kind": "generic", "labels": ["a"]}}, ("space", "labels")),
+]
+
+
+@pytest.mark.parametrize("kind,doc,field", REQUIRED_FIELDS, ids=[f"{k}-{'.'.join(f)}" for k, _, f in REQUIRED_FIELDS])
+def test_a_missing_required_field_names_the_file_and_the_field(tmp_path, capsys, kind, doc, field):
+    doc = json.loads(json.dumps(doc))
+    *parents, key = field
+    node = doc
+    for parent in parents:
+        node = node[parent]
+    del node[key]
+    traj_path = tmp_path / "x.jsonl"
+    traj_path.write_text(json.dumps(_HEADER) + '\n{"i":0,"state":0}\n')
+    path = str(tmp_path / "in.json")
+    argv = {
+        "matrix": ("detect", "--matrix", path),
+        "pmf": ("exchangeability", "--model", "custom", "--n", "3", "--mu", path),
+        "family": ("transform", "--traj", str(traj_path), "--direction", "chain2iid", "--family", path,
+                   "--out", str(tmp_path / "z.jsonl")),
+        "model": ("partition", "--model", path, "--theta", "0.5"),
+        "trajectory": ("fit", "--traj", path, "--stat", "density"),
+    }[kind]
+    where = f"{path}:1" if kind == "trajectory" else path
+    Path(path).write_text(json.dumps(doc) + '\n{"i":0,"state":0}\n' * (kind == "trajectory"))
+    assert run(capsys, *argv) == (2, "", f'error: {where}: missing field "{key}"\n')
+
+
+@pytest.mark.parametrize("name,tables", [
+    ("tau", {"tau_f": [[[0.0], [1e308]]] * 3}),
+    ("kappa", {"tau_f": [[[0.0], [1.0]]] * 3, "kappa_f": [[1.0, 1e300]] * 3}),
+])
+def test_partition_brute_refuses_a_per_state_overflow_in_one_line(tmp_path, capsys, name, tables):
+    """Finite per-dyad tables whose rebuilt per-state tau (3e308) or kappa
+    (1e900) on G(3, 1) leaves the float range. pytest makes a numpy
+    RuntimeWarning an error, so none may escape on the way to exit 2."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 3, "t": 1, "eta": {"kind": "natural"}, **tables}))
+    code, out, err = run(capsys, "partition", "--model", str(path), "--theta=0", "--brute")
+    assert (code, out, err) == (2, "", f"error: the per-state {name} overflows the float range\n")
 
 
 def test_ragged_json_arrays_name_their_field(tmp_path, capsys):

@@ -212,7 +212,7 @@ def test_extreme_sizes_exit_cleanly(command, n, steps, count, p, seed, x0):
             code = run("simulate", "--model", command, "--n", n, "--p", p, "--steps", steps, "--seed", seed,
                        "--x0", x0, "--expand", "--out", out)
         elif command == "exchangeability":
-            code = run("exchangeability", "--model", "stability", "--n", n, "--p", p)
+            code = run("exchangeability", "--model", "density", "--n", n, "--p", p)
         elif command == "sample":
             model = dict(MODEL, n=n) if n > 3 else MODEL
             path = _write(d, "model.json", json.dumps(model))

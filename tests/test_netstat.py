@@ -280,11 +280,20 @@ def test_dyadic_factorizations_refuse_a_reconstruction_that_overflows_to_nan():
     space3 = build_multigraph_space(3, 1)
     kappa = np.ones(space3.size)
     kappa[[1, 2]], kappa[4] = 1e200, 0.0  # 1e200 * 1e200 * 0 at the triangle
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the input's point
-        added = factor_dyadditive(space, tau)
-        multiplied = factor_dyadically_multiplicative(space3, kappa)
+    added = factor_dyadditive(space, tau)  # no RuntimeWarning escapes: pytest makes one an error
+    multiplied = factor_dyadically_multiplicative(space3, kappa)
     assert not added.ok and added.witness.counts.tolist() == [1, 1, 1, 1, 0, 0, 0, 0, 0, 0]
     assert not multiplied.ok and multiplied.witness.counts.tolist() == [1, 1, 1]
+
+
+def test_dyadic_factorizations_on_the_one_vertex_space():
+    """G(1, t) has one state and no dyads: an empty sum is 0 and an empty
+    product 1, so only those values factor, and the split of the empty
+    graph's value over no dyads raises no division warning."""
+    space = build_multigraph_space(1, 2)
+    assert factor_dyadditive(space, [0.0]).ok and factor_dyadically_multiplicative(space, [1.0]).ok
+    for res in (factor_dyadditive(space, [3.0]), factor_dyadically_multiplicative(space, [2.0])):
+        assert not res.ok and res.witness.counts.size == 0
 
 
 def test_factorization_table_shapes():
