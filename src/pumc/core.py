@@ -52,6 +52,14 @@ def distinct_entries(table: np.ndarray) -> np.ndarray:
     return table[tuple(slice(None, 1) if step == 0 else slice(None) for step in table.strides)]
 
 
+def magnitude(reference) -> float:
+    """max(1, largest |entry|) of the values a deviation was taken against, in one min and
+    one max pass over their distinct entries; NaN if one is not finite, so the verdict fails."""
+    table = distinct_entries(np.asarray(reference, dtype=np.float64))
+    lo, hi = float(table.min(initial=0.0)), float(table.max(initial=0.0))
+    return max(1.0, -lo, hi) if np.isfinite(lo) and np.isfinite(hi) else np.nan
+
+
 def check_finite(table: np.ndarray, what: str):
     """Raise ValueError when a table holds NaN or an infinity.
 

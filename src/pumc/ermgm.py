@@ -106,8 +106,12 @@ class InstrumentedLogPartition(NamedTuple):
 
 
 def fast_log_partition(model: ErmgmModel, theta) -> float:
-    """log of the partition function, summing t+1 terms per dyad."""
-    return float(_logsumexp_rows(_dyad_log_weights(model, theta)).sum())
+    """log of the partition function, summing t+1 terms per dyad; a total past the float range raises."""
+    with np.errstate(over="ignore"):
+        total = float(_logsumexp_rows(_dyad_log_weights(model, theta)).sum())
+    if not np.isfinite(total):
+        raise ValueError("the log partition overflows the float range at this parameter")
+    return total
 
 
 def fast_log_partition_instrumented(model: ErmgmModel, theta) -> InstrumentedLogPartition:
@@ -167,9 +171,10 @@ def _union_model(model: ErmgmModel, t: int) -> ErmgmModel:
     if t < 1:
         raise ValueError("need at least one draw")
     m = np.arange(t + 1, dtype=np.float64)
-    tau_f = m[None, :, None] * model.tau_f[:, 1:2] + (t - m)[None, :, None] * model.tau_f[:, 0:1]
     binom = np.array([comb(t, k) for k in range(t + 1)], dtype=np.float64)
-    kappa_f = binom * model.kappa_f[:, 1:2] ** m * model.kappa_f[:, 0:1] ** (t - m)
+    with np.errstate(over="ignore", invalid="ignore"):  # ErmgmModel refuses a non-finite table
+        tau_f = m[None, :, None] * model.tau_f[:, 1:2] + (t - m)[None, :, None] * model.tau_f[:, 0:1]
+        kappa_f = binom * model.kappa_f[:, 1:2] ** m * model.kappa_f[:, 0:1] ** (t - m)
     return ErmgmModel(n=model.n, t=t, tau_f=tau_f, kappa_f=kappa_f, eta=model.eta)
 
 

@@ -23,10 +23,11 @@ from .core import (
     check_dense_budget,
     check_finite,
     distinct_entries,
+    magnitude,
     row_blocks,
 )
 from .errors import NotAnMefError, TheoremViolationError
-from .puniform import Trajectory, check_puniform
+from .puniform import DETECT_TOL, Trajectory, check_puniform
 
 MEF_REL_TOL = 1e-9
 ROW_CONSISTENCY_TOL = 1e-10
@@ -211,17 +212,18 @@ def mean_statistic(fam: ExpFamilySpec, theta) -> np.ndarray:
 
 
 def grad_log_partition_fd(fam: ExpFamilySpec, theta) -> np.ndarray:
-    """Central finite differences of psi in the natural parameter, step FD_STEP."""
+    """Central differences of psi in theta, step FD_STEP / magnitude(tau): psi^(k) grows as |tau|^k."""
     if fam.eta.kind != NATURAL:
         raise ValueError("finite-difference gradient is defined for the natural kind")
     theta = np.atleast_1d(np.asarray(theta, dtype=np.float64))
+    step = FD_STEP / magnitude(fam.tau)
     grad = np.empty(fam.eta.l)
     for j in range(fam.eta.l):
         hi = theta.copy()
         lo = theta.copy()
-        hi[j] += FD_STEP
-        lo[j] -= FD_STEP
-        grad[j] = (log_partition(fam, hi) - log_partition(fam, lo)) / (2 * FD_STEP)
+        hi[j] += step
+        lo[j] -= step
+        grad[j] = (log_partition(fam, hi) - log_partition(fam, lo)) / (2 * step)
     return grad
 
 
@@ -435,10 +437,11 @@ def gani_row_value_sets(cef: CefSpec, tol: float = MEF_REL_TOL):
 
     A scalar MEF with some nonzero eta value needs every row of tau to take
     the same set of values, so unequal sets certify non-MEF for l = 1.
-    Values within tol collapse to one representative.
+    Values within tol * magnitude(tau), tol at tau's scale, collapse to one representative.
     """
     if cef.eta.l != 1:
         raise ValueError("row value sets are defined for scalar statistics")
+    scale = magnitude(cef.tau.values if isinstance(cef.tau, CodeTable) else cef.tau)
     sets = []
     for a in range(cef.space.size):
         # Repeated values never start a new representative, so the greedy
@@ -447,11 +450,11 @@ def gani_row_value_sets(cef: CefSpec, tol: float = MEF_REL_TOL):
         vals = np.unique(cef.tau[a, :, 0])
         keep = [vals[0]]
         for v in vals[1:]:
-            if v - keep[-1] > tol:
+            if v - keep[-1] > tol * scale:
                 keep.append(v)
         sets.append(np.array(keep))
     equal = all(
-        s.size == sets[0].size and np.abs(s - sets[0]).max() <= tol for s in sets[1:]
+        s.size == sets[0].size and np.abs(s - sets[0]).max() <= tol * scale for s in sets[1:]
     )
     return sets, equal
 
@@ -523,8 +526,7 @@ def mean_parameter(mef: MefSpec, theta) -> MeanParameter:
     P = cef_transition_matrix(mef, theta).P
     per_row = np.einsum("ab,abl->al", P, mef.tau)
     spread = np.abs(per_row - per_row[0]).max()
-    scale = max(1.0, float(np.abs(per_row[0]).max()))
-    if not spread <= ROW_CONSISTENCY_TOL * scale:
+    if not spread <= ROW_CONSISTENCY_TOL * magnitude(per_row[0]):
         raise NotAnMefError(f"row expectations spread {spread:.3e}, not an MEF")
     value = per_row[0].copy()
     fd = None
@@ -533,7 +535,7 @@ def mean_parameter(mef: MefSpec, theta) -> MeanParameter:
             space=mef.space, kappa=mef.kappa[0], tau=mef.tau[0], eta=mef.eta
         )
         fd = grad_log_partition_fd(fam, theta)
-        if not np.abs(fd - value).max() <= FD_TOL:
+        if not np.abs(fd - value).max() <= FD_TOL * magnitude(value):
             raise TheoremViolationError(
                 "finite-difference gradient disagrees with the mean parameter"
             )
@@ -544,20 +546,26 @@ def puniform_cef_to_expfam(cef: CefSpec, fam: PermutationFamily) -> ExpFamilySpe
     """Collapse a p-uniform CEF to the iid family of its relabelled targets.
 
     kappa'(c) = kappa(a, sigma_a^-1(c)) and likewise for tau, which must not
-    depend on a: kappa and each tau coordinate must pass check_puniform at
-    ROW_CONSISTENCY_TOL, and so must the realized matrix at each default probe:
-    the absolute table check alone passes kappa rows [1e-12, 2e-12] and
-    [2e-12, 1e-12], whose realized rows [1/3, 2/3] and [2/3, 1/3] are not.
+    depend on a: kappa, over its largest entry, and each tau coordinate must pass
+    check_puniform at ROW_CONSISTENCY_TOL, and so must the realized matrix at each default probe,
+    since the exponent can amplify a tau deviation the table check lets through.
     """
     for theta in default_probes(cef.eta):
         ok, triple = check_puniform(cef_transition_matrix(cef, theta), fam)
         if not ok:
             raise ValueError(f"realized matrix is not p-uniform at theta={theta!r}: {triple}")
-    tables = [cef.kappa, *(cef.tau[:, :, j] for j in range(cef.eta.l))]
-    if not all(check_puniform(table, fam, ROW_CONSISTENCY_TOL)[0] for table in tables):
+    if not all(_table_puniformity(cef, fam, ROW_CONSISTENCY_TOL)[0]):
         raise ValueError("rows disagree after relabelling; tables are not p-uniform")
     inv = fam.unapply(0, np.arange(fam.size))
     return ExpFamilySpec(space=cef.space, kappa=cef.kappa[0, inv].copy(), tau=cef.tau[0, inv].copy(), eta=cef.eta)
+
+
+def _table_puniformity(cef: CefSpec, fam: PermutationFamily, tol: float):
+    """The flags of check_puniform on kappa over its largest entry, since a carrier's p-uniformity
+    does not depend on its scale, and on each tau coordinate; then kappa's violation."""
+    top = distinct_entries(cef.kappa).max()
+    kappa_ok, kappa_bad = check_puniform(cef.kappa if top in (0, 1) else cef.kappa / top, fam, tol)
+    return (kappa_ok, *(check_puniform(cef.tau[:, :, j], fam, tol)[0] for j in range(cef.eta.l))), kappa_bad
 
 
 def expfam_to_mef(fam: ExpFamilySpec, perm: PermutationFamily) -> MefSpec:
@@ -602,26 +610,22 @@ class PuniformityReport:
 def kappa_tau_puniformity(cef: CefSpec, perm: PermutationFamily, probes=None) -> PuniformityReport:
     """Check p-uniformity of the ingredient tables and the realized matrices.
 
-    When kappa and every tau coordinate are p-uniform under `perm`, every
-    realized matrix must be too; that implication failing raises.
+    When kappa and every tau coordinate are exactly p-uniform under `perm`, every realized
+    matrix must be too; that implication failing raises. Tables p-uniform only within
+    DETECT_TOL need not realize p-uniform matrices: the exponent scales a tau deviation by theta.
     """
     if probes is None:
         probes = default_probes(cef.eta)
-    kappa_ok, kappa_bad = check_puniform(cef.kappa, perm)
-    tau_ok = tuple(
-        check_puniform(cef.tau[:, :, j], perm)[0] for j in range(cef.eta.l)
-    )
+    (kappa_ok, *tau_ok), kappa_bad = _table_puniformity(cef, perm, DETECT_TOL)
     matrix_ok = tuple(
         check_puniform(cef_transition_matrix(cef, theta), perm)[0] for theta in probes
     )
-    if kappa_ok and all(tau_ok) and not all(matrix_ok):
-        raise TheoremViolationError(
-            "p-uniform kappa and tau must realize p-uniform matrices"
-        )
+    if not all(matrix_ok) and all(_table_puniformity(cef, perm, 0.0)[0]):
+        raise TheoremViolationError("p-uniform kappa and tau must realize p-uniform matrices")
     eta_samples = np.array([cef.eta.evaluate(theta) for theta in probes])
     return PuniformityReport(
         kappa_puniform=kappa_ok,
-        tau_puniform=tau_ok,
+        tau_puniform=tuple(tau_ok),
         matrix_puniform=matrix_ok,
         kappa_positive=bool(distinct_entries(cef.kappa).min() > 0),
         eta_affinely_independent=affinely_independent_entries(eta_samples),

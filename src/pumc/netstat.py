@@ -29,6 +29,7 @@ from .core import (
     dyad_counts,
     dyad_index,
     edge_total_table,
+    magnitude,
     num_dyads,
     place_values,
 )
@@ -245,7 +246,7 @@ def factor_dyadditive(space: StateSpace, tau, probes=None, seed=None) -> FactorR
     tau_f = vals[np.arange(space.t + 1) * place_values(space)[:, None]] - vals[0] + share
     tau_f[:, 0] = share
     fact = DyadicFactorization(n=space.n, t=space.t, tau_f=tau_f)
-    return _verdict(space, fact, tau_f, np.add, vals, _probe_states(space, probes, seed), RECONSTRUCTION_TOL)
+    return _verdict(space, fact, tau_f, np.add, vals, _probe_states(space, probes, seed))
 
 
 def factor_dyadically_multiplicative(space: StateSpace, kappa, probes=None, seed=None) -> FactorResult:
@@ -274,16 +275,15 @@ def factor_dyadically_multiplicative(space: StateSpace, kappa, probes=None, seed
     shift = np.arange(space.t + 1) - dyad_counts(space, ref)[:, None]
     kappa_f = vals[ref + shift * place_values(space)[:, None]] / scale
     fact = DyadicFactorization(n=space.n, t=space.t, kappa_f=kappa_f)
-    check = _probe_states(space, probes, seed)
-    tol = RECONSTRUCTION_TOL * max(1.0, float(np.abs(vals[check]).max()))
-    return _verdict(space, fact, kappa_f, np.multiply, vals, check, tol)
+    return _verdict(space, fact, kappa_f, np.multiply, vals, _probe_states(space, probes, seed))
 
 
-def _verdict(space: StateSpace, fact: DyadicFactorization, tables, combine, vals, check, tol) -> FactorResult:
+def _verdict(space: StateSpace, fact: DyadicFactorization, tables, combine, vals, check) -> FactorResult:
     """The factorization, or the first worst probe state (NaN ranks worst) if the rebuild misses tol there."""
     dev = np.abs(_dyadic_rebuild(tables, dyad_counts(space, check), combine) - vals[check])
     dev = dev.reshape(check.size, -1).max(axis=1)
-    bad = None if dev.max() <= tol else space.decode(int(check[int(np.argmax(dev))]))
+    ok = dev.max() <= RECONSTRUCTION_TOL * magnitude(vals[check])
+    bad = None if ok else space.decode(int(check[int(np.argmax(dev))]))
     return FactorResult(factorization=fact if bad is None else None, witness=bad)
 
 
@@ -349,7 +349,7 @@ def _class_max_deviation(H: np.ndarray, classes: IsoClasses) -> np.ndarray:
 
 
 def is_finitely_exchangeable(h, classes: IsoClasses):
-    """Is h constant on every isomorphism class, within EXCHANGE_TOL?
+    """Is h constant on every isomorphism class, within EXCHANGE_TOL * magnitude(h)?
 
     h is a vector indexed by state. Returns (True, None) or (False, (b, c))
     with b the class representative and c the first deviating member.
@@ -358,7 +358,7 @@ def is_finitely_exchangeable(h, classes: IsoClasses):
     if h.shape != (classes.space.size,):
         raise ValueError("h must assign a value to every state")
     check_finite(h, "h")
-    failing = np.flatnonzero(~(_class_max_deviation(h[None, :], classes)[0] <= EXCHANGE_TOL))
+    failing = np.flatnonzero(~(_class_max_deviation(h[None, :], classes)[0] <= EXCHANGE_TOL * magnitude(h)))
     if failing.size == 0:
         return True, None
     members = classes.classes[failing[0]]

@@ -131,11 +131,12 @@ def brute_partition(fam: ExpFamilySpec, theta) -> float:
     """log partition by direct max-shifted summation over every state."""
     eta = fam.eta.evaluate(theta)
     exponents = []
-    for b in range(fam.space.size):
-        k = float(fam.kappa[b])
-        if k == 0:
-            continue
-        exponents.append(float(eta @ fam.tau[b]) + log(k))
+    with np.errstate(over="ignore"):  # an exponent past the float range is an infinity
+        for b in range(fam.space.size):
+            k = float(fam.kappa[b])
+            if k == 0:
+                continue
+            exponents.append(float(eta @ fam.tau[b]) + log(k))
     if not exponents:
         raise ValueError("family has no mass anywhere")
     m = max(exponents)

@@ -20,6 +20,7 @@ from .core import (
     StochasticMatrix,
     check_dense_budget,
     is_symmetric_family,
+    magnitude,
     row_blocks,
 )
 from .errors import TheoremViolationError
@@ -85,11 +86,11 @@ def _as_table(P) -> np.ndarray:
 def check_puniform(P, fam: PermutationFamily, tol: float = DETECT_TOL):
     """Test the defining condition against a given family.
 
-    Accepts a StochasticMatrix or any square real table. Returns (True, None)
-    or (False, (a, b, c)) where rows a and b disagree at relabelled target c,
-    i.e. P(a, sigma_a^-1(c)) != P(b, sigma_b^-1(c)). Every row is compared
-    with row 0, one block of rows at a time; (a, c) is the first worst
-    deviation in row-major order, NaN before any number.
+    Accepts a StochasticMatrix or any square real table; tol applies at the table's
+    scale, tol * magnitude(table). Returns (True, None) or (False, (a, b, c)) where rows
+    a and b disagree at relabelled target c, i.e. P(a, sigma_a^-1(c)) != P(b, sigma_b^-1(c)).
+    Every row is compared with row 0, one block of rows at a time; (a, c) is the first
+    worst deviation in row-major order, NaN before any number.
     """
     table = _as_table(P)
     size = table.shape[0]
@@ -98,7 +99,7 @@ def check_puniform(P, fam: PermutationFamily, tol: float = DETECT_TOL):
     first = np.empty(size)
     first[fam.apply(0, np.arange(size))] = table[0]
     worst, at = _worst_deviation(table, fam, first)
-    if worst <= tol:
+    if worst <= tol * magnitude(table):
         return True, None
     return False, (0, *at)
 

@@ -11,7 +11,7 @@ import re
 import warnings
 from functools import partial
 from itertools import chain, islice
-from math import isqrt
+from math import isfinite, isqrt
 from typing import IO
 
 import numpy as np
@@ -40,12 +40,8 @@ from .puniform import Trajectory
 
 
 def _format_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == float("inf"):
-        return "Infinity"
-    if x == float("-inf"):
-        return "-Infinity"
+    if not isfinite(x):
+        raise TypeError(f"cannot serialize the non-finite float {x!r}")
     return format(x, ".17g")
 
 

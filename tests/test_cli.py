@@ -824,6 +824,18 @@ def test_partition_brute_refuses_a_per_state_overflow_in_one_line(tmp_path, caps
     assert (code, out, err) == (2, "", f"error: the per-state {name} overflows the float range\n")
 
 
+@pytest.mark.parametrize("brute", [[], ["--brute"]])
+def test_partition_refuses_a_log_partition_that_overflows_across_dyads(tmp_path, capsys, brute):
+    """Each dyad's log partition at theta = 1e308 on the G(3, 1) edge-count model is
+    1e308, which is finite; their total is not. It exits 2 with one line: no numpy
+    warning (pytest makes one an error), no Infinity on stdout, no NaN brute value."""
+    mpath, _ = write_er_model(tmp_path)
+    code, out, err = run(capsys, "partition", "--model", mpath, "--theta=1e308", *brute)
+    assert (code, out, err) == (2, "", "error: the log partition overflows the float range at this parameter\n")
+    code, out, _ = run(capsys, "partition", "--model", mpath, "--theta=1e307", *brute)
+    assert code == 0 and read_json(out)["log_partition"] == [2.9999999999999998e+307]
+
+
 def test_ragged_json_arrays_name_their_field(tmp_path, capsys):
     traj_path = str(tmp_path / "x.jsonl")
     run(capsys, "simulate", "--model", "density", "--n", "1", "--p", "0.3", "--steps", "4", "--seed", "3",

@@ -41,7 +41,8 @@ GENERIC_HEADER = {"kind": "trajectory", "space": {"kind": "generic", "labels": [
 STATES = [{"i": 0, "state": 1}, {"i": 1, "state": 6}, {"i": 2, "state": 3}]
 
 
-def run(*argv):
+def run_output(*argv):
+    """(exit code, stdout, stderr lines) of cli.main on argv, run in process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
@@ -49,7 +50,11 @@ def run(*argv):
     assert code in (0, 2, 3), (argv, code, lines)
     if code == 2:
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
-    return code
+    return code, out.getvalue(), lines
+
+
+def run(*argv):
+    return run_output(*argv)[0]
 
 
 def _replace(doc, path, value):
@@ -231,3 +236,35 @@ def test_extreme_sizes_exit_cleanly(command, n, steps, count, p, seed, x0):
                 assert run("diagnose", "--traj", traj, "--stat", "density", "--target", p) == code
         if command in ("density", "stability", "exchangeability", "sample", "diagnose") and not math.isfinite(p):
             assert code == 2
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+# Finite parameters at the ends of the float range: a dyad's log partition at
+# 1e308 is finite, the G(3, 1) total over its 3 dyads is not.
+EXTREME_THETAS = st.sampled_from([1e308, -1e308, 1e307, -1e307, 1e-300, 0.0])
+
+
+@given(command=st.sampled_from(["partition", "partition --brute", "sample"]),
+       thetas=st.lists(EXTREME_THETAS, min_size=1, max_size=2), count=st.sampled_from([1, 3]))
+@settings(max_examples=60, deadline=None)
+def test_extreme_parameters_print_strict_json(command, thetas, count):
+    """A clean exit prints standard JSON, one document or one per sample line, with
+    no NaN or Infinity, and exactly the command's summary line on stderr."""
+    name, *flags = command.split()
+    with tempfile.TemporaryDirectory() as d:
+        path = _write(d, "model.json", json.dumps(MODEL))
+        if name == "sample":
+            argv = ("sample", "--model", path, f"--theta={thetas[0]!r}", "--seed", 3, "--count", count)
+        else:
+            argv = ("partition", "--model", path, "--theta=" + ",".join(map(repr, thetas)), *flags)
+        code, out, lines = run_output(*argv)
+    if code == 0:
+        docs = out.splitlines() if name == "sample" else [out]
+        assert len(docs) == (count if name == "sample" else 1), argv
+        for doc in docs:
+            json.loads(doc, parse_constant=_refuse_constant)
+        summary = f"sample: {count} draws, seed 3" if name == "sample" else f"partition: {len(thetas)} probe(s), "
+        assert len(lines) == 1 and lines[0].startswith(summary), (argv, lines)

@@ -393,3 +393,15 @@ def test_multigraph_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != Multigraph(n=3, t=1, counts=np.array([1, 1, 1]))
     assert a.total_multiplicity() == 2
+
+
+def test_magnitude_is_max_of_one_and_the_largest_absolute_entry():
+    assert core.magnitude(np.array([0.25, -0.5])) == 1.0
+    assert core.magnitude(np.array([[3.0, -7.5], [2.0, 0.0]])) == 7.5
+    assert core.magnitude(np.array([], dtype=np.float64)) == 1.0
+    assert core.magnitude(np.broadcast_to(np.array([-4.0, 2.0]), (2 ** 20, 2))) == 4.0
+    assert core.magnitude([1e300, -1e308]) == 1e308
+    # A table that is not finite has no scale, so a verdict at tol * magnitude fails on it.
+    for bad in (np.nan, np.inf, -np.inf):
+        assert np.isnan(core.magnitude(np.array([1.0, bad])))
+    assert not 0.0 <= 1e-9 * core.magnitude([np.inf])

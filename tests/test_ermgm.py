@@ -250,6 +250,26 @@ def test_union_requires_simple_graph_model():
         union_expfam(model, 2)
 
 
+def test_union_refuses_a_carrier_that_overflows_without_a_warning():
+    """kappa_f = [1, 1e300] per dyad at t = 2 raises the union carrier past the float
+    range; pytest makes numpy's overflow warning an error, so none may escape."""
+    model = ErmgmModel(n=3, t=1, tau_f=np.array([[[0.0], [1.0]]] * 3), kappa_f=np.array([[1.0, 1e300]] * 3),
+                       eta=ParameterMap("natural"))
+    with pytest.raises(ValueError, match="kappa_f must be finite"):
+        union_log_probability(model, (0.1,), 2, Multigraph(n=3, t=2, counts=np.zeros(3, dtype=np.int64)))
+    with pytest.raises(ValueError, match="kappa_f must be finite"):
+        union_expfam(model, 2)
+
+
+def test_fast_log_partition_refuses_a_total_past_the_float_range():
+    """Each dyad's log partition is finite at 1e308; their sum over 3 dyads is not."""
+    model = er_model(3)
+    with pytest.raises(ValueError, match="the log partition overflows the float range at this parameter"):
+        fast_log_partition(model, (1e308,))
+    assert fast_log_partition(model, (1e307,)) == 2.9999999999999998e+307
+    assert fast_log_partition(model, (-1e308,)) == 0.0
+
+
 def test_mle_density_hand_counts():
     space = build_multigraph_space(3, 1)
     x = Trajectory(space=space, states=np.array([0, 7, 0]))

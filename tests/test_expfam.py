@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pumc import core, models, oracle
+from pumc import core, expfam, models, oracle
 from pumc.core import (
     BLOCK_ENTRIES,
     StochasticMatrix,
@@ -19,7 +19,7 @@ from pumc.core import (
     identity_family,
     num_dyads,
 )
-from pumc.errors import NotAnMefError, SpaceTooLargeError
+from pumc.errors import NotAnMefError, SpaceTooLargeError, TheoremViolationError
 from pumc.expfam import (
     MEF_REL_TOL,
     CefSpec,
@@ -211,31 +211,34 @@ def _value_sets_per_entry(tau: np.ndarray, tol: float) -> list:
 
 
 def test_gani_value_sets_match_per_entry_collapse():
-    tol = 1e-9
+    # tol applies at the statistic's scale: the largest entry is 2, so the cut is 2 tol.
+    tol, scale = 1e-9, 2.0
+    cut = tol * scale
     rng = np.random.default_rng(5)
     size = 12
     rows = [
         np.zeros(size),                                   # one value, all tied
         np.repeat([0.0, 1.0, 2.0], 4),                    # exact ties only
-        np.arange(size) * (tol * 0.999),                  # one chain of gaps under tol
-        np.repeat(np.arange(6) * (tol * 0.999), 2),       # the chain, each value tied
-        np.r_[np.arange(6) * (tol * 0.999), 1.0 + np.arange(6) * tol * 1.001],
-        np.r_[np.zeros(4), np.full(4, tol), np.full(4, 2 * tol + 1e-18)],
+        np.arange(size) * (cut * 0.999),                  # one chain of gaps under the cut
+        np.repeat(np.arange(6) * (cut * 0.999), 2),       # the chain, each value tied
+        np.r_[np.arange(6) * (cut * 0.999), 1.0 + np.arange(6) * cut * 1.001],
+        np.r_[np.zeros(4), np.full(4, cut), np.full(4, 2 * cut + 1e-18)],
     ]
     while len(rows) < size:
         base = rng.choice([0.0, 0.5, 1.0], size=size)
-        rows.append(base + rng.choice([0.0, 0.4, 0.999, 1.001], size=size) * tol)
+        rows.append(base + rng.choice([0.0, 0.4, 0.999, 1.001], size=size) * cut)
     for row in rows:
         rng.shuffle(row)
     tau = np.array(rows)
+    assert np.abs(tau).max() == scale
     cef = CefSpec(space=build_generic_space(tuple(str(i) for i in range(size))),
                   kappa=np.ones((size, size)), tau=tau, eta=ParameterMap("natural"))
     for t in (0.0, 1e-12, tol, 1e-6):
         sets, equal = gani_row_value_sets(cef, t)
-        expected = _value_sets_per_entry(tau, t)
+        expected = _value_sets_per_entry(tau, t * scale)
         assert all(np.array_equal(a, b) for a, b in zip(sets, expected))
         assert equal == all(
-            e.size == expected[0].size and np.abs(e - expected[0]).max() <= t for e in expected[1:]
+            e.size == expected[0].size and np.abs(e - expected[0]).max() <= t * scale for e in expected[1:]
         )
 
 
@@ -625,12 +628,54 @@ def test_puniform_cef_to_expfam_refuses_a_shifted_tau_row(row):
 
 
 def test_puniform_cef_to_expfam_refuses_a_kappa_below_the_table_tolerance():
-    """kappa rows differ by 1e-12 < ROW_CONSISTENCY_TOL, so the tables pass;
-    the realized rows [1/3, 2/3] and [2/3, 1/3] do not."""
+    """kappa rows differ by 1e-12 < ROW_CONSISTENCY_TOL; the realized rows
+    [1/3, 2/3] and [2/3, 1/3] are not p-uniform (nor is kappa over its largest entry)."""
     cef = CefSpec(space=build_generic_space(("a", "b")), kappa=np.array([[1e-12, 2e-12], [2e-12, 1e-12]]),
                   tau=np.zeros((2, 2)), eta=ParameterMap("natural", l=1))
     with pytest.raises(ValueError, match="realized matrix is not p-uniform"):
         puniform_cef_to_expfam(cef, identity_family(2))
+
+
+def _three_state_cef(gap):
+    """Unit kappa and tau rows [0, 100, 100], [0, 100 + gap, 100], [0, 100, 100]."""
+    tau = np.array([[0.0, 100.0, 100.0]] * 3)
+    tau[1, 1] += gap
+    return CefSpec(space=build_generic_space(("a", "b", "c")), kappa=np.ones((3, 3)), tau=tau,
+                   eta=ParameterMap("natural", l=1))
+
+
+def test_puniform_cef_to_expfam_refuses_a_tau_gap_the_exponent_amplifies():
+    """A tau gap of 9e-9 passes the table check at ROW_CONSISTENCY_TOL * 100, yet
+    the realized rows differ by about 2.2e-9 at theta = 1, past DETECT_TOL: only
+    the realized-matrix check refuses it."""
+    cef = _three_state_cef(9e-9)
+    assert all(kappa_tau_puniformity(cef, identity_family(3)).tau_puniform)
+    with pytest.raises(ValueError, match=r"realized matrix is not p-uniform at theta=1\.0"):
+        puniform_cef_to_expfam(cef, identity_family(3))
+
+
+def test_kappa_tau_puniformity_reports_a_tau_within_tolerance_whose_matrices_are_not():
+    """A tau gap of 9e-8 is within DETECT_TOL * 100, and the exponent turns it into a
+    row gap of about 2.2e-8 at theta = 1. Tables p-uniform only within a tolerance do
+    not bound the matrices, so the report says so and nothing raises."""
+    rep = kappa_tau_puniformity(_three_state_cef(9e-8), identity_family(3))
+    assert rep.kappa_puniform and rep.tau_puniform == (True,)
+    assert rep.matrix_puniform == (True, True, True, False, False)
+
+
+def test_kappa_tau_puniformity_raises_when_exact_tables_realize_a_matrix_that_is_not(monkeypatch):
+    """Exactly p-uniform tables must realize p-uniform matrices; a realization that
+    breaks that is an implementation fault."""
+    space = build_multigraph_space(3, 1)
+    real = expfam.cef_transition_matrix
+
+    def skewed(cef, theta):
+        P = real(cef, theta).P.copy()
+        P[0, :2] += [1e-6, -1e-6]
+        return StochasticMatrix(P)
+    monkeypatch.setattr(expfam, "cef_transition_matrix", skewed)
+    with pytest.raises(TheoremViolationError, match="must realize p-uniform matrices"):
+        kappa_tau_puniformity(models.stability_mef(3), builtin_family(space, "stability"))
 
 
 def test_expfam_to_mef_shares_partition():
@@ -653,6 +698,29 @@ def test_kappa_tau_puniformity_negative_case():
     rep = kappa_tau_puniformity(models.transitivity_cef(4), identity_family(64), probes=(2.0,))
     assert not all(rep.tau_puniform)
     assert not all(rep.matrix_puniform)
+
+
+def test_kappa_tau_puniformity_checks_a_tiny_carrier_over_its_largest_entry():
+    """kappa rows [1e-12, 2e-12] and [2e-12, 1e-12] are within any absolute tolerance
+    of each other, yet their realized rows [1/3, 2/3] and [2/3, 1/3] are not p-uniform.
+    A carrier's p-uniformity does not depend on its scale, so kappa is not p-uniform
+    either, and the implication the report checks holds: no TheoremViolationError."""
+    cef = CefSpec(space=build_generic_space(("a", "b")), kappa=np.array([[1e-12, 2e-12], [2e-12, 1e-12]]),
+                  tau=np.zeros((2, 2)), eta=ParameterMap("natural", l=1))
+    rep = kappa_tau_puniformity(cef, identity_family(2))
+    assert not rep.kappa_puniform and rep.kappa_violation == (0, 1, 0)
+    assert all(rep.tau_puniform) and not any(rep.matrix_puniform)
+
+
+def test_mean_parameter_checks_the_gradient_at_the_statistic_scale():
+    """The stability MEF of G(3, 1) with tau = 100 x edge count at theta = 0.003: the
+    finite-difference error with a step of FD_STEP and an absolute FD_TOL was 1.8e-6."""
+    space = build_multigraph_space(3, 1)
+    fam = ExpFamilySpec(space=space, kappa=np.ones(space.size), tau=100.0 * edge_total_table(space),
+                        eta=ParameterMap("natural"))
+    mean = mean_parameter(expfam_to_mef(fam, builtin_family(space, "stability")), 0.003)
+    assert abs(mean.fd_gradient[0] - mean.value[0]) <= 1e-10 * mean.value[0]
+    assert mean.value[0] == pytest.approx(mean_statistic(fam, 0.003)[0], rel=1e-12)
 
 
 def test_affine_independence_basics():

@@ -13,7 +13,9 @@ read somewhere in the package outside its own definition; a read from the
 tests does not keep a helper alive. Every comparison in the package that
 names a tolerance is a pass test, `deviation <= tol`, so a NaN deviation
 fails it; the few comparisons with a tolerance that are not verdicts are
-listed with their reasons.
+listed with their reasons. Every such verdict states its scale: it compares
+at `tol * magnitude(reference)`, or it is listed as absolute with the reason
+its values need no scale.
 """
 
 import ast
@@ -187,12 +189,32 @@ def test_every_package_private_name_is_read_in_the_package():
 NOT_A_VERDICT = {
     ("cli", "cmd_detect", "0 <= args.tol < float('inf')"):
         "validates --tol itself: 0 <= tol < inf, which a NaN fails",
-    ("expfam", "gani_row_value_sets", "v - keep[-1] > tol"):
+    ("expfam", "gani_row_value_sets", "v - keep[-1] > tol * scale"):
         "clustering cut: a gap above tol starts a new value",
     ("expfam", "affinely_independent_entries", "s > AFFINE_RANK_TOL * s[0]"):
         "rank cut: singular values above tol * s[0] count",
     ("puniform", "symmetry_transfer_check", "gaps.min() > WITNESS_TOL"):
         "distinctness claim: gaps above tol, false on a NaN",
+}
+
+
+# Verdicts at the bare tolerance: their values are probabilities, sums of at
+# most 1024 of them under the dense budget, or deviations already divided by
+# max(1, |reference|). Every other verdict compares at tol * magnitude(...).
+ABSOLUTE = {
+    ("cli", "cmd_partition", "worst <= PARTITION_REL_TOL"): "relative: |fast - brute| / max(1, |brute|)",
+    ("core", "__post_init__", "abs(p.sum() - 1.0) <= PMF_TOL"): "a pmf's total, a sum of probabilities",
+    ("core", "__post_init__", "err <= PMF_TOL"): "a stochastic matrix's row sums, sums of probabilities",
+    ("expfam", "validate_cef", "rel <= MEF_REL_TOL"): "relative: |psi - psi0| / max(1, |psi0|)",
+    ("expfam", "mef_check", "worst <= MEF_REL_TOL"): "relative: |psi - psi0| / max(1, |psi0|)",
+    ("netstat", "exchangeability_transfer", "_class_max_deviation(P.P, classes) <= EXCHANGE_TOL"):
+        "probabilities: the rows of P",
+    ("puniform", "check_triple", "err <= tol"): "probabilities: P against mu relabelled",
+    ("puniform", "symmetry_transfer_check", "dev <= WITNESS_TOL"): "probabilities: P against its transpose",
+    ("simulate", "stationary_distribution", "resid <= tol"): "an L1 distance between two pmfs",
+    ("simulate", "trace_and_limit_checks", "abs(trace - expected) <= TRACE_TOL"):
+        "the trace, a sum of at most 1024 probabilities",
+    ("simulate", "trace_and_limit_checks", "uniform_dev <= UNIFORM_ENTRY_TOL"): "probabilities: entries against 2^-N",
 }
 
 
@@ -209,20 +231,54 @@ def _names_tolerance(node) -> bool:
     return False
 
 
-def tolerance_compares_not_passing_form(source: str) -> list[tuple[str, int, str]]:
-    """(function, line, source text) for each comparison naming a tolerance
-    that is not one `<=` with the tolerance on its right; module level is
-    `<module>`."""
-    found, stack = [], [(ast.parse(source), "<module>")]
+def _is_magnitude(node) -> bool:
+    """Is the expression a call of `magnitude` or of an attribute `magnitude`?"""
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and "magnitude" in (getattr(func, "id", None), getattr(func, "attr", None))
+
+
+def _at_scale(node, scales: set) -> bool:
+    """Is the expression `tol * s` or `s * tol`, with s a magnitude(...) call or a
+    name in `scales`, and tol an expression naming a tolerance?"""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    sides = (node.left, node.right)
+    return any((_is_magnitude(s) or isinstance(s, ast.Name) and s.id in scales) and _names_tolerance(t)
+               for s, t in (sides, sides[::-1]))
+
+
+def tolerance_compares(source: str) -> list[tuple[str, int, str, bool, bool]]:
+    """(function, line, source text, passing form, at scale) for each comparison
+    naming a tolerance. The passing form is one `<=` with the tolerance on its
+    right; at scale, that right side is `tol * magnitude(...)` or `tol * s` for
+    an s the function, or one it is nested in, binds to a magnitude(...) call.
+    Module level is `<module>`."""
+    found, stack = [], [(ast.parse(source), "<module>", set())]
     while stack:
-        node, fn = stack.pop()
+        node, fn, scales = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node.name
+            scales = scales | {target.id for sub in ast.walk(node) if isinstance(sub, ast.Assign)
+                               and _is_magnitude(sub.value) for target in sub.targets if isinstance(target, ast.Name)}
         if isinstance(node, ast.Compare) and _names_tolerance(node):
-            if len(node.ops) != 1 or not isinstance(node.ops[0], ast.LtE) or _names_tolerance(node.left):
-                found.append((fn, node.lineno, ast.unparse(node)))
-        stack.extend((child, fn) for child in ast.iter_child_nodes(node))
+            passing = len(node.ops) == 1 and isinstance(node.ops[0], ast.LtE) and not _names_tolerance(node.left)
+            scaled = passing and _at_scale(node.comparators[0], scales)
+            found.append((fn, node.lineno, ast.unparse(node), passing, scaled))
+        stack.extend((child, fn, scales) for child in ast.iter_child_nodes(node))
     return sorted(found, key=lambda site: (site[1], site[2]))
+
+
+def tolerance_compares_not_passing_form(source: str) -> list[tuple[str, int, str]]:
+    """(function, line, source text) for each comparison naming a tolerance
+    that is not one `<=` with the tolerance on its right."""
+    return [(fn, line, text) for fn, line, text, passing, _ in tolerance_compares(source) if not passing]
+
+
+def unscaled_tolerance_verdicts(source: str) -> list[tuple[str, int, str]]:
+    """(function, line, source text) for each verdict in the passing form whose
+    tolerance is not multiplied by magnitude(...)."""
+    return [(fn, line, text) for fn, line, text, passing, scaled in tolerance_compares(source)
+            if passing and not scaled]
 
 
 def test_tolerance_compares_not_in_passing_form_are_found():
@@ -242,3 +298,24 @@ def test_every_package_tolerance_verdict_passes_on_deviation_le_tol():
                    for fn, _, text in tolerance_compares_not_passing_form(path.read_text()))
     assert [site for site in found if site not in NOT_A_VERDICT] == [], "write the verdict as `not deviation <= tol`"
     assert found == sorted(NOT_A_VERDICT), "each listed cut appears exactly once"
+
+
+def test_unscaled_tolerance_verdicts_are_found():
+    source = (
+        "A_TOL = 1e-9\n"
+        "def f(dev, ref, tol):\n    s = magnitude(ref)\n"
+        "    return dev <= tol * magnitude(ref), dev <= A_TOL * s, dev <= s * tol, dev <= tol, dev <= 2 * A_TOL\n"
+        "def g(dev, ref, tol):\n    def h():\n        return [d <= tol * s for d in dev]\n    s = core.magnitude(ref)\n"
+        "    return h, dev <= tol * s, dev <= tol + magnitude(ref), dev > tol * magnitude(ref), dev <= s * ref\n"
+        "def k(dev, ref, tol):\n    return dev <= tol * s, dev <= magnitude(ref) * magnitude(ref)\n"
+    )
+    assert unscaled_tolerance_verdicts(source) == [
+        ("f", 4, "dev <= 2 * A_TOL"), ("f", 4, "dev <= tol"), ("g", 9, "dev <= tol + magnitude(ref)"),
+        ("k", 11, "dev <= tol * s")]
+
+
+def test_every_package_tolerance_verdict_states_its_scale():
+    found = sorted((path.stem, fn, text) for path in MODULES if path.parent.name == "pumc"
+                   for fn, _, text in unscaled_tolerance_verdicts(path.read_text()))
+    assert [site for site in found if site not in ABSOLUTE] == [], "compare at `tol * magnitude(reference)`"
+    assert found == sorted(ABSOLUTE), "each listed absolute verdict appears exactly once"

@@ -383,11 +383,12 @@ def test_stability_family_not_relation_invariant():
 
 
 def _ref_is_finitely_exchangeable(h, classes, tol=1e-12):
-    """Class-by-class loop that is_finitely_exchangeable must agree with."""
+    """Class-by-class loop that is_finitely_exchangeable must agree with; tol applies
+    at h's scale, tol * max(1, max |h|)."""
     h = np.asarray(h, dtype=np.float64).reshape(-1)
     for members in classes.classes:
         dev = np.abs(h[members] - h[members[0]])
-        if dev.max() > tol:
+        if dev.max() > tol * max(1.0, np.abs(h).max()):
             return False, (int(members[0]), int(members[int(np.argmax(dev))]))
     return True, None
 
@@ -478,10 +479,11 @@ def test_exchangeability_matches_loop_reference_with_ties_and_nan():
     cls = iso_classes(space)
     gen = np.random.default_rng(5)
     for trial in range(200):
-        # class-constant values, some nudged inside or past the tolerance
+        # class-constant values, some moved by 1, some nudged inside or past the tolerance at h's scale
         h = gen.integers(0, 3, size=len(cls.classes)).astype(float)[cls.class_id]
-        nudge = gen.random(space.size) < 0.03
-        h[nudge] += gen.choice([5e-13, 2e-12, 1.0], size=nudge.sum())
+        h[gen.random(space.size) < 0.01] += 1.0
+        nudge = gen.random(space.size) < 0.02
+        h[nudge] += gen.choice([0.5e-12, 2e-12], size=nudge.sum()) * max(1.0, h.max())
         if trial % 3 == 0:
             h[gen.integers(space.size, size=gen.integers(1, 4))] = np.nan
             with pytest.raises(ValueError, match="h must be finite"):

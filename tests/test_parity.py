@@ -67,6 +67,7 @@ NOT_FAST_PATH = {
     "core.check_dense_budget": "guard: refuses a size x size table past the cap",
     "core.check_finite": "guard: refuses NaN and infinities",
     "core.distinct_entries": "helper: a broadcast view's entries once each",
+    "core.magnitude": "helper: max(1, largest |entry|), the scale a tolerance applies at",
     "core.row_blocks": "helper: the row slices a size x size work table is walked in",
     "ermgm.from_factorization": "builder: a model from factored tables",
     "ermgm.to_expfam": "builder: materializes the model; the oracle's own input",

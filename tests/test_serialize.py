@@ -35,9 +35,9 @@ def test_dumps_float_precision_round_trips():
 
 
 def test_dumps_special_tokens_and_types():
-    assert serialize.dumps(float("nan")) == "NaN"
-    assert serialize.dumps(float("inf")) == "Infinity"
-    assert serialize.dumps(float("-inf")) == "-Infinity"
+    for bad in (float("nan"), float("inf"), float("-inf"), np.float64("nan")):
+        with pytest.raises(TypeError, match="non-finite"):
+            serialize.dumps([1.0, {"a": bad}])
     assert serialize.dumps({"a": [1, True, None]}) == '{"a":[1,true,null]}'
     assert serialize.dumps(np.array([1.5])) == "[1.5]"
     assert serialize.dumps(np.int64(7)) == "7"
@@ -51,10 +51,16 @@ def test_dumps_special_tokens_and_types():
     indent=st.sampled_from([None, 2]),
 )
 def test_dumps_flat_numeric_lists_match_per_item_path(values, indent):
-    # Plain ints and floats must write the same bytes as their numpy scalars.
+    # Plain ints and floats must write the same bytes as their numpy scalars,
+    # and both refuse a non-finite float.
     slow = [np.int64(v) if type(v) is int else np.float64(v) for v in values]
     for obj, ref in ((values, slow), ([values, {"k": values}], [slow, {"k": slow}])):
-        assert serialize.dumps(obj, indent=indent) == serialize.dumps(ref, indent=indent)
+        if all(map(math.isfinite, values)):
+            assert serialize.dumps(obj, indent=indent) == serialize.dumps(ref, indent=indent)
+            continue
+        for doc in (obj, ref):
+            with pytest.raises(TypeError, match="non-finite"):
+                serialize.dumps(doc, indent=indent)
 
 
 def test_dumps_indent_layout():
