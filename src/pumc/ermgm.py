@@ -130,6 +130,9 @@ def to_expfam(model: ErmgmModel) -> ExpFamilySpec:
     for name, value in (("tau", tau), ("kappa", kappa)):
         if not np.isfinite(value).all():
             raise ValueError(f"the per-state {name} overflows the float range")
+    # A zero factor gives an exact 0; a product of positive factors that reads 0 underflowed.
+    if (model.kappa_f[np.arange(model.num_dyads), digits[kappa == 0]] > 0).all(axis=1).any():
+        raise ValueError("the per-state kappa underflows the float range")
     return ExpFamilySpec(space=space, kappa=kappa, tau=tau, eta=model.eta)
 
 
@@ -172,9 +175,13 @@ def _union_model(model: ErmgmModel, t: int) -> ErmgmModel:
         raise ValueError("need at least one draw")
     m = np.arange(t + 1, dtype=np.float64)
     binom = np.array([comb(t, k) for k in range(t + 1)], dtype=np.float64)
+    k0, k1 = model.kappa_f[:, 0:1], model.kappa_f[:, 1:2]
     with np.errstate(over="ignore", invalid="ignore"):  # ErmgmModel refuses a non-finite table
         tau_f = m[None, :, None] * model.tau_f[:, 1:2] + (t - m)[None, :, None] * model.tau_f[:, 0:1]
-        kappa_f = binom * model.kappa_f[:, 1:2] ** m * model.kappa_f[:, 0:1] ** (t - m)
+        kappa_f = binom * k1 ** m * k0 ** (t - m)
+    # k1 ** m is 0 only for k1 = 0 < m, and k0 ** (t - m) only for k0 = 0 < t - m; any other 0 underflowed.
+    if ((kappa_f == 0) & ((k1 > 0) | (m == 0)) & ((k0 > 0) | (m == t))).any():
+        raise ValueError("the union carrier underflows the float range")
     return ErmgmModel(n=model.n, t=t, tau_f=tau_f, kappa_f=kappa_f, eta=model.eta)
 
 

@@ -20,9 +20,10 @@ class NotAnMefError(PumcError, ValueError):
 class TheoremViolationError(PumcError, RuntimeError):
     """An identity that holds mathematically failed numerically.
 
-    Raised by self-checking operations when inputs satisfy the stated
-    hypotheses but the asserted conclusion does not hold within tolerance.
-    Indicates inconsistent inputs or an implementation bug, never a
+    Raised by self-checking operations when the stated hypotheses hold
+    exactly but the asserted conclusion does not hold within tolerance.
+    Inputs that meet the hypotheses only within a tolerance get a report,
+    not this error, so it indicates an implementation bug, never a
     legitimate runtime condition.
     """
 

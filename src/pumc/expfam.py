@@ -546,15 +546,15 @@ def puniform_cef_to_expfam(cef: CefSpec, fam: PermutationFamily) -> ExpFamilySpe
     """Collapse a p-uniform CEF to the iid family of its relabelled targets.
 
     kappa'(c) = kappa(a, sigma_a^-1(c)) and likewise for tau, which must not
-    depend on a: kappa, over its largest entry, and each tau coordinate must pass
-    check_puniform at ROW_CONSISTENCY_TOL, and so must the realized matrix at each default probe,
-    since the exponent can amplify a tau deviation the table check lets through.
+    depend on a. The CEF is refused exactly when kappa_tau_puniformity at the default
+    probes reports a failure: a realized matrix first, since the exponent can amplify a
+    tau deviation the table check lets through, then kappa or a tau coordinate.
     """
-    for theta in default_probes(cef.eta):
-        ok, triple = check_puniform(cef_transition_matrix(cef, theta), fam)
-        if not ok:
-            raise ValueError(f"realized matrix is not p-uniform at theta={theta!r}: {triple}")
-    if not all(_table_puniformity(cef, fam, ROW_CONSISTENCY_TOL)[0]):
+    rep = kappa_tau_puniformity(cef, fam)
+    if rep.matrix_violation is not None:
+        theta, triple = rep.matrix_violation
+        raise ValueError(f"realized matrix is not p-uniform at theta={theta!r}: {triple}")
+    if not (rep.kappa_puniform and all(rep.tau_puniform)):
         raise ValueError("rows disagree after relabelling; tables are not p-uniform")
     inv = fam.unapply(0, np.arange(fam.size))
     return ExpFamilySpec(space=cef.space, kappa=cef.kappa[0, inv].copy(), tau=cef.tau[0, inv].copy(), eta=cef.eta)
@@ -605,6 +605,7 @@ class PuniformityReport:
     kappa_positive: bool
     eta_affinely_independent: bool
     kappa_violation: tuple | None = None
+    matrix_violation: tuple | None = None  # (theta, (a, b, c)) at the first failing probe
 
 
 def kappa_tau_puniformity(cef: CefSpec, perm: PermutationFamily, probes=None) -> PuniformityReport:
@@ -617,9 +618,8 @@ def kappa_tau_puniformity(cef: CefSpec, perm: PermutationFamily, probes=None) ->
     if probes is None:
         probes = default_probes(cef.eta)
     (kappa_ok, *tau_ok), kappa_bad = _table_puniformity(cef, perm, DETECT_TOL)
-    matrix_ok = tuple(
-        check_puniform(cef_transition_matrix(cef, theta), perm)[0] for theta in probes
-    )
+    matrix = [check_puniform(cef_transition_matrix(cef, theta), perm) for theta in probes]
+    matrix_ok = tuple(ok for ok, _ in matrix)
     if not all(matrix_ok) and all(_table_puniformity(cef, perm, 0.0)[0]):
         raise TheoremViolationError("p-uniform kappa and tau must realize p-uniform matrices")
     eta_samples = np.array([cef.eta.evaluate(theta) for theta in probes])
@@ -630,4 +630,5 @@ def kappa_tau_puniformity(cef: CefSpec, perm: PermutationFamily, probes=None) ->
         kappa_positive=bool(distinct_entries(cef.kappa).min() > 0),
         eta_affinely_independent=affinely_independent_entries(eta_samples),
         kappa_violation=kappa_bad,
+        matrix_violation=next(((theta, bad) for theta, (_, bad) in zip(probes, matrix) if bad), None),
     )

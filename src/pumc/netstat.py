@@ -401,22 +401,25 @@ def exchangeability_transfer(
 ) -> ExchangeReport:
     """Exchangeability passes between mu and the rows of a p-uniform matrix.
 
-    Requires (P, perm, mu) to be a consistent p-uniform triple and the
-    relation to be invariant under the family and its inverse. Under those
-    hypotheses mu is exchangeable iff every row is iff any row is; a
-    numerical violation of that equivalence raises. Only the family is
-    checked: each sigma_a is a bijection of a finite set, so if it maps
-    classes into classes the map it induces on classes is onto, hence
+    Requires (P, perm, mu) to pass check_triple and the relation to be
+    invariant under the family and its inverse. Under those hypotheses mu is
+    exchangeable iff every row is iff any row is. The report judges at
+    EXCHANGE_TOL; the equivalence raises only on an exact triple, judged at 0.
+    Only the family is checked: each sigma_a is a bijection of a finite set, so
+    if it maps classes into classes the map it induces on classes is onto, hence
     one-to-one, and sigma_a^-1 preserves the classes too.
     """
-    check_triple(P, perm, mu)
+    exact = check_triple(P, perm, mu) == 0
     ok, witness = is_relation_invariant(perm, classes)
     if not ok:
         raise ValueError(f"family does not preserve the relation: {witness}")
     mu_ok, mu_wit = is_finitely_exchangeable(mu.p, classes)
-    rows = tuple((_class_max_deviation(P.P, classes) <= EXCHANGE_TOL).all(axis=1).tolist())
+    dev = _class_max_deviation(P.P, classes)
+    rows = tuple((dev <= EXCHANGE_TOL).all(axis=1).tolist())
     equivalent = (all(rows) == mu_ok) and (any(rows) == mu_ok)
-    if not equivalent:
+    exact_rows = (dev == 0).all(axis=1)
+    exact_mu = not _class_max_deviation(mu.p[None, :], classes).any()
+    if exact and not (exact_rows.all() == exact_mu == exact_rows.any()):
         raise TheoremViolationError("exchangeability equivalence failed on consistent inputs")
     return ExchangeReport(
         mu_exchangeable=mu_ok,

@@ -26,7 +26,6 @@ from .core import (
 from .errors import TheoremViolationError
 
 DETECT_TOL = 1e-9
-WITNESS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -49,13 +48,14 @@ class Trajectory:
         return self.states.size - 1
 
 
-def check_triple(P: StochasticMatrix, fam: PermutationFamily, mu: Pmf, tol: float = WITNESS_TOL):
-    """Raise ValueError unless P(a, b) = mu(sigma_a(b)) entrywise within tol."""
+def check_triple(P: StochasticMatrix, fam: PermutationFamily, mu: Pmf, tol: float = DETECT_TOL) -> float:
+    """Raise ValueError unless P(a, b) = mu(sigma_a(b)) entrywise within tol; return the worst deviation."""
     if fam.size != P.size or mu.size != P.size:
         raise ValueError("(P, family, mu) must share one state space size")
     err = _worst_deviation(P.P, fam, mu.p)[0]
     if not err <= tol:
         raise ValueError(f"(P, family, mu) is not a p-uniform triple, error {err:.3e}")
+    return err
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class PuniformWitness:
     matrix: StochasticMatrix
     family: PermutationFamily
     mu: Pmf
-    tol: float = WITNESS_TOL
+    tol: float = DETECT_TOL
 
     def __post_init__(self):
         check_triple(self.matrix, self.family, self.mu, self.tol)
@@ -157,7 +157,7 @@ def detect_puniform(P: StochasticMatrix, tol: float = DETECT_TOL):
     table, fam, (ok, _) = _matched_family(P, tol)
     if not ok:
         return None
-    return PuniformWitness(matrix=P, family=fam, mu=Pmf(table[0].copy()), tol=max(tol, WITNESS_TOL))
+    return PuniformWitness(matrix=P, family=fam, mu=Pmf(table[0].copy()), tol=tol)
 
 
 def detection_violation(P, tol: float = DETECT_TOL):
@@ -221,18 +221,18 @@ def symmetry_transfer_check(P: StochasticMatrix, fam: PermutationFamily, mu: Pmf
 
     A symmetric family (sigma_a(b) = sigma_b(a)) forces a symmetric matrix;
     conversely a symmetric matrix with pairwise-distinct mu entries forces a
-    symmetric family. Either implication failing raises, since it cannot
-    fail for a consistent p-uniform triple. Every comparison uses WITNESS_TOL.
+    symmetric family. The flags compare at DETECT_TOL; an implication raises
+    only when its premises hold exactly, the one case where it cannot fail.
     """
-    check_triple(P, fam, mu)
+    exact = check_triple(P, fam, mu) == 0
     fam_sym, pair = is_symmetric_family(fam)
     dev = float(np.abs(P.P - P.P.T).max())
-    mat_sym = dev <= WITNESS_TOL
-    gaps = np.diff(np.sort(mu.p))
-    distinct = bool(gaps.size == 0 or gaps.min() > WITNESS_TOL)
-    if fam_sym and not mat_sym:
+    mat_sym = dev <= DETECT_TOL
+    gap = np.diff(np.sort(mu.p)).min(initial=np.inf)
+    distinct = bool(gap > DETECT_TOL)
+    if exact and fam_sym and dev != 0:
         raise TheoremViolationError("symmetric family produced an asymmetric matrix")
-    if mat_sym and distinct and not fam_sym:
+    if exact and dev == 0 and gap > 0 and not fam_sym:
         raise TheoremViolationError(
             "symmetric matrix with distinct mu entries requires a symmetric family"
         )

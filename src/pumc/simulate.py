@@ -84,14 +84,14 @@ def convergence_report(
     """Running time-average of a transition statistic against its target.
 
     stat_table is (size, size) or (size, size, l), indexed by (source,
-    target) state. A CodeTable is indexed as it is, not realized; only the
-    family check forms a dense coordinate. The iid standard error is only
+    target) state. It is read only along the path, so a CodeTable or a float64
+    view is not realized; only the family check forms a dense coordinate, and
+    only it is held to the dense budget. The iid standard error is only
     reported when a family is supplied and every statistic coordinate
     passes the p-uniformity check under it; without that certificate the
     column would be meaningless for a dependent sequence, so it stays None.
     """
     size = x.space.size
-    check_dense_budget(size, "the statistic table")
     table = stat_table if isinstance(stat_table, CodeTable) else np.asarray(stat_table, dtype=np.float64)
     if table.ndim == 2:
         table = table[:, :, None]
@@ -108,6 +108,7 @@ def convergence_report(
     stderr = None
     within = None
     if fam is not None:
+        check_dense_budget(size, "the statistic table")
         for j in range(table.shape[2]):
             ok, triple = check_puniform(table[:, :, j], fam)
             if not ok:

@@ -824,6 +824,23 @@ def test_partition_brute_refuses_a_per_state_overflow_in_one_line(tmp_path, caps
     assert (code, out, err) == (2, "", f"error: the per-state {name} overflows the float range\n")
 
 
+def test_partition_brute_refuses_a_per_state_carrier_that_underflows(tmp_path, capsys):
+    """kappa_f = [1, 1e-300] per dyad on G(3, 1): the carriers 1e-600 and 1e-900 of the
+    graphs with two and three edges read 0 while every factor is positive. The brute
+    reference would drop those states (at theta = 700 it read 10.32 against the right
+    27.67), so it refuses in one line; the fast path, which never forms them, answers."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 3, "t": 1, "eta": {"kind": "natural"}, "tau_f": [[[0.0], [1.0]]] * 3,
+                                "kappa_f": [[1.0, 1e-300]] * 3}))
+    for theta in ("700", "0.5"):
+        code, out, err = run(capsys, "partition", "--model", str(path), f"--theta={theta}", "--brute")
+        assert (code, out, err) == (2, "", "error: the per-state kappa underflows the float range\n")
+    code, out, _ = run(capsys, "partition", "--model", str(path), "--theta=700")
+    assert code == 0 and read_json(out)["log_partition"] == [27.673712081074246]
+    code, out, _ = run(capsys, "partition", "--model", str(path), "--theta=0.5")
+    assert code == 0 and read_json(out)["log_partition"] == [0]
+
+
 @pytest.mark.parametrize("brute", [[], ["--brute"]])
 def test_partition_refuses_a_log_partition_that_overflows_across_dyads(tmp_path, capsys, brute):
     """Each dyad's log partition at theta = 1e308 on the G(3, 1) edge-count model is

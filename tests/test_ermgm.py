@@ -261,6 +261,28 @@ def test_union_refuses_a_carrier_that_overflows_without_a_warning():
         union_expfam(model, 2)
 
 
+def _tiny_carrier_model(k1):
+    """G(3, 1) edge-count model with kappa_f = [1, k1] per dyad."""
+    return ErmgmModel(n=3, t=1, tau_f=np.array([[[0.0], [1.0]]] * 3), kappa_f=np.array([[1.0, k1]] * 3),
+                      eta=ParameterMap("natural"))
+
+
+def test_a_carrier_product_that_underflows_refuses_and_a_zero_factor_gives_zero():
+    """kappa_f(1) = 1e-300 makes the per-state carrier of a two-edge graph 1e-600 and
+    the union carrier at m = 2 of t = 2 draws 1e-600: both read 0 from positive
+    factors. A zero kappa_f(1) gives exact zeros instead, and those stand."""
+    w = Multigraph(n=3, t=2, counts=np.array([2, 0, 1]))
+    with pytest.raises(ValueError, match="^the per-state kappa underflows the float range$"):
+        to_expfam(_tiny_carrier_model(1e-300))
+    with pytest.raises(ValueError, match="^the union carrier underflows the float range$"):
+        union_log_probability(_tiny_carrier_model(1e-300), 0.0, 2, w)
+    assert to_expfam(_tiny_carrier_model(1e-100)).kappa.tolist() == [1.0, 1e-100, 1e-100, 1e-200, 1e-100, 1e-200,
+                                                                       1e-200, 1e-300]
+    assert np.array_equal(to_expfam(_tiny_carrier_model(0.0)).kappa, [1.0] + [0.0] * 7)
+    assert union_log_probability(_tiny_carrier_model(0.0), 0.0, 2, w) == -np.inf
+    assert union_log_probability(_tiny_carrier_model(1e-100), 0.0, 2, w) == pytest.approx(np.log(2) - 300 * np.log(10))
+
+
 def test_fast_log_partition_refuses_a_total_past_the_float_range():
     """Each dyad's log partition is finite at 1e308; their sum over 3 dyads is not."""
     model = er_model(3)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -17,6 +17,7 @@ from pumc.core import (
     builtin_family,
     edge_total_table,
     identity_family,
+    magnitude,
     num_dyads,
 )
 from pumc.errors import NotAnMefError, SpaceTooLargeError, TheoremViolationError
@@ -49,7 +50,7 @@ from pumc.expfam import (
     transition_counts,
     validate_cef,
 )
-from pumc.puniform import Trajectory
+from pumc.puniform import Trajectory, detect_puniform
 
 
 # ------------------------------------------------------------ parameter maps
@@ -628,7 +629,7 @@ def test_puniform_cef_to_expfam_refuses_a_shifted_tau_row(row):
 
 
 def test_puniform_cef_to_expfam_refuses_a_kappa_below_the_table_tolerance():
-    """kappa rows differ by 1e-12 < ROW_CONSISTENCY_TOL; the realized rows
+    """kappa rows differ by 1e-12, below any absolute tolerance; the realized rows
     [1/3, 2/3] and [2/3, 1/3] are not p-uniform (nor is kappa over its largest entry)."""
     cef = CefSpec(space=build_generic_space(("a", "b")), kappa=np.array([[1e-12, 2e-12], [2e-12, 1e-12]]),
                   tau=np.zeros((2, 2)), eta=ParameterMap("natural", l=1))
@@ -645,7 +646,7 @@ def _three_state_cef(gap):
 
 
 def test_puniform_cef_to_expfam_refuses_a_tau_gap_the_exponent_amplifies():
-    """A tau gap of 9e-9 passes the table check at ROW_CONSISTENCY_TOL * 100, yet
+    """A tau gap of 9e-9 passes the table check at DETECT_TOL * 100, yet
     the realized rows differ by about 2.2e-9 at theta = 1, past DETECT_TOL: only
     the realized-matrix check refuses it."""
     cef = _three_state_cef(9e-9)
@@ -710,6 +711,78 @@ def test_kappa_tau_puniformity_checks_a_tiny_carrier_over_its_largest_entry():
     rep = kappa_tau_puniformity(cef, identity_family(2))
     assert not rep.kappa_puniform and rep.kappa_violation == (0, 1, 0)
     assert all(rep.tau_puniform) and not any(rep.matrix_puniform)
+
+
+def test_puniform_cef_to_expfam_accepts_what_kappa_tau_puniformity_reports_puniform():
+    """kappa rows [1, 2] and [1, 2 + 5e-10] are p-uniform within DETECT_TOL, and so is
+    every realized matrix: the report and the bridge give one verdict."""
+    cef = CefSpec(space=build_generic_space(("a", "b")), kappa=np.array([[1.0, 2.0], [1.0, 2.0 + 5e-10]]),
+                  tau=np.zeros((2, 2)), eta=ParameterMap("natural", l=1))
+    rep = kappa_tau_puniformity(cef, identity_family(2))
+    assert rep.kappa_puniform and all(rep.tau_puniform) and all(rep.matrix_puniform)
+    back = puniform_cef_to_expfam(cef, identity_family(2))
+    assert back.kappa.tolist() == [1.0, 2.0] and back.tau.tolist() == [[0.0], [0.0]]
+
+
+def test_kappa_tau_puniformity_names_the_first_failing_probe():
+    rep = kappa_tau_puniformity(_three_state_cef(9e-8), identity_family(3))
+    theta, triple = rep.matrix_violation
+    assert theta == 1.0 and triple[0] == 0 and triple[1:] == (1, 1)
+    assert kappa_tau_puniformity(models.stability_mef(3), builtin_family(build_multigraph_space(3, 1),
+                                                                           "stability")).matrix_violation is None
+
+
+def _detected_stability_family():
+    return detect_puniform(models.stability_chain(3, 0.3).matrix()).family
+
+
+def test_puniform_cef_to_expfam_on_a_detected_table_family():
+    """The detected family of the stability chain is a sigma table with sigma_0 the
+    identity, so the bridge returns the ER family's tables bit for bit."""
+    fam = _detected_stability_family()
+    er = models.er_family(3)
+    cef = expfam_to_mef(er, fam)
+    rep = kappa_tau_puniformity(cef, fam)
+    assert rep.kappa_puniform and all(rep.tau_puniform) and all(rep.matrix_puniform)
+    assert rep.kappa_positive and rep.eta_affinely_independent
+    back = puniform_cef_to_expfam(cef, fam)
+    assert np.array_equal(back.kappa, er.kappa) and np.array_equal(back.tau, er.tau)
+    with pytest.raises(ValueError, match="realized matrix is not p-uniform"):
+        puniform_cef_to_expfam(models.transitivity_cef(3), identity_family(8))
+
+
+@given(family=st.sampled_from(["identity", "stability", "detected"]), l=st.sampled_from([1, 2]),
+       table=st.sampled_from(["kappa", "tau"]), entry=st.tuples(st.integers(1, 7), st.integers(0, 7), st.integers(0, 1)),
+       shift=st.sampled_from([0.0, 5e-10, 5e-9, 1e-6]), seed=st.integers(0, 2 ** 16))
+@example(family="identity", l=1, table="kappa", entry=(1, 1, 0), shift=5e-10, seed=0)
+@settings(max_examples=120, deadline=None)
+def test_puniform_cef_to_expfam_returns_exactly_when_the_report_is_all_true(family, l, table, entry, shift, seed):
+    """One entry of kappa or tau of a spread iid family moves by shift times the table's
+    magnitude; the bridge returns exactly when kappa_tau_puniformity reports every flag True."""
+    space = build_multigraph_space(3, 1)
+    fam = {"identity": identity_family(space.size), "stability": builtin_family(space, "stability"),
+           "detected": _detected_stability_family()}[family]
+    gen = np.random.default_rng(seed)
+    iid = ExpFamilySpec(space=space, kappa=gen.uniform(0.5, 2.0, space.size), tau=gen.normal(size=(space.size, l)),
+                        eta=ParameterMap("natural", l=l))
+    mef = expfam_to_mef(iid, fam)
+    kappa, tau = mef.kappa.copy(), mef.tau.copy()
+    a, b, j = entry
+    if table == "kappa":
+        kappa[a, b] += shift * magnitude(kappa)
+    else:
+        tau[a, b, j % l] += shift * magnitude(tau)
+    cef = CefSpec(space=space, kappa=kappa, tau=tau, eta=mef.eta)
+    rep = kappa_tau_puniformity(cef, fam)
+    report_true = all([rep.kappa_puniform, *rep.tau_puniform, *rep.matrix_puniform, rep.kappa_positive,
+                       rep.eta_affinely_independent])
+    try:
+        puniform_cef_to_expfam(cef, fam)
+        returned = True
+    except ValueError:
+        returned = False
+    assert returned == report_true
+    assert (rep.matrix_violation is None) == all(rep.matrix_puniform)
 
 
 def test_mean_parameter_checks_the_gradient_at_the_statistic_scale():

@@ -193,7 +193,7 @@ NOT_A_VERDICT = {
         "clustering cut: a gap above tol starts a new value",
     ("expfam", "affinely_independent_entries", "s > AFFINE_RANK_TOL * s[0]"):
         "rank cut: singular values above tol * s[0] count",
-    ("puniform", "symmetry_transfer_check", "gaps.min() > WITNESS_TOL"):
+    ("puniform", "symmetry_transfer_check", "gap > DETECT_TOL"):
         "distinctness claim: gaps above tol, false on a NaN",
 }
 
@@ -207,10 +207,10 @@ ABSOLUTE = {
     ("core", "__post_init__", "err <= PMF_TOL"): "a stochastic matrix's row sums, sums of probabilities",
     ("expfam", "validate_cef", "rel <= MEF_REL_TOL"): "relative: |psi - psi0| / max(1, |psi0|)",
     ("expfam", "mef_check", "worst <= MEF_REL_TOL"): "relative: |psi - psi0| / max(1, |psi0|)",
-    ("netstat", "exchangeability_transfer", "_class_max_deviation(P.P, classes) <= EXCHANGE_TOL"):
+    ("netstat", "exchangeability_transfer", "dev <= EXCHANGE_TOL"):
         "probabilities: the rows of P",
     ("puniform", "check_triple", "err <= tol"): "probabilities: P against mu relabelled",
-    ("puniform", "symmetry_transfer_check", "dev <= WITNESS_TOL"): "probabilities: P against its transpose",
+    ("puniform", "symmetry_transfer_check", "dev <= DETECT_TOL"): "probabilities: P against its transpose",
     ("simulate", "stationary_distribution", "resid <= tol"): "an L1 distance between two pmfs",
     ("simulate", "trace_and_limit_checks", "abs(trace - expected) <= TRACE_TOL"):
         "the trace, a sum of at most 1024 probabilities",

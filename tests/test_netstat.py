@@ -45,6 +45,7 @@ from pumc.netstat import (
     stat_transitivity,
 )
 from pumc.oracle import stat_density, stat_stability
+from pumc.puniform import detect_puniform
 
 
 def graph(n, *dyads):
@@ -592,3 +593,35 @@ def test_union_encoding_is_digit_sum(i, j):
     u = multigraph_union([space1.decode(i), space1.decode(j)])
     assert np.array_equal(u.counts, space1.decode(i).counts + space1.decode(j).counts)
     assert 0 <= space2.encode(u) < 27
+
+
+def test_transfer_accepts_a_detected_witness_within_tolerance():
+    """Rows 5e-10 apart are detected at DETECT_TOL, and the witness's own triple
+    passes exchangeability_transfer's hypothesis check at the same tolerance."""
+    w = detect_puniform(StochasticMatrix(np.array([[0.3, 0.7], [0.3 + 5e-10, 0.7 - 5e-10]])))
+    rep = exchangeability_transfer(w.matrix, w.family, w.mu, iso_classes(build_multigraph_space(2, 1)))
+    assert rep.mu_exchangeable and all(rep.row_exchangeable) and rep.equivalence_holds
+
+
+def test_transfer_reports_an_equivalence_that_fails_within_tolerance():
+    """Row 0 moved by 5e-11 inside the class {1, 2} keeps the triple within
+    DETECT_TOL but leaves the row past EXCHANGE_TOL: the report says the
+    equivalence fails there, and nothing raises, since the triple is not exact."""
+    cm = models.density_chain(3, 0.3)
+    P = cm.matrix().P.copy()
+    P[0, 1] += 5e-11
+    P[0, 2] -= 5e-11
+    rep = exchangeability_transfer(StochasticMatrix(P), cm.family, cm.mu, iso_classes(cm.space))
+    assert rep.mu_exchangeable and rep.row_exchangeable == (False,) + (True,) * 7
+    assert not rep.equivalence_holds
+
+
+def test_transfer_raises_when_exact_premises_fail_the_equivalence(monkeypatch):
+    """An exact triple under a family that (wrongly) passes the invariance check:
+    the rows judged at deviation 0 then disagree with mu, which raises."""
+    from pumc import netstat
+
+    cm = models.stability_chain(3, 0.3)
+    monkeypatch.setattr(netstat, "is_relation_invariant", lambda perm, classes: (True, None))
+    with pytest.raises(TheoremViolationError, match="equivalence failed"):
+        exchangeability_transfer(cm.matrix(), cm.family, cm.mu, iso_classes(cm.space))

@@ -16,6 +16,7 @@ from pumc.core import (
     identity_family,
     invert_family,
 )
+from pumc.errors import TheoremViolationError
 from pumc.puniform import (
     PuniformWitness,
     _matched_family,
@@ -290,3 +291,50 @@ def test_blocked_triple_check_reports_the_dense_error(monkeypatch):
         check_triple(StochasticMatrix(bumped), fam, mu)
     with pytest.raises(ValueError, match="every row must be a permutation"):
         PermutationFamily(sigma=np.array([[0, 1, 2], [1, 2, 0], [2, 2, 1]]))
+
+
+# ------------------------------------------- one tolerance, exact premises
+
+NEAR_TIE = StochasticMatrix(np.array([[0.3, 0.7], [0.3 + 5e-10, 0.7 - 5e-10]]))
+
+
+def test_check_triple_returns_its_worst_deviation():
+    cm = models.stability_chain(3, 0.3)
+    assert check_triple(cm.matrix(), cm.family, cm.mu) == 0.0
+    w = detect_puniform(NEAR_TIE)
+    assert w.tol == 1e-9
+    assert np.isclose(check_triple(w.matrix, w.family, w.mu), 5e-10, rtol=1e-3, atol=0)
+
+
+def test_a_detected_witness_passes_the_symmetry_check():
+    """Rows 5e-10 apart are detected at DETECT_TOL; the witness's own triple is
+    accepted by symmetry_transfer_check at the same tolerance."""
+    w = detect_puniform(NEAR_TIE)
+    rep = symmetry_transfer_check(w.matrix, w.family, w.mu)
+    assert not rep.matrix_symmetric and rep.mu_entries_distinct and not rep.family_symmetric
+
+
+def test_symmetry_transfer_reports_a_triple_within_tolerance_without_raising():
+    """P is 9e-11 from mu relabelled by the symmetric symdiff family, and
+    |P - P^T| = 1.8e-10: the premises hold only within a tolerance, so the
+    flags report and nothing raises."""
+    e = 9e-11
+    P = StochasticMatrix(np.array([[0.3 - e, 0.7 + e], [0.7 - e, 0.3 + e]]))
+    fam = builtin_family(build_multigraph_space(2, 1), "symdiff")
+    rep = symmetry_transfer_check(P, fam, Pmf(np.array([0.3, 0.7])))
+    assert rep.family_symmetric and rep.matrix_symmetric and rep.mu_entries_distinct
+    assert 0 < rep.matrix_deviation <= 1e-9
+
+
+def test_symmetry_transfer_raises_when_exact_premises_fail_their_conclusion():
+    """An exact triple whose family is (wrongly) called symmetric, or whose exactly
+    symmetric P and distinct mu meet a family (wrongly) called asymmetric, raises."""
+    cm = models.modular_chain(3, np.array([0.2, 0.5, 0.3]))
+    with mock.patch("pumc.puniform.is_symmetric_family", return_value=(True, None)):
+        with pytest.raises(TheoremViolationError, match="asymmetric matrix"):
+            symmetry_transfer_check(cm.matrix(), cm.family, cm.mu)
+    P = StochasticMatrix(np.array([[0.3, 0.7], [0.7, 0.3]]))
+    fam = builtin_family(build_multigraph_space(2, 1), "symdiff")
+    with mock.patch("pumc.puniform.is_symmetric_family", return_value=(False, (0, 1))):
+        with pytest.raises(TheoremViolationError, match="requires a symmetric family"):
+            symmetry_transfer_check(P, fam, Pmf(np.array([0.3, 0.7])))

@@ -1,11 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pumc import models
-from pumc.core import StochasticMatrix, build_multigraph_space, builtin_family, identity_family, num_dyads
-from pumc.errors import PowerIterationError
+from pumc.core import (
+    StochasticMatrix,
+    build_multigraph_space,
+    builtin_family,
+    edge_total_table,
+    identity_family,
+    num_dyads,
+)
+from pumc.errors import PowerIterationError, SpaceTooLargeError
 from pumc.expfam import CodeTable
 from pumc.netstat import density_stat_table, edge_stat_counts
 from pumc.puniform import Trajectory, chain_to_iid
@@ -115,6 +124,27 @@ def test_convergence_report_reads_a_code_table_as_its_dense_form():
         assert (type(coded) is str) == (table is transitivity and fam is not None)
         assert (fam is cm.family) == (type(coded) is tuple and coded[2] is not None)
     assert "is not p-uniform under the family: (0, " in coded
+
+
+def test_convergence_report_reads_a_view_of_a_large_table_along_the_path():
+    """G(6, 1) has 32768 states, so a dense table would hold 2^30 entries. A read-only
+    broadcast view of tau(a, b) = edges of b is read only at the 1000 visited
+    transitions, with no family check and so no dense coordinate; with a family,
+    the check that forms one refuses first."""
+    space = build_multigraph_space(6, 1)
+    edges = edge_total_table(space).astype(np.float64)
+    table = np.broadcast_to(edges, (space.size, space.size))
+    x = Trajectory(space=space, states=np.random.default_rng(3).integers(0, space.size, size=1001))
+    tracemalloc.start()
+    try:
+        rep = convergence_report(x, table, 7.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert np.isclose(rep.final_mean[0], edges[x.states[1:]].mean()) and rep.stderr is None
+    with pytest.raises(SpaceTooLargeError, match="32768 x 32768"):
+        convergence_report(x, table, 7.5, builtin_family(space, "stability"))
 
 
 def test_convergence_report_dimension_checks():
