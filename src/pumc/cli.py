@@ -205,9 +205,10 @@ def cmd_partition(args) -> int:
 
 def cmd_sample(args) -> int:
     model = serialize.ermgm_from_dict(serialize.load_json(args.model))
-    draws = ermgm.sample_multigraphs(model, args.theta, args.count, args.seed)
+    blocks = ermgm._draw_blocks(model, args.theta, args.count, args.seed)  # refuses before --out opens
     with _output(args.out) as fp:
-        serialize.write_multigraph_lines(fp, model.n, model.t, draws)
+        for block in blocks:
+            serialize.write_multigraph_lines(fp, model.n, model.t, block)
     print(f"sample: {args.count} draws, seed {args.seed}", file=sys.stderr)
     return 0
 

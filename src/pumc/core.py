@@ -184,13 +184,17 @@ def _digit_columns(space: StateSpace, states: np.ndarray):
     return (states // place % (space.t + 1) for place in place_values(space))
 
 
+def _check_count_budget(space: StateSpace, rows: int) -> int:
+    """The number of dyads N, after refusing a rows x N table of dyad counts past DENSE_ENTRY_CAP."""
+    if rows * (nd := num_dyads(space.n)) > DENSE_ENTRY_CAP:
+        raise SpaceTooLargeError(f"{rows} x {nd} dyad counts pass the cap of {DENSE_ENTRY_CAP} entries")
+    return nd
+
+
 def dyad_counts(space: StateSpace, states) -> np.ndarray:
     """Dyad multiplicities of the given state indices, shape states.shape + (N,)."""
     states = np.asarray(states, dtype=np.int64)
-    nd = num_dyads(space.n)
-    if states.size * nd > DENSE_ENTRY_CAP:
-        raise SpaceTooLargeError(f"{states.size} x {nd} dyad counts pass the cap of {DENSE_ENTRY_CAP} entries")
-    out = np.empty(states.shape + (nd,), dtype=np.int64)
+    out = np.empty(states.shape + (_check_count_budget(space, states.size),), dtype=np.int64)
     for f, column in enumerate(_digit_columns(space, states)):
         out[..., f] = column
     return out

@@ -5,7 +5,7 @@ A model assigns each dyad f an exponential family over multiplicities
 function eta. Dyadic independence makes the partition function a product of
 per-dyad sums (N(t+1) terms instead of (t+1)^N), sampling a per-dyad
 inverse-CDF draw, and unions of iid simple-graph draws again a model of the
-same kind.
+same kind, and sampling and to_expfam work one block of draws or states at a time.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    BLOCK_ENTRIES,
     DENSE_ENTRY_CAP,
     Multigraph,
     Pmf,
     StateSpace,
     build_multigraph_space,
-    dyad_count_table,
     num_dyads,
 )
 from .expfam import (
@@ -34,7 +34,7 @@ from .expfam import (
     affinely_independent_entries,
     default_probes,
 )
-from .netstat import DyadicFactorization, _dyadic_rebuild, edge_stat_counts
+from .netstat import DyadicFactorization, _dyadic_rebuild, _rebuild_states, edge_stat_counts
 from .puniform import Trajectory
 from .rng import inverse_cdf, stream
 
@@ -122,44 +122,58 @@ def fast_log_partition_instrumented(model: ErmgmModel, theta) -> InstrumentedLog
 
 
 def to_expfam(model: ErmgmModel) -> ExpFamilySpec:
-    """Materialize the model as a per-state family over the whole space."""
+    """Materialize the model as a per-state family over the whole space, one row block of states at a time."""
     space = model.space()
-    digits = dyad_count_table(space)
-    tau = _dyadic_rebuild(model.tau_f, digits, np.add)
-    kappa = _dyadic_rebuild(model.kappa_f, digits, np.multiply)
-    for name, value in (("tau", tau), ("kappa", kappa)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"the per-state {name} overflows the float range")
-    # A zero factor gives an exact 0; a product of positive factors that reads 0 underflowed.
-    if (model.kappa_f[np.arange(model.num_dyads), digits[kappa == 0]] > 0).all(axis=1).any():
-        raise ValueError("the per-state kappa underflows the float range")
+    tau = _rebuild_states(space, model.tau_f, np.add, np.arange(space.size), "tau")
+    kappa = _rebuild_states(space, model.kappa_f, np.multiply, np.arange(space.size), "kappa")
     return ExpFamilySpec(space=space, kappa=kappa, tau=tau, eta=model.eta)
 
 
 def multigraph_log_pmf(model: ErmgmModel, theta, w: Multigraph) -> float:
-    """Log mass of one multigraph; -inf when it hits a zero-carrier count."""
+    """Log mass of one multigraph; -inf only when it hits a zero-carrier count."""
     if w.n != model.n or w.t != model.t:
         raise ValueError("multigraph does not belong to this model's space")
     logw = _dyad_log_weights(model, theta)
-    return float(_dyadic_rebuild(logw - _logsumexp_rows(logw)[:, None], w.counts, np.add))
+    value = float(_dyadic_rebuild(logw - _logsumexp_rows(logw)[:, None], w.counts, np.add))
+    if value == -np.inf and (model.kappa_f[np.arange(model.num_dyads), w.counts] > 0).all():
+        raise ValueError("the log mass overflows the float range at this parameter")
+    return value
 
 
 def sample_multigraphs(model: ErmgmModel, theta, count: int, seed: int) -> np.ndarray:
     """Draw `count` multigraphs as a (count, num_dyads) multiplicity array.
 
-    Dyad f consumes draws from the (seed, f) stream, one step per sample, so
-    any dyad subset can be regenerated independently.
+    Dyad f consumes draws from the (seed, f) stream, one step per sample, so any dyad subset
+    can be regenerated independently; `pumc sample` writes the blocks it fills as they are drawn.
     """
+    blocks = _draw_blocks(model, theta, count, seed)
+    out = np.empty((count, model.num_dyads), dtype=np.int64)
+    start = 0
+    for block in blocks:
+        out[start:start + len(block)] = block
+        start += len(block)
+    return out
+
+
+def _draw_blocks(model: ErmgmModel, theta, count: int, seed: int):
+    """The rows of sample_multigraphs in blocks, after checking count, theta and seed. A stream's
+    next k1 + k2 uniforms are its next k1 then its next k2, so the blocks stack to the one-shot
+    draws. A block holds BLOCK_ENTRIES // 8 int64 draws (128 KiB), and a record spends about
+    8 bytes a dyad ("[u,v,m],"), so each buffer that renders a block is about as small."""
     cap = DENSE_ENTRY_CAP // max(model.num_dyads, 1)
     if not 0 <= count <= cap:
         raise ValueError(f"count must lie in 0..{cap}")
-    probs = _dyad_pmf_table(model, theta)
-    out = np.empty((count, model.num_dyads), dtype=np.int64)
-    for f in range(model.num_dyads):
-        cum = np.cumsum(probs[f])
-        u = stream(seed, f).random(count)
-        out[:, f] = inverse_cdf(cum, u)
-    return out
+    cums = [np.cumsum(probs) for probs in _dyad_pmf_table(model, theta)]
+    streams = [stream(seed, f) for f in range(model.num_dyads)]
+    step = max(1, BLOCK_ENTRIES // (8 * max(model.num_dyads, 1)))
+
+    def blocks():
+        for start in range(0, count, step):
+            block = np.empty((min(step, count - start), model.num_dyads), dtype=np.int64)
+            for f, (cum, gen) in enumerate(zip(cums, streams)):
+                block[:, f] = inverse_cdf(cum, gen.random(len(block)))
+            yield block
+    return blocks()
 
 
 def _union_model(model: ErmgmModel, t: int) -> ErmgmModel:

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .core import (
+    BLOCK_ENTRIES,
     MULTIGRAPH,
     Multigraph,
     PermutationFamily,
     Pmf,
     StateSpace,
     StochasticMatrix,
+    _check_count_budget,
     builtin_family,
     canonical_dyads,
     check_finite,
@@ -187,10 +189,10 @@ class DyadicFactorization:
             object.__setattr__(self, "kappa_f", kappa_f)
 
     def reconstruct_tau(self, g: Multigraph) -> np.ndarray:
-        return _dyadic_rebuild(self.tau_f, g.counts, np.add)
+        return _float_rebuild(self.tau_f, g.counts, np.add, "tau")
 
     def reconstruct_kappa(self, g: Multigraph) -> float:
-        return float(_dyadic_rebuild(self.kappa_f, g.counts, np.multiply))
+        return float(_float_rebuild(self.kappa_f, g.counts, np.multiply, "kappa"))
 
 
 def _dyadic_rebuild(tables: np.ndarray, counts: np.ndarray, combine: np.ufunc) -> np.ndarray:
@@ -199,6 +201,30 @@ def _dyadic_rebuild(tables: np.ndarray, counts: np.ndarray, combine: np.ufunc) -
     past the float range comes back as inf or NaN with no numpy warning; callers refuse it."""
     with np.errstate(over="ignore", invalid="ignore"):
         return combine.reduce(tables[np.arange(tables.shape[0]), counts], axis=counts.ndim - 1)
+
+
+def _float_rebuild(tables: np.ndarray, counts: np.ndarray, combine: np.ufunc, name: str) -> np.ndarray:
+    """_dyadic_rebuild, refusing a value that is not a float: an inf or NaN overflowed, and a
+    product that reads 0 while every factor it read is positive (not an exact 0) underflowed."""
+    value = _dyadic_rebuild(tables, counts, combine)
+    if not np.isfinite(value).all():
+        raise ValueError(f"the per-state {name} overflows the float range")
+    if combine is np.multiply and (tables[np.arange(tables.shape[0]), counts[value == 0]] > 0).all(axis=-1).any():
+        raise ValueError(f"the per-state {name} underflows the float range")
+    return value
+
+
+def _rebuild_states(space: StateSpace, tables, combine, states: np.ndarray, name=None) -> np.ndarray:
+    """_dyadic_rebuild at the given states, one row block at a time: a block's dyad counts and
+    its gather hold at most BLOCK_ENTRIES entries each, though dyad_counts' states x dyads
+    budget still applies to the whole set. With a name, each block refuses as _float_rebuild does."""
+    _check_count_budget(space, states.size)
+    out = np.empty(states.shape + tables.shape[2:])
+    step = max(1, BLOCK_ENTRIES // max(1, tables[:, 0].size))
+    rebuild = _dyadic_rebuild if name is None else partial(_float_rebuild, name=name)
+    for start in range(0, states.size, step):
+        out[start:start + step] = rebuild(tables, dyad_counts(space, states[start:start + step]), combine)
+    return out
 
 
 @dataclass(frozen=True)
@@ -280,7 +306,7 @@ def factor_dyadically_multiplicative(space: StateSpace, kappa, probes=None, seed
 
 def _verdict(space: StateSpace, fact: DyadicFactorization, tables, combine, vals, check) -> FactorResult:
     """The factorization, or the first worst probe state (NaN ranks worst) if the rebuild misses tol there."""
-    dev = np.abs(_dyadic_rebuild(tables, dyad_counts(space, check), combine) - vals[check])
+    dev = np.abs(_rebuild_states(space, tables, combine, check) - vals[check])
     dev = dev.reshape(check.size, -1).max(axis=1)
     ok = dev.max() <= RECONSTRUCTION_TOL * magnitude(vals[check])
     bad = None if ok else space.decode(int(check[int(np.argmax(dev))]))

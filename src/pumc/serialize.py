@@ -721,8 +721,8 @@ def write_multigraph_lines(fp: IO, n: int, t: int, counts):
     if counts.size and (counts.min() < 0 or counts.max() > t):
         raise ValueError("multiplicities must lie in 0..t")
     line = f'{{"n":{n},"t":{t},"dyads":{_dyads_template(n)}}}\n'
-    for start in range(0, len(counts), CHUNK):
-        fp.write(_render_rows(line, counts[start:start + CHUNK]).decode("ascii"))
+    for chunk in _render_chunks(line, counts):
+        fp.write(chunk.decode("ascii"))
 
 
 def write_running_means_csv(path: str, running_mean):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pumc.core
-from pumc import models, netstat, serialize
+from pumc import ermgm, models, netstat, serialize
 from pumc.cli import _diagnose_table, main
 from pumc.core import BLOCK_ENTRIES, build_multigraph_space, edge_total_table, num_dyads
 from pumc.errors import PowerIterationError, SpaceTooLargeError, TheoremViolationError
@@ -588,6 +588,34 @@ def test_sample_past_one_chunk_matches_plain_json(tmp_path, capsys):
         assert code == 0
         draws = sample_multigraphs(model, 0.3, count, 6)
         assert _first_difference(out, _plain_sample_lines(model, draws)) is None
+
+
+def test_sample_writes_each_block_as_the_one_shot_draws_render(tmp_path, capsys):
+    """Counts on both sides of the block size B (the rows of a first block) write the
+    records of sample_multigraphs, and each shorter run's output is a prefix of the longest."""
+    mpath, model = write_er_model(tmp_path, n=4)
+    block = len(next(ermgm._draw_blocks(model, 0.3, 10 ** 6, 6)))
+    outs = []
+    for count in (0, 1, block - 1, block, block + 1, 3 * block + 7):
+        code, out, _ = run(capsys, "sample", "--model", mpath, "--theta", "0.3", "--seed", "6", "--count", str(count))
+        assert code == 0
+        assert _first_difference(out, _plain_sample_lines(model, sample_multigraphs(model, 0.3, count, 6))) is None
+        outs.append(out)
+    assert all(outs[-1].startswith(out) for out in outs)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--theta=0.3", "--seed", "6", "--count", "-1"), "count must lie in 0.."),
+    (("--theta=0.3", "--seed", "6", "--count", str(pumc.core.DENSE_ENTRY_CAP // 3 + 1)), "count must lie in 0.."),
+    (("--theta=0.3", "--seed", "-1", "--count", "4"), "seed must fit in 64 bits"),
+    (("--theta=inf", "--seed", "6", "--count", "4"), "natural parameter must be finite"),
+])
+def test_sample_refusals_leave_no_out_file(tmp_path, capsys, flags, message):
+    """Every check runs before --out is opened, so a refused run creates no file."""
+    mpath, _ = write_er_model(tmp_path)
+    code, out, err = run(capsys, "sample", "--model", mpath, *flags, "--out", str(tmp_path / "draws.jsonl"))
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert not (tmp_path / "draws.jsonl").exists()
 
 
 def test_sample_on_one_and_on_two_digit_vertices_matches_plain_json(tmp_path, capsys):

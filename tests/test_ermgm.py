@@ -1,10 +1,13 @@
+from functools import partial
 from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pumc import models, oracle
-from pumc.core import Multigraph, build_multigraph_space, edge_total_table
+from pumc.core import Multigraph, build_multigraph_space, dyad_count_table, edge_total_table, num_dyads
 from pumc.ermgm import (
     ErmgmModel,
     _dyad_log_weights,
@@ -281,6 +284,91 @@ def test_a_carrier_product_that_underflows_refuses_and_a_zero_factor_gives_zero(
     assert np.array_equal(to_expfam(_tiny_carrier_model(0.0)).kappa, [1.0] + [0.0] * 7)
     assert union_log_probability(_tiny_carrier_model(0.0), 0.0, 2, w) == -np.inf
     assert union_log_probability(_tiny_carrier_model(1e-100), 0.0, 2, w) == pytest.approx(np.log(2) - 300 * np.log(10))
+
+
+def _scaled(draw, shape, elements, k):
+    """An array of the given shape whose entries are drawn, then scaled by 10^k."""
+    return np.array(draw(st.lists(elements, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))
+                    ).reshape(shape) * 10.0 ** k
+
+
+@st.composite
+def _dyadic_cases(draw):
+    """(n, t, tau_f, kappa_f, theta, counts) on G(n <= 3, t <= 2), tables and carriers scaled
+    by 10^k for k in -300..300, theta up to +-1e308 and counts one graph of the space."""
+    n, t, l = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    shape = (num_dyads(n), t + 1)
+    tau_f = _scaled(draw, shape + (l,), st.floats(-1, 1), draw(st.integers(-300, 300)))
+    kappa_f = _scaled(draw, shape, st.sampled_from([0.0]) | st.floats(0.5, 1), draw(st.integers(-300, 300)))
+    theta = draw(st.lists(st.floats(-1e308, 1e308), min_size=l, max_size=l))
+    counts = np.array(draw(st.lists(st.integers(0, t), min_size=shape[0], max_size=shape[0])), dtype=np.int64)
+    return n, t, tau_f, kappa_f, theta, counts
+
+
+def _floats_or_refusal(call, ok):
+    """call() returns a value that passes ok, or refuses with ValueError (SpaceTooLargeError is one)."""
+    try:
+        value = call()
+    except ValueError:
+        return
+    assert ok(value), value
+
+
+def _zero_factor(kappa_f, counts) -> np.ndarray:
+    """Whether each graph in (..., N) counts reads a zero carrier factor at some dyad."""
+    return (kappa_f[np.arange(kappa_f.shape[0]), counts] == 0).any(axis=-1)
+
+
+def _union_zero_factor(kappa_f, t, counts) -> np.ndarray:
+    """_zero_factor of the t-fold union carrier C(t, m) kappa_f(1)^m kappa_f(0)^(t - m)."""
+    return (((counts > 0) & (kappa_f[:, 1] == 0)) | ((counts < t) & (kappa_f[:, 0] == 0))).any(axis=-1)
+
+
+def _family_ok(fam, zero_factor) -> bool:
+    """Finite tables, and a carrier that reads 0 only at states that read a zero factor."""
+    zeros = fam.kappa == 0
+    return bool(np.isfinite(fam.tau).all() and np.isfinite(fam.kappa).all()
+                and zero_factor(dyad_count_table(fam.space)[zeros]).all())
+
+
+def _g3_case(tau_f=((0.0,), (1.0,)), kappa_f=(1.0, 1.0)):
+    """G(3, 1) with the given tables on every dyad, theta 0 and the graph [1, 1, 0]."""
+    return 3, 1, np.array([tau_f] * 3), np.array([kappa_f] * 3), [0.0], np.array([1, 1, 0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_dyadic_cases())
+@example(case=_g3_case(kappa_f=(1.0, 1e-300)))  # the carrier 1e-600 read 0.0
+@example(case=_g3_case(kappa_f=(1.0, 1e300)))  # the carrier 1e600 read inf
+@example(case=_g3_case(tau_f=((0.0,), (1e308,))))  # the statistic 2e308 read inf
+@example(case=(2, 1, np.array([[[0.0], [1e300]]]), np.ones((1, 2)), [-1e10], np.array([1])))  # log mass -1e310
+def test_the_dyadic_layer_returns_floats_or_refuses(case):
+    """Every ermgm entry point and both per-graph reconstructions return finite values, with
+    a carrier (or a log mass) that reads 0 (or -inf) only on a zero factor, or refuse with
+    ValueError; no numpy warning escapes, since pytest makes a RuntimeWarning an error."""
+    n, t, tau_f, kappa_f, theta, counts = case
+    g = Multigraph(n=n, t=t, counts=counts)
+    fact = DyadicFactorization(n=n, t=t, tau_f=tau_f, kappa_f=kappa_f)
+    _floats_or_refusal(lambda: fact.reconstruct_tau(g), lambda v: np.isfinite(v).all())
+    _floats_or_refusal(lambda: fact.reconstruct_kappa(g),
+                       lambda v: np.isfinite(v) and (v != 0 or _zero_factor(kappa_f, counts)))
+    try:
+        model = ErmgmModel(n=n, t=t, tau_f=tau_f, kappa_f=kappa_f, eta=ParameterMap("natural", l=len(theta)))
+    except ValueError:  # a dyad whose carrier is identically zero
+        return
+    _floats_or_refusal(lambda: fast_log_partition(model, theta), np.isfinite)
+    _floats_or_refusal(lambda: to_expfam(model), lambda fam: _family_ok(fam, partial(_zero_factor, kappa_f)))
+    _floats_or_refusal(lambda: multigraph_log_pmf(model, theta, g),
+                       lambda v: np.isfinite(v) or (v == -np.inf and _zero_factor(kappa_f, counts)))
+    _floats_or_refusal(lambda: sample_multigraphs(model, theta, 5, seed=1),
+                       lambda draws: draws.shape == (5, num_dyads(n)) and ((0 <= draws) & (draws <= t)).all())
+    if t != 1:
+        return
+    w = Multigraph(n=n, t=2, counts=np.arange(num_dyads(n)) % 3)
+    _floats_or_refusal(lambda: union_log_probability(model, theta, 2, w),
+                       lambda v: np.isfinite(v) or (v == -np.inf and _union_zero_factor(kappa_f, 2, w.counts)))
+    _floats_or_refusal(lambda: union_expfam(model, 2).family,
+                       lambda fam: _family_ok(fam, partial(_union_zero_factor, kappa_f, 2)))
 
 
 def test_fast_log_partition_refuses_a_total_past_the_float_range():

@@ -6,7 +6,8 @@ need one (diagnose and exchangeability read dense statistic tables) exit 2
 before allocating it. Dyad counts are computed per state, so the G(7, 1)
 pipeline holds no 2^21 x 21 digit table either. Every run is a subprocess
 with RLIMIT_AS set, so a regression fails fast with exit 1 instead of
-taking the machine's memory.
+taking the machine's memory. On G(5, 2), `sample` and `partition --brute`
+hold one block of draws or of states, under tracemalloc.
 """
 
 import json
@@ -16,9 +17,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pumc import models
+from pumc import models, serialize
+from pumc.ermgm import ErmgmModel
+from pumc.expfam import ParameterMap
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 AS_LIMIT = 3 * 10 ** 9
@@ -208,3 +212,37 @@ def test_detect_child_rss_over_a_bare_import(stability_p_json, tmp_path):
     assert code == 0, err
     import_mb = peak_mb(tmp_path, "-c", "import pumc.cli")[2]
     assert detect_mb - import_mb <= 40, f"detect {detect_mb:.1f} MB, bare import {import_mb:.1f} MB"
+
+
+@pytest.fixture(scope="module")
+def edge_count_model_json(tmp_path_factory):
+    """The G(5, 2) edge-count model, tau_f(m) = m on each of 10 dyads (59049 states)."""
+    model = ErmgmModel(n=5, t=2, tau_f=np.tile(np.arange(3.0)[None, :, None], (10, 1, 1)), kappa_f=None,
+                       eta=ParameterMap("natural"))
+    path = tmp_path_factory.mktemp("dyadic") / "model.json"
+    path.write_text(serialize.dumps(serialize.ermgm_to_dict(model)), encoding="utf-8")
+    return path
+
+
+_TRACED_MAIN = """
+import contextlib, io, sys, tracemalloc
+from pumc import cli
+tracemalloc.start()
+with contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("argv, budget_mib", [
+    # 5e5 draws are 38 MiB of int64 and about 50 MiB of text; sample holds one block of each.
+    (("sample", "--theta", "0.2", "--seed", "5", "--count", "500000", "--out", "draws.jsonl"), 4),
+    # A whole-space rebuild would hold 59049 x 10 int64 counts and as many float64 gathers.
+    (("partition", "--theta=-1,0.5,2", "--brute", "--out", "partition.json"), 5),
+])
+def test_dyadic_commands_hold_one_block(edge_count_model_json, tmp_path, argv, budget_mib):
+    res = _run(tmp_path, "-c", _TRACED_MAIN, argv[0], "--model", str(edge_count_model_json), *argv[1:])
+    assert res.returncode == 0, res.stderr
+    code, peak = map(int, res.stdout.split())
+    assert code == 0 and (tmp_path / argv[-1]).stat().st_size > 0
+    assert peak <= budget_mib * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MiB"

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pumc import models
+from pumc import models, netstat
 from pumc.core import (
+    BLOCK_ENTRIES,
     Multigraph,
     PermutationFamily,
     Pmf,
@@ -24,7 +25,8 @@ from pumc.core import (
     num_dyads,
 )
 from pumc.errors import TheoremViolationError
-from pumc.expfam import CodeTable
+from pumc.ermgm import ErmgmModel, to_expfam
+from pumc.expfam import CodeTable, ParameterMap
 from pumc.netstat import (
     DyadicFactorization,
     IsoClasses,
@@ -526,7 +528,6 @@ def test_transfer_rows_match_loop_reference():
 
 
 def test_iso_classes_checks_degree_sequences_per_orbit(monkeypatch):
-    from pumc import netstat
 
     space = build_multigraph_space(3, 1)
     split = sorted_degree_table(space).copy()
@@ -619,9 +620,41 @@ def test_transfer_reports_an_equivalence_that_fails_within_tolerance():
 def test_transfer_raises_when_exact_premises_fail_the_equivalence(monkeypatch):
     """An exact triple under a family that (wrongly) passes the invariance check:
     the rows judged at deviation 0 then disagree with mu, which raises."""
-    from pumc import netstat
 
     cm = models.stability_chain(3, 0.3)
     monkeypatch.setattr(netstat, "is_relation_invariant", lambda perm, classes: (True, None))
     with pytest.raises(TheoremViolationError, match="equivalence failed"):
         exchangeability_transfer(cm.matrix(), cm.family, cm.mu, iso_classes(cm.space))
+
+
+@pytest.mark.parametrize("n, t, l", [(3, 2, 2), (4, 2, 1), (4, 2, 2), (5, 1, 1), (5, 1, 2)])
+def test_the_blocked_rebuild_matches_the_one_shot_rebuild_bit_for_bit(monkeypatch, n, t, l):
+    """to_expfam and the factorizations' verdicts rebuild one row block of states at a
+    time; every block size gives the bits, tables and witnesses of one block over the whole
+    space, and that block gives the bits of one rebuild over the whole dyad-count table."""
+    gen = np.random.default_rng(100 * n + 10 * t + l)
+    model = ErmgmModel(n=n, t=t, tau_f=gen.normal(size=(num_dyads(n), t + 1, l)),
+                       kappa_f=gen.uniform(0.5, 2.0, size=(num_dyads(n), t + 1)), eta=ParameterMap("natural", l=l))
+    space = model.space()
+    noise = np.zeros(space.size)
+    noise[gen.choice(space.size, 5, replace=False)] = gen.uniform(1e-6, 1e-3, 5)
+
+    def outcomes():
+        fam = to_expfam(model)
+        results = [factor_dyadditive(space, fam.tau), factor_dyadditive(space, fam.tau + noise[:, None]),
+                   factor_dyadically_multiplicative(space, fam.kappa),
+                   factor_dyadically_multiplicative(space, fam.kappa * (1 + noise))]
+        verdicts = [(r.witness.counts.tobytes() if r.witness else None,
+                     r.factorization and (r.factorization.tau_f if r.factorization.tau_f is not None
+                                          else r.factorization.kappa_f).tobytes()) for r in results]
+        return fam.tau.tobytes(), fam.kappa.tobytes(), verdicts
+
+    monkeypatch.setattr(netstat, "BLOCK_ENTRIES", 2 ** 40)
+    one_block = outcomes()
+    digits = dyad_count_table(space)
+    assert one_block[:2] == (netstat._dyadic_rebuild(model.tau_f, digits, np.add).tobytes(),
+                             netstat._dyadic_rebuild(model.kappa_f, digits, np.multiply).tobytes())
+    assert [w is None for w, _ in one_block[2]] == [True, False, True, False]
+    for entries in (1, 7, 64, BLOCK_ENTRIES):
+        monkeypatch.setattr(netstat, "BLOCK_ENTRIES", entries)
+        assert outcomes() == one_block, entries
