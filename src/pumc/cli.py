@@ -205,7 +205,7 @@ def cmd_partition(args) -> int:
 
 def cmd_sample(args) -> int:
     model = serialize.ermgm_from_dict(serialize.load_json(args.model))
-    blocks = ermgm._draw_blocks(model, args.theta, args.count, args.seed)  # refuses before --out opens
+    blocks = ermgm.sample_blocks(model, args.theta, args.count, args.seed)  # refuses before --out opens
     with _output(args.out) as fp:
         for block in blocks:
             serialize.write_multigraph_lines(fp, model.n, model.t, block)

@@ -5,7 +5,7 @@ A model assigns each dyad f an exponential family over multiplicities
 function eta. Dyadic independence makes the partition function a product of
 per-dyad sums (N(t+1) terms instead of (t+1)^N), sampling a per-dyad
 inverse-CDF draw, and unions of iid simple-graph draws again a model of the
-same kind, and sampling and to_expfam work one block of draws or states at a time.
+same kind. Sampling and to_expfam work one block of draws or states at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    BLOCK_ENTRIES,
     DENSE_ENTRY_CAP,
     Multigraph,
     Pmf,
@@ -37,6 +36,8 @@ from .expfam import (
 from .netstat import DyadicFactorization, _dyadic_rebuild, _rebuild_states, edge_stat_counts
 from .puniform import Trajectory
 from .rng import inverse_cdf, stream
+
+SAMPLE_ROWS = 4096  # draws per block of sample_blocks, whatever the number of dyads
 
 
 @dataclass(frozen=True)
@@ -140,40 +141,30 @@ def multigraph_log_pmf(model: ErmgmModel, theta, w: Multigraph) -> float:
     return value
 
 
-def sample_multigraphs(model: ErmgmModel, theta, count: int, seed: int) -> np.ndarray:
-    """Draw `count` multigraphs as a (count, num_dyads) multiplicity array.
+def sample_multigraphs(model: ErmgmModel, theta, count: int, seed: int, start: int = 0) -> np.ndarray:
+    """Draw `count` multigraphs as a (count, num_dyads) multiplicity array, or only its rows
+    start..count-1.
 
     Dyad f consumes draws from the (seed, f) stream, one step per sample, so any dyad subset
-    can be regenerated independently; `pumc sample` writes the blocks it fills as they are drawn.
+    can be regenerated independently, and any row range alone: sample_blocks draws in blocks.
     """
-    blocks = _draw_blocks(model, theta, count, seed)
-    out = np.empty((count, model.num_dyads), dtype=np.int64)
-    start = 0
-    for block in blocks:
-        out[start:start + len(block)] = block
-        start += len(block)
-    return out
-
-
-def _draw_blocks(model: ErmgmModel, theta, count: int, seed: int):
-    """The rows of sample_multigraphs in blocks, after checking count, theta and seed. A stream's
-    next k1 + k2 uniforms are its next k1 then its next k2, so the blocks stack to the one-shot
-    draws. A block holds BLOCK_ENTRIES // 8 int64 draws (128 KiB), and a record spends about
-    8 bytes a dyad ("[u,v,m],"), so each buffer that renders a block is about as small."""
     cap = DENSE_ENTRY_CAP // max(model.num_dyads, 1)
     if not 0 <= count <= cap:
         raise ValueError(f"count must lie in 0..{cap}")
-    cums = [np.cumsum(probs) for probs in _dyad_pmf_table(model, theta)]
-    streams = [stream(seed, f) for f in range(model.num_dyads)]
-    step = max(1, BLOCK_ENTRIES // (8 * max(model.num_dyads, 1)))
+    if not 0 <= start <= count:
+        raise ValueError(f"start must lie in 0..{count}")
+    out = np.empty((count - start, model.num_dyads), dtype=np.int64)
+    for f, probs in enumerate(_dyad_pmf_table(model, theta)):
+        out[:, f] = inverse_cdf(np.cumsum(probs), stream(seed, f, start=start).random(count - start))
+    return out
 
-    def blocks():
-        for start in range(0, count, step):
-            block = np.empty((min(step, count - start), model.num_dyads), dtype=np.int64)
-            for f, (cum, gen) in enumerate(zip(cums, streams)):
-                block[:, f] = inverse_cdf(cum, gen.random(len(block)))
-            yield block
-    return blocks()
+
+def sample_blocks(model: ErmgmModel, theta, count: int, seed: int):
+    """The rows of sample_multigraphs(model, theta, count, seed), SAMPLE_ROWS at a time. Its
+    checks of count, theta and seed run at the call, by an empty draw from row count."""
+    sample_multigraphs(model, theta, count, seed, start=count)
+    return (sample_multigraphs(model, theta, min(start + SAMPLE_ROWS, count), seed, start)
+            for start in range(0, count, SAMPLE_ROWS))
 
 
 def _union_model(model: ErmgmModel, t: int) -> ErmgmModel:

@@ -203,27 +203,35 @@ def _dyadic_rebuild(tables: np.ndarray, counts: np.ndarray, combine: np.ufunc) -
         return combine.reduce(tables[np.arange(tables.shape[0]), counts], axis=counts.ndim - 1)
 
 
-def _float_rebuild(tables: np.ndarray, counts: np.ndarray, combine: np.ufunc, name: str) -> np.ndarray:
+def _float_rebuild(tables: np.ndarray, counts: np.ndarray, combine: np.ufunc, name: str, defer=None) -> np.ndarray:
     """_dyadic_rebuild, refusing a value that is not a float: an inf or NaN overflowed, and a
-    product that reads 0 while every factor it read is positive (not an exact 0) underflowed."""
+    product that reads 0 while every factor it read is positive (not an exact 0) underflowed.
+    Given a `defer` list, an underflow is appended to it instead of raised."""
     value = _dyadic_rebuild(tables, counts, combine)
     if not np.isfinite(value).all():
         raise ValueError(f"the per-state {name} overflows the float range")
     if combine is np.multiply and (tables[np.arange(tables.shape[0]), counts[value == 0]] > 0).all(axis=-1).any():
-        raise ValueError(f"the per-state {name} underflows the float range")
+        error = ValueError(f"the per-state {name} underflows the float range")
+        if defer is None:
+            raise error
+        defer.append(error)
     return value
 
 
 def _rebuild_states(space: StateSpace, tables, combine, states: np.ndarray, name=None) -> np.ndarray:
     """_dyadic_rebuild at the given states, one row block at a time: a block's dyad counts and
     its gather hold at most BLOCK_ENTRIES entries each, though dyad_counts' states x dyads
-    budget still applies to the whole set. With a name, each block refuses as _float_rebuild does."""
+    budget still applies to the whole set. With a name, it refuses as _float_rebuild does, an
+    overflow in any block before an underflow in any block."""
     _check_count_budget(space, states.size)
     out = np.empty(states.shape + tables.shape[2:])
     step = max(1, BLOCK_ENTRIES // max(1, tables[:, 0].size))
-    rebuild = _dyadic_rebuild if name is None else partial(_float_rebuild, name=name)
+    underflows = []
+    rebuild = _dyadic_rebuild if name is None else partial(_float_rebuild, name=name, defer=underflows)
     for start in range(0, states.size, step):
         out[start:start + step] = rebuild(tables, dyad_counts(space, states[start:start + step]), combine)
+    if underflows:
+        raise underflows[0]
     return out
 
 

@@ -31,12 +31,14 @@ def _lane_key(lanes: tuple[int, ...]) -> int:
     return h & _MASK64
 
 
-def stream(seed: int, *lanes: int) -> np.random.Generator:
-    """Return the Philox stream for (seed, lanes)."""
+def stream(seed: int, *lanes: int, start: int = 0) -> np.random.Generator:
+    """Return the Philox stream for (seed, lanes), at step `start` (one step per 64-bit draw)."""
     if not 0 <= int(seed) <= _MASK64:
         raise ValueError("seed must fit in 64 bits")
     key = np.array([int(seed) & _MASK64, _lane_key(lanes)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    gen = np.random.Generator(np.random.Philox(key=key, counter=start // 4))
+    gen.random(start % 4)  # Philox draws four 64-bit words per counter value
+    return gen
 
 
 def inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:

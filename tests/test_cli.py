@@ -591,10 +591,10 @@ def test_sample_past_one_chunk_matches_plain_json(tmp_path, capsys):
 
 
 def test_sample_writes_each_block_as_the_one_shot_draws_render(tmp_path, capsys):
-    """Counts on both sides of the block size B (the rows of a first block) write the
+    """Counts on both sides of the block size B = SAMPLE_ROWS write the
     records of sample_multigraphs, and each shorter run's output is a prefix of the longest."""
     mpath, model = write_er_model(tmp_path, n=4)
-    block = len(next(ermgm._draw_blocks(model, 0.3, 10 ** 6, 6)))
+    block = ermgm.SAMPLE_ROWS
     outs = []
     for count in (0, 1, block - 1, block, block + 1, 3 * block + 7):
         code, out, _ = run(capsys, "sample", "--model", mpath, "--theta", "0.3", "--seed", "6", "--count", str(count))

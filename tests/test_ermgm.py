@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pumc import models, oracle
+from pumc import ermgm, models, netstat, oracle
 from pumc.core import Multigraph, build_multigraph_space, dyad_count_table, edge_total_table, num_dyads
 from pumc.ermgm import (
     ErmgmModel,
@@ -17,6 +17,7 @@ from pumc.ermgm import (
     from_factorization,
     mle_density_stability,
     multigraph_log_pmf,
+    sample_blocks,
     sample_multigraphs,
     to_expfam,
     union_expfam,
@@ -198,6 +199,26 @@ def test_sampling_prefix_stability():
     assert np.array_equal(a, b[:20])
 
 
+def test_sampling_from_a_start_row_draws_the_rows_of_the_whole_run(monkeypatch):
+    """Rows start..count-1 of a run alone, from every start (Philox makes four draws per
+    counter value, so starts 0..9 cross two counter boundaries); blocks of 4 rows stack to
+    the run, and a refused count refuses when sample_blocks is called, not when drawn."""
+    model = er_model(4)
+    whole = sample_multigraphs(model, (0.3,), 25, seed=9)
+    for start in list(range(10)) + [24, 25]:
+        assert np.array_equal(sample_multigraphs(model, (0.3,), 25, seed=9, start=start), whole[start:]), start
+    monkeypatch.setattr(ermgm, "SAMPLE_ROWS", 4)
+    for count in (0, 1, 3, 4, 5, 25):
+        blocks = list(sample_blocks(model, (0.3,), count, seed=9))
+        assert [len(b) for b in blocks[:-1]] == [4] * (len(blocks) - 1)
+        assert np.array_equal(np.concatenate(blocks or [whole[:0]]), whole[:count]), count
+    for count, seed in ((-1, 9), (10 ** 9, 9), (5, -1)):
+        with pytest.raises(ValueError):
+            sample_blocks(model, (0.3,), count, seed)
+    with pytest.raises(ValueError, match="start must lie in 0..25"):
+        sample_multigraphs(model, (0.3,), 25, seed=9, start=26)
+
+
 def test_sampling_frequencies_near_dyad_law():
     model = er_model(3)
     gamma = np.log(0.3 / 0.7)
@@ -369,6 +390,18 @@ def test_the_dyadic_layer_returns_floats_or_refuses(case):
                        lambda v: np.isfinite(v) or (v == -np.inf and _union_zero_factor(kappa_f, 2, w.counts)))
     _floats_or_refusal(lambda: union_expfam(model, 2).family,
                        lambda fam: _family_ok(fam, partial(_union_zero_factor, kappa_f, 2)))
+
+
+@pytest.mark.parametrize("entries", [1, 2 ** 17])
+def test_to_expfam_refuses_an_overflow_before_an_earlier_underflow(monkeypatch, entries):
+    """kappa_f = [1e-200, 1e200] on each of 3 dyads: the empty graph (state 0) reads
+    1e-600 and the full graph (state 7) 1e600. With one state per block the underflow's block
+    comes first, yet the overflow refuses, as it does with the whole space in one block."""
+    model = ErmgmModel(n=3, t=1, tau_f=np.array([[[0.0], [1.0]]] * 3), kappa_f=np.array([[1e-200, 1e200]] * 3),
+                       eta=ParameterMap("natural"))
+    monkeypatch.setattr(netstat, "BLOCK_ENTRIES", entries)
+    with pytest.raises(ValueError, match="^the per-state kappa overflows the float range$"):
+        to_expfam(model)
 
 
 def test_fast_log_partition_refuses_a_total_past_the_float_range():

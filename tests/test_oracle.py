@@ -211,7 +211,7 @@ def test_iid_replay_matches_the_trajectory_law():
 class _CentredDraws:
     """Stands in for rng.stream: each lane's k draws are the centred points (j + 0.5) / k."""
 
-    def __init__(self, seed, *lanes):
+    def __init__(self, seed, *lanes, start=0):
         pass
 
     def random(self, k):

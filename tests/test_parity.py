@@ -71,6 +71,7 @@ NOT_FAST_PATH = {
     "core.row_blocks": "helper: the row slices a size x size work table is walked in",
     "ermgm.from_factorization": "builder: a model from factored tables",
     "ermgm.to_expfam": "builder: materializes the model; the oracle's own input",
+    "ermgm.sample_blocks": "sample_multigraphs in row blocks, which stack to its one-shot draws",
     "ermgm.mle_density_stability": "estimator: a closed form over edge_stat_counts, whose row holds",
     "expfam.affinely_independent_entries": "theorem check: the affine-independence hypothesis",
     "expfam.as_mef": "theorem check: promotes a CEF that passes mef_check",
